@@ -65,10 +65,10 @@ int Run(int argc, char** argv) {
     for (int i = 0; i < window_examples; ++i) stream.push_back(gen.Next());
     if (!stream.empty()) learner.UpdateBatch(stream);
 
-    std::ostringstream delta(std::ios::binary);
+    std::string delta;
     DeltaStats stats;
     const Status st =
-        SaveDelta(learner.method(), learner.impl(), window.value(), delta, &stats);
+        SaveDelta(learner.method(), learner.impl(), window.value(), &delta, &stats);
     if (!st.ok()) {
       std::fprintf(stderr, "delta failed: %s\n", st.ToString().c_str());
       return 1;
@@ -76,7 +76,7 @@ int Run(int argc, char** argv) {
     std::ostringstream full(std::ios::binary);
     if (!SaveClassifier(learner.method(), learner.impl(), full).ok()) return 1;
 
-    const double delta_bytes = static_cast<double>(delta.str().size());
+    const double delta_bytes = static_cast<double>(delta.size());
     const double full_bytes = static_cast<double>(full.str().size());
     const std::string pages = std::to_string(stats.pages_shipped) + "/" +
                               std::to_string(stats.pages_total);

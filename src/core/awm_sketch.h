@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "hash/tabulation.h"
@@ -24,7 +25,7 @@ namespace detail {
 Status SaveAwmSketchPayload(const AwmSketch&, std::ostream&);
 Result<AwmSketch> LoadAwmSketchPayload(snapshot::SnapshotReader&, const LearnerOptions&);
 uint64_t BeginAwmDeltaWindow(AwmSketch&);
-Status SaveAwmSketchDelta(const AwmSketch&, uint64_t, std::ostream&, DeltaStats*);
+void SaveAwmSketchDelta(const AwmSketch&, uint64_t, std::string*, DeltaStats*);
 Status ApplyAwmSketchDelta(AwmSketch&, snapshot::SnapshotReader&);
 }  // namespace detail
 
@@ -135,8 +136,8 @@ class AwmSketch final : public BudgetedClassifier {
   friend Result<AwmSketch> detail::LoadAwmSketchPayload(snapshot::SnapshotReader&,
                                                         const LearnerOptions&);
   friend uint64_t detail::BeginAwmDeltaWindow(AwmSketch&);
-  friend Status detail::SaveAwmSketchDelta(const AwmSketch&, uint64_t, std::ostream&,
-                                           DeltaStats*);
+  friend void detail::SaveAwmSketchDelta(const AwmSketch&, uint64_t, std::string*,
+                                        DeltaStats*);
   friend Status detail::ApplyAwmSketchDelta(AwmSketch&, snapshot::SnapshotReader&);
 
   /// Count-Sketch point estimate of a tail feature's weight (true scale).

@@ -1,12 +1,11 @@
 #include "core/delta_io.h"
 
 #include <cstring>
-#include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/awm_sketch.h"
+#include "core/serialization.h"
 #include "core/snapshot_io.h"
 #include "core/wm_sketch.h"
 #include "sketch/merge_compat.h"
@@ -23,8 +22,6 @@ using snapshot::WriteRaw;
 // other snapshot stream, so it is length- and CRC-validated before parsing.
 constexpr uint32_t kDeltaMagic = 0x31444d57;  // "WMD1"
 
-constexpr size_t kHeapEntryBytes = sizeof(uint32_t) + sizeof(float);
-
 std::string TagName(uint8_t tag) {
   if (tag > static_cast<uint8_t>(Method::kAwmSketch)) {
     return "method#" + std::to_string(tag);
@@ -32,56 +29,20 @@ std::string TagName(uint8_t tag) {
   return MethodName(static_cast<Method>(tag));
 }
 
-// Heap/active-set section: full contents every delta. The tracked set is
-// small (KBs) and its entries move between sketch and heap on every update,
-// so page-level diffing would buy nothing.
-void WriteHeapSection(std::ostream& out, const TopKHeap& heap) {
-  const std::vector<FeatureWeight> entries = heap.Entries();
-  WriteRaw(out, static_cast<uint64_t>(entries.size()));
-  for (const FeatureWeight& fw : entries) {
-    WriteRaw(out, fw.feature);
-    WriteRaw(out, fw.weight);
-  }
-}
-
-// Parses a heap section into a fresh staged heap (the receiver's heap is
-// only replaced after the whole payload validates). Entries are Set() in
-// stream order, which reproduces the sender's internal array exactly — the
-// round-trip tests in serialization pin this property.
-Status ReadHeapSection(SnapshotReader& in, size_t capacity, TopKHeap* staged) {
-  uint64_t n = 0;
-  if (!in.ReadRaw(&n)) return Status::Corruption("truncated delta heap header");
-  if (n > capacity) return Status::Corruption("delta heap entries exceed capacity");
-  if (!in.CanRead(n, kHeapEntryBytes)) {
-    return Status::Corruption("delta heap entries exceed stream size");
-  }
-  *staged = TopKHeap(capacity);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t feature;
-    float weight;
-    if (!in.ReadRaw(&feature) || !in.ReadRaw(&weight)) {
-      return Status::Corruption("truncated delta heap entry");
-    }
-    if (staged->Contains(feature)) return Status::Corruption("duplicate delta heap feature");
-    staged->Set(feature, weight);
-  }
-  return Status::OK();
-}
-
 // Table section: shape header, then the pages dirtied at-or-after `since` as
 // (page index, raw cells) records in ascending page order. Raw bytes — no
 // float arithmetic on either end — so applying onto a replica that matches
 // the sender's unshipped pages reproduces the sender byte-for-byte.
-void WriteDirtyPages(std::ostream& out, const PagedTable& table, uint64_t since,
+void WriteDirtyPages(std::string* out, const PagedTable& table, uint64_t since,
                      DeltaStats* stats) {
-  WriteRaw(out, static_cast<uint64_t>(table.size()));
-  WriteRaw(out, static_cast<uint32_t>(table.page_cells()));
-  WriteRaw(out, static_cast<uint64_t>(table.num_pages()));
+  WriteRaw(*out, static_cast<uint64_t>(table.size()));
+  WriteRaw(*out, static_cast<uint32_t>(table.page_cells()));
+  WriteRaw(*out, static_cast<uint64_t>(table.num_pages()));
   const uint64_t shipped = table.CountDirtyPagesSince(since);
-  WriteRaw(out, shipped);
+  WriteRaw(*out, shipped);
   table.ForEachDirtyPageSince(since, [&](size_t p, const float* cells, size_t pc) {
-    WriteRaw(out, static_cast<uint64_t>(p));
-    WriteBytes(out, cells, pc * sizeof(float));
+    WriteRaw(*out, static_cast<uint64_t>(p));
+    WriteBytes(*out, cells, pc * sizeof(float));
   });
   if (stats != nullptr) {
     stats->pages_total = table.num_pages();
@@ -89,16 +50,28 @@ void WriteDirtyPages(std::ostream& out, const PagedTable& table, uint64_t since,
   }
 }
 
-struct StagedPage {
-  uint64_t index = 0;
-  std::vector<float> cells;
+// The page records of a validated table section, left in place in the
+// payload: `count` records of (u64 page index, page cells), `record_bytes`
+// each.
+struct PageRecords {
+  std::string_view bytes;
+  uint64_t count = 0;
+  size_t record_bytes = 0;
+
+  uint64_t index(uint64_t i) const {
+    uint64_t p = 0;
+    std::memcpy(&p, bytes.data() + i * record_bytes, sizeof(p));
+    return p;
+  }
+  const char* cells(uint64_t i) const {
+    return bytes.data() + i * record_bytes + sizeof(uint64_t);
+  }
 };
 
-// Parses a table section against the receiver's live table shape. Everything
-// lands in `staged`; the table itself is untouched, so any Corruption below
-// leaves the receiver exactly as it was.
-Status ReadStagedPages(SnapshotReader& in, const PagedTable& table,
-                       std::vector<StagedPage>* staged) {
+// Validates a table section against the receiver's live table without
+// touching it: the page geometry must match exactly, and the records must
+// fit the payload with strictly increasing in-range indices.
+Status ReadPageRecords(SnapshotReader& in, const PagedTable& table, PageRecords* pages) {
   uint64_t cells = 0, num_pages = 0, shipped = 0;
   uint32_t page_cells = 0;
   if (!in.ReadRaw(&cells) || !in.ReadRaw(&page_cells) || !in.ReadRaw(&num_pages)) {
@@ -114,37 +87,31 @@ Status ReadStagedPages(SnapshotReader& in, const PagedTable& table,
   if (num_pages != table.num_pages()) return Status::Corruption("delta page count mismatch");
   if (!in.ReadRaw(&shipped)) return Status::Corruption("truncated delta page header");
   if (shipped > num_pages) return Status::Corruption("delta ships more pages than exist");
-  const size_t page_bytes = static_cast<size_t>(page_cells) * sizeof(float);
-  if (!in.CanRead(shipped, sizeof(uint64_t) + page_bytes)) {
+  pages->count = shipped;
+  pages->record_bytes = sizeof(uint64_t) + static_cast<size_t>(page_cells) * sizeof(float);
+  if (!in.CanRead(shipped, pages->record_bytes) ||
+      !in.ReadView(shipped * pages->record_bytes, &pages->bytes)) {
     return Status::Corruption("delta pages exceed stream size");
   }
-  staged->resize(shipped);
-  uint64_t prev = 0;
   for (uint64_t i = 0; i < shipped; ++i) {
-    StagedPage& sp = (*staged)[i];
-    if (!in.ReadRaw(&sp.index)) return Status::Corruption("truncated delta page index");
-    if (sp.index >= num_pages) return Status::Corruption("delta page index out of range");
-    if (i > 0 && sp.index <= prev) {
+    const uint64_t p = pages->index(i);
+    if (p >= num_pages) return Status::Corruption("delta page index out of range");
+    if (i > 0 && p <= pages->index(i - 1)) {
       return Status::Corruption("delta page indices not strictly increasing");
-    }
-    prev = sp.index;
-    sp.cells.resize(page_cells);
-    if (!in.ReadExactRaw(reinterpret_cast<char*>(sp.cells.data()), page_bytes)) {
-      return Status::Corruption("truncated delta page");
     }
   }
   return Status::OK();
 }
 
-// Overwrites the staged pages into the live arena. The arena is padded to a
-// whole number of pages, so a full-page copy at any valid index is in
-// bounds (pad cells are zero on both ends and stay zero).
-void CommitStagedPages(PagedTable* table, const std::vector<StagedPage>& staged) {
+// Copies validated records straight from the payload into the live arena.
+// The arena is padded to a whole number of pages, so a full-page copy at any
+// valid index is in bounds (pad cells are zero on both ends and stay zero).
+void CommitPageRecords(const PageRecords& pages, PagedTable* table) {
   const size_t pc = table->page_cells();
-  for (const StagedPage& sp : staged) {
-    std::memcpy(table->data() + static_cast<size_t>(sp.index) * pc, sp.cells.data(),
-                pc * sizeof(float));
-    table->MarkDirtyOffset(static_cast<size_t>(sp.index) * pc);
+  for (uint64_t i = 0; i < pages.count; ++i) {
+    const size_t offset = static_cast<size_t>(pages.index(i)) * pc;
+    std::memcpy(table->data() + offset, pages.cells(i), pc * sizeof(float));
+    table->MarkDirtyOffset(offset);
   }
 }
 
@@ -221,16 +188,16 @@ Status CheckIdentityCompatible(const MergeIdentity& mine, const MergeIdentity& t
   return Status::OK();
 }
 
-void EncodeMergeIdentity(std::ostream& out, const MergeIdentity& id) {
+void EncodeMergeIdentity(const MergeIdentity& id, std::string* out) {
   // Field by field — the struct has padding that must not leak to the wire.
-  WriteRaw(out, id.method_tag);
-  WriteRaw(out, id.width);
-  WriteRaw(out, id.depth);
-  WriteRaw(out, id.heap_capacity);
-  WriteRaw(out, id.seed);
-  WriteRaw(out, id.rate_kind);
-  WriteRaw(out, id.eta0);
-  WriteRaw(out, id.lambda);
+  WriteRaw(*out, id.method_tag);
+  WriteRaw(*out, id.width);
+  WriteRaw(*out, id.depth);
+  WriteRaw(*out, id.heap_capacity);
+  WriteRaw(*out, id.seed);
+  WriteRaw(*out, id.rate_kind);
+  WriteRaw(*out, id.eta0);
+  WriteRaw(*out, id.lambda);
 }
 
 Result<MergeIdentity> DecodeMergeIdentity(SnapshotReader& in) {
@@ -264,19 +231,21 @@ Result<uint64_t> BeginDeltaWindow(Method method, BudgetedClassifier& impl) {
 }
 
 Status SaveDelta(Method method, const BudgetedClassifier& impl, uint64_t since,
-                 std::ostream& out, DeltaStats* stats) {
+                 std::string* out, DeltaStats* stats) {
   switch (method) {
     case Method::kWmSketch:
-      return detail::SaveWmSketchDelta(static_cast<const WmSketch&>(impl), since, out, stats);
+      detail::SaveWmSketchDelta(static_cast<const WmSketch&>(impl), since, out, stats);
+      return Status::OK();
     case Method::kAwmSketch:
-      return detail::SaveAwmSketchDelta(static_cast<const AwmSketch&>(impl), since, out,
-                                        stats);
+      detail::SaveAwmSketchDelta(static_cast<const AwmSketch&>(impl), since, out, stats);
+      return Status::OK();
     default:
       return Status::Unimplemented(MethodName(method) + " does not support delta sync");
   }
 }
 
-Status ApplyDelta(Method method, BudgetedClassifier& impl, SnapshotReader& in) {
+Status ApplyDelta(Method method, BudgetedClassifier& impl, std::string_view payload) {
+  SnapshotReader in(payload);
   switch (method) {
     case Method::kWmSketch:
       return detail::ApplyWmSketchDelta(static_cast<WmSketch&>(impl), in);
@@ -293,17 +262,16 @@ namespace detail {
 
 uint64_t BeginWmDeltaWindow(WmSketch& sketch) { return sketch.table_.BeginDeltaWindow(); }
 
-Status SaveWmSketchDelta(const WmSketch& sketch, uint64_t since, std::ostream& out,
-                         DeltaStats* stats) {
-  WriteRaw(out, kDeltaMagic);
-  WriteRaw(out, static_cast<uint8_t>(Method::kWmSketch));
-  WriteRaw(out, sketch.t_);
-  WriteRaw(out, sketch.scale_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "wm-delta", "state"));
-  WriteHeapSection(out, sketch.heap_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "wm-delta", "heap"));
+void SaveWmSketchDelta(const WmSketch& sketch, uint64_t since, std::string* out,
+                       DeltaStats* stats) {
+  WriteRaw(*out, kDeltaMagic);
+  WriteRaw(*out, static_cast<uint8_t>(Method::kWmSketch));
+  WriteRaw(*out, sketch.t_);
+  WriteRaw(*out, sketch.scale_);
+  // The heap ships in full: it is small (KBs) and its entries move between
+  // sketch and heap on every update, so page-level diffing would buy nothing.
+  WriteHeapEntries(*out, sketch.heap_);
   WriteDirtyPages(out, sketch.table_, since, stats);
-  return snapshot::SectionGuard(out, "wm-delta", "pages");
 }
 
 Status ApplyWmSketchDelta(WmSketch& sketch, SnapshotReader& in) {
@@ -313,16 +281,16 @@ Status ApplyWmSketchDelta(WmSketch& sketch, SnapshotReader& in) {
   if (!in.ReadRaw(&t) || !in.ReadRaw(&scale)) {
     return Status::Corruption("truncated delta state");
   }
-  // Stage everything before touching the sketch: a Corruption anywhere below
-  // leaves it byte-identical to its pre-call state.
-  TopKHeap staged_heap(0);
-  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.config_.heap_capacity, &staged_heap));
-  std::vector<StagedPage> staged_pages;
-  WMS_RETURN_NOT_OK(ReadStagedPages(in, sketch.table_, &staged_pages));
+  // Validate everything before touching the sketch: a Corruption anywhere
+  // below leaves it byte-identical to its pre-call state.
+  std::vector<FeatureWeight> heap;
+  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.config_.heap_capacity, &heap));
+  PageRecords pages;
+  WMS_RETURN_NOT_OK(ReadPageRecords(in, sketch.table_, &pages));
   sketch.t_ = t;
   sketch.scale_ = scale;
-  sketch.heap_ = std::move(staged_heap);
-  CommitStagedPages(&sketch.table_, staged_pages);
+  sketch.heap_.Assign(heap);
+  CommitPageRecords(pages, &sketch.table_);
   return Status::OK();
 }
 
@@ -330,18 +298,15 @@ Status ApplyWmSketchDelta(WmSketch& sketch, SnapshotReader& in) {
 
 uint64_t BeginAwmDeltaWindow(AwmSketch& sketch) { return sketch.table_.BeginDeltaWindow(); }
 
-Status SaveAwmSketchDelta(const AwmSketch& sketch, uint64_t since, std::ostream& out,
-                          DeltaStats* stats) {
-  WriteRaw(out, kDeltaMagic);
-  WriteRaw(out, static_cast<uint8_t>(Method::kAwmSketch));
-  WriteRaw(out, sketch.t_);
-  WriteRaw(out, sketch.sketch_scale_);
-  WriteRaw(out, sketch.heap_scale_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "awm-delta", "state"));
-  WriteHeapSection(out, sketch.heap_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "awm-delta", "heap"));
+void SaveAwmSketchDelta(const AwmSketch& sketch, uint64_t since, std::string* out,
+                        DeltaStats* stats) {
+  WriteRaw(*out, kDeltaMagic);
+  WriteRaw(*out, static_cast<uint8_t>(Method::kAwmSketch));
+  WriteRaw(*out, sketch.t_);
+  WriteRaw(*out, sketch.sketch_scale_);
+  WriteRaw(*out, sketch.heap_scale_);
+  WriteHeapEntries(*out, sketch.heap_);
   WriteDirtyPages(out, sketch.table_, since, stats);
-  return snapshot::SectionGuard(out, "awm-delta", "pages");
 }
 
 Status ApplyAwmSketchDelta(AwmSketch& sketch, SnapshotReader& in) {
@@ -351,15 +316,15 @@ Status ApplyAwmSketchDelta(AwmSketch& sketch, SnapshotReader& in) {
   if (!in.ReadRaw(&t) || !in.ReadRaw(&sketch_scale) || !in.ReadRaw(&heap_scale)) {
     return Status::Corruption("truncated delta state");
   }
-  TopKHeap staged_heap(0);
-  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.config_.heap_capacity, &staged_heap));
-  std::vector<StagedPage> staged_pages;
-  WMS_RETURN_NOT_OK(ReadStagedPages(in, sketch.table_, &staged_pages));
+  std::vector<FeatureWeight> heap;
+  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.config_.heap_capacity, &heap));
+  PageRecords pages;
+  WMS_RETURN_NOT_OK(ReadPageRecords(in, sketch.table_, &pages));
   sketch.t_ = t;
   sketch.sketch_scale_ = sketch_scale;
   sketch.heap_scale_ = heap_scale;
-  sketch.heap_ = std::move(staged_heap);
-  CommitStagedPages(&sketch.table_, staged_pages);
+  sketch.heap_.Assign(heap);
+  CommitPageRecords(pages, &sketch.table_);
   return Status::OK();
 }
 

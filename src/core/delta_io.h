@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
+#include <string>
+#include <string_view>
 
 #include "core/budget.h"
 #include "linear/classifier.h"
@@ -66,8 +67,8 @@ Result<MergeIdentity> MergeIdentityOf(Method method, const BudgetedClassifier& i
 /// dimension (reusing sketch/merge_compat.h for the shape checks).
 Status CheckIdentityCompatible(const MergeIdentity& mine, const MergeIdentity& theirs);
 
-/// Serializes an identity (fixed-size little-endian section).
-void EncodeMergeIdentity(std::ostream& out, const MergeIdentity& id);
+/// Appends an identity to `*out` (fixed-size little-endian section).
+void EncodeMergeIdentity(const MergeIdentity& id, std::string* out);
 /// Parses an identity section; Corruption on truncation or an unknown tag.
 Result<MergeIdentity> DecodeMergeIdentity(snapshot::SnapshotReader& in);
 
@@ -78,20 +79,23 @@ Result<MergeIdentity> DecodeMergeIdentity(snapshot::SnapshotReader& in);
 /// and again at each sync to bound the next window.
 Result<uint64_t> BeginDeltaWindow(Method method, BudgetedClassifier& impl);
 
-/// Writes the delta payload of `impl` relative to watermark `since`:
-/// scalars + heap in full, table pages dirtied at-or-after `since` as raw
-/// bytes. `stats` (optional) receives the page counters.
+/// Appends the delta payload of `impl` relative to watermark `since` to
+/// `*out`: scalars + heap in full, table pages dirtied at-or-after `since`
+/// as raw bytes. Appending lets the sync client write the payload once,
+/// straight into the frame it sends. `stats` (optional) receives the page
+/// counters.
 Status SaveDelta(Method method, const BudgetedClassifier& impl, uint64_t since,
-                 std::ostream& out, DeltaStats* stats);
+                 std::string* out, DeltaStats* stats);
 
-/// Applies a delta payload to `impl`, whose unshipped state must match the
-/// sender's as of the delta's watermark (the caller's sync protocol
-/// guarantees this; see src/dist/). Validates the method tag and every
-/// declared shape/count against `impl` and the remaining stream before
-/// touching it — a malformed payload returns Corruption with `impl`
-/// untouched, because validation happens up front (shape) or the write is
-/// positionally bounded (pages).
-Status ApplyDelta(Method method, BudgetedClassifier& impl, snapshot::SnapshotReader& in);
+/// Applies a delta payload to `impl` in place; `impl`'s unshipped state
+/// must match the sender's as of the delta's watermark (the caller's sync
+/// protocol guarantees this; see src/dist/). Validates the whole payload
+/// before it writes anything: header and method tag, scalars, heap count
+/// and duplicates, page geometry against `impl`, strictly increasing
+/// in-range page indices, and every length against the payload. A
+/// malformed payload therefore returns Corruption with `impl` untouched.
+/// Pages are then copied straight from `payload` into the live table.
+Status ApplyDelta(Method method, BudgetedClassifier& impl, std::string_view payload);
 
 namespace detail {
 
@@ -99,13 +103,13 @@ namespace detail {
 // snapshot payload savers in core/serialization.h).
 
 uint64_t BeginWmDeltaWindow(WmSketch& sketch);
-Status SaveWmSketchDelta(const WmSketch& sketch, uint64_t since, std::ostream& out,
-                         DeltaStats* stats);
+void SaveWmSketchDelta(const WmSketch& sketch, uint64_t since, std::string* out,
+                       DeltaStats* stats);
 Status ApplyWmSketchDelta(WmSketch& sketch, snapshot::SnapshotReader& in);
 
 uint64_t BeginAwmDeltaWindow(AwmSketch& sketch);
-Status SaveAwmSketchDelta(const AwmSketch& sketch, uint64_t since, std::ostream& out,
-                          DeltaStats* stats);
+void SaveAwmSketchDelta(const AwmSketch& sketch, uint64_t since, std::string* out,
+                        DeltaStats* stats);
 Status ApplyAwmSketchDelta(AwmSketch& sketch, snapshot::SnapshotReader& in);
 
 }  // namespace detail

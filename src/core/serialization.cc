@@ -1,11 +1,13 @@
 #include "core/serialization.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <istream>
 #include <ostream>
 #include <span>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -42,15 +44,6 @@ constexpr uint32_t kFhsMagic2 = 0x32534846;  // "FHS2"
 constexpr size_t kHeapEntryBytes = sizeof(uint32_t) + sizeof(float);
 constexpr size_t kMinHeapEntryBytes = sizeof(uint32_t) + sizeof(double) + sizeof(float);
 constexpr size_t kSpaceSavingEntryBytes = sizeof(uint32_t) + 2 * sizeof(uint64_t);
-
-void WriteHeapEntries(std::ostream& out, const TopKHeap& heap) {
-  const std::vector<FeatureWeight> entries = heap.Entries();
-  WriteRaw(out, static_cast<uint64_t>(entries.size()));
-  for (const FeatureWeight& fw : entries) {
-    WriteRaw(out, fw.feature);
-    WriteRaw(out, fw.weight);
-  }
-}
 
 template <typename T>
 void WriteArray(std::ostream& out, std::span<const T> values) {
@@ -109,25 +102,6 @@ Status ReadTableInto(SnapshotReader& in, PagedTable* table, bool paged_layout) {
   return Status::OK();
 }
 
-Status ReadHeapEntries(SnapshotReader& in, TopKHeap* heap) {
-  uint64_t n = 0;
-  if (!in.ReadRaw(&n)) return Status::Corruption("truncated heap header");
-  if (n > heap->capacity()) return Status::Corruption("heap entries exceed capacity");
-  if (!in.CanRead(n, kHeapEntryBytes)) {
-    return Status::Corruption("heap entries exceed stream size");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t feature;
-    float weight;
-    if (!in.ReadRaw(&feature) || !in.ReadRaw(&weight)) {
-      return Status::Corruption("truncated heap entry");
-    }
-    if (heap->Contains(feature)) return Status::Corruption("duplicate heap feature");
-    heap->Set(feature, weight);
-  }
-  return Status::OK();
-}
-
 // A declared heap/active-set/tracked capacity sizes an allocation that is
 // not stream-backed (an empty heap of capacity k occupies no stream bytes),
 // so it can't be bounded by remaining bytes; reject anything beyond the
@@ -146,6 +120,38 @@ Status SaveEnveloped(Status payload_status, std::ostringstream&& payload,
 }  // namespace
 
 namespace detail {
+
+Status ReadHeapEntries(SnapshotReader& in, size_t capacity,
+                       std::vector<FeatureWeight>* entries) {
+  static_assert(sizeof(FeatureWeight) == kHeapEntryBytes &&
+                    std::is_trivially_copyable_v<FeatureWeight>,
+                "a FeatureWeight is read as its (u32 feature, f32 weight) wire pair");
+  uint64_t n = 0;
+  if (!in.ReadRaw(&n)) return Status::Corruption("truncated heap header");
+  if (n > capacity) return Status::Corruption("heap entries exceed capacity");
+  if (!in.CanRead(n, kHeapEntryBytes)) {
+    return Status::Corruption("heap entries exceed stream size");
+  }
+  entries->resize(n);
+  if (!in.ReadExactRaw(reinterpret_cast<char*>(entries->data()), n * kHeapEntryBytes)) {
+    return Status::Corruption("truncated heap entry");
+  }
+  // Duplicate check: one pass over an open-addressing set at most half
+  // full, keyed by feature (a slot of all ones is empty; no u32 equals it).
+  size_t slots = 16;
+  while (slots < 2 * n) slots <<= 1;
+  std::vector<uint64_t> seen(slots, ~uint64_t{0});
+  const int shift = 64 - std::countr_zero(slots);
+  for (const FeatureWeight& fw : *entries) {
+    size_t i = static_cast<size_t>((fw.feature * 0x9e3779b97f4a7c15ULL) >> shift);
+    while (seen[i] != ~uint64_t{0}) {
+      if (seen[i] == fw.feature) return Status::Corruption("duplicate heap feature");
+      i = (i + 1) & (slots - 1);
+    }
+    seen[i] = fw.feature;
+  }
+  return Status::OK();
+}
 
 // ------------------------------------------------------------ WM-Sketch
 
@@ -196,7 +202,9 @@ Result<WmSketch> LoadWmSketchPayload(SnapshotReader& in, const LearnerOptions& o
     return Status::Corruption("truncated state");
   }
   WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_, magic == kWmMagic2));
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, &sketch.heap_));
+  std::vector<FeatureWeight> heap;
+  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.heap_.capacity(), &heap));
+  sketch.heap_.Assign(heap);
   return sketch;
 }
 
@@ -249,7 +257,9 @@ Result<AwmSketch> LoadAwmSketchPayload(SnapshotReader& in, const LearnerOptions&
     return Status::Corruption("truncated state");
   }
   WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_, magic == kAwmMagic2));
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, &sketch.heap_));
+  std::vector<FeatureWeight> heap;
+  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.heap_.capacity(), &heap));
+  sketch.heap_.Assign(heap);
   return sketch;
 }
 
@@ -287,7 +297,9 @@ Result<SimpleTruncation> LoadSimpleTruncationPayload(SnapshotReader& in,
   if (!in.ReadRaw(&model.t_) || !in.ReadRaw(&model.scale_)) {
     return Status::Corruption("truncated state");
   }
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, &model.heap_));
+  std::vector<FeatureWeight> heap;
+  WMS_RETURN_NOT_OK(ReadHeapEntries(in, model.heap_.capacity(), &heap));
+  model.heap_.Assign(heap);
   return model;
 }
 

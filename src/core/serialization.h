@@ -114,6 +114,25 @@ Status SaveFeatureHashingPayload(const FeatureHashingClassifier& model, std::ost
 Result<FeatureHashingClassifier> LoadFeatureHashingPayload(snapshot::SnapshotReader& in,
                                                            const LearnerOptions& opts);
 
+/// The heap/active-set section that snapshots and deltas (core/delta_io.h)
+/// share: a u64 count, then (u32 feature, f32 weight) pairs in heap-array
+/// order. `Sink` is a std::ostream or a std::string (snapshot_io writers).
+template <typename Sink>
+void WriteHeapEntries(Sink& out, const TopKHeap& heap) {
+  snapshot::WriteRaw(out, static_cast<uint64_t>(heap.size()));
+  heap.ForEachEntry([&out](uint32_t feature, float weight) {
+    snapshot::WriteRaw(out, feature);
+    snapshot::WriteRaw(out, weight);
+  });
+}
+
+/// Reads a heap section into `*entries`, in stream order, and validates it
+/// without touching any heap: Corruption when it is truncated, holds more
+/// than `capacity` entries, or names a feature twice. TopKHeap::Assign then
+/// commits it, reproducing the writer's heap array.
+Status ReadHeapEntries(snapshot::SnapshotReader& in, size_t capacity,
+                       std::vector<FeatureWeight>* entries);
+
 }  // namespace detail
 
 }  // namespace wmsketch

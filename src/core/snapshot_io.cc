@@ -114,6 +114,19 @@ bool SnapshotReader::ReadExactRaw(char* dst, size_t n) {
   return true;
 }
 
+bool SnapshotReader::ReadView(size_t n, std::string_view* view) {
+  if (in_ != nullptr) return false;
+  if (mem_.size() - mem_pos_ < n) {
+    mem_pos_ = mem_.size();
+    remaining_ = 0;
+    return false;
+  }
+  *view = mem_.substr(mem_pos_, n);
+  mem_pos_ += n;
+  remaining_ -= n;
+  return true;
+}
+
 Result<SnapshotReader> OpenSnapshot(std::istream& in, std::string* payload_storage) {
   char head[4];
   in.read(head, sizeof(head));

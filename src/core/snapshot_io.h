@@ -62,6 +62,20 @@ inline void WriteBytes(std::ostream& out, const void* data, size_t n) {
   out.write(static_cast<const char*>(data), static_cast<std::streamsize>(n));
 }
 
+/// The string-appending writer: the same bytes as the stream overloads,
+/// appended to a buffer that the caller sends whole and reuses (the sync
+/// frames of src/dist/). Appending cannot fail, so there is no state to
+/// guard.
+template <typename T>
+inline void WriteRaw(std::string& out, const T& value) {
+  out.append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+/// Appends `n` raw bytes to `out`.
+inline void WriteBytes(std::string& out, const void* data, size_t n) {
+  out.append(static_cast<const char*>(data), n);
+}
+
 /// Wraps a fully serialized snapshot payload in the checksummed envelope
 /// and writes it to `out`. Failpoint site "envelope:write" can force an
 /// IOError or a torn (short) write.
@@ -98,6 +112,11 @@ class SnapshotReader {
 
   /// Reads exactly `n` bytes into `dst`; false on truncation.
   bool ReadExactRaw(char* dst, size_t n);
+
+  /// Consumes the next `n` bytes and points `*view` at them in place, with
+  /// no copy. Memory-backed readers only: false on truncation and always
+  /// for a stream-backed reader.
+  bool ReadView(size_t n, std::string_view* view);
 
   /// True when the byte count left in the source is known exactly.
   bool remaining_known() const { return remaining_known_; }

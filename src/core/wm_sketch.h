@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string>
 #include <vector>
 
 #include "hash/tabulation.h"
@@ -22,7 +23,7 @@ namespace detail {
 Status SaveWmSketchPayload(const WmSketch&, std::ostream&);
 Result<WmSketch> LoadWmSketchPayload(snapshot::SnapshotReader&, const LearnerOptions&);
 uint64_t BeginWmDeltaWindow(WmSketch&);
-Status SaveWmSketchDelta(const WmSketch&, uint64_t, std::ostream&, DeltaStats*);
+void SaveWmSketchDelta(const WmSketch&, uint64_t, std::string*, DeltaStats*);
 Status ApplyWmSketchDelta(WmSketch&, snapshot::SnapshotReader&);
 }  // namespace detail
 
@@ -117,8 +118,8 @@ class WmSketch final : public BudgetedClassifier {
   friend Result<WmSketch> detail::LoadWmSketchPayload(snapshot::SnapshotReader&,
                                                       const LearnerOptions&);
   friend uint64_t detail::BeginWmDeltaWindow(WmSketch&);
-  friend Status detail::SaveWmSketchDelta(const WmSketch&, uint64_t, std::ostream&,
-                                          DeltaStats*);
+  friend void detail::SaveWmSketchDelta(const WmSketch&, uint64_t, std::string*,
+                                        DeltaStats*);
   friend Status detail::ApplyWmSketchDelta(WmSketch&, snapshot::SnapshotReader&);
 
   // Median over rows of σ_j(i)·v[j, h_j(i)] on the *raw* table (no scale, no

@@ -12,7 +12,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/snapshot_io.h"
 #include "net/wire.h"
 #include "util/failpoint.h"
 
@@ -142,7 +141,7 @@ Status Aggregator::AcceptPending() {
       ::close(fd);
       return st;
     }
-    conns_.push_back(Connection{fd, false, 0});
+    conns_.push_back(Connection{fd, false, 0, Frame{}});
     return Status::OK();  // one accept per poll round keeps the loop fair
   }
 }
@@ -189,21 +188,20 @@ Status Aggregator::SendError(int fd, const Status& status) {
 }
 
 Status Aggregator::ServeConnection(Connection& conn, bool* close_conn) {
-  Result<Frame> received = RecvFrame(conn.fd);
-  if (!received.ok()) {
+  if (!RecvFrame(conn.fd, &conn.in).ok()) {
     // Clean close, torn frame, checksum mismatch, timeout: the connection is
     // unusable either way. The worker's replica is untouched — it keeps its
     // last fully-validated sync.
     *close_conn = true;
     return Status::OK();
   }
-  const Frame& frame = std::move(received).value();
+  const Frame& frame = conn.in;
   switch (frame.type) {
     case FrameType::kHello:
-      return HandleHello(conn, frame, close_conn);
+      return HandleHello(conn, close_conn);
     case FrameType::kFullState:
     case FrameType::kDelta:
-      return HandleSync(conn, frame, close_conn);
+      return HandleSync(conn, close_conn);
     case FrameType::kFetchMerged: {
       Result<std::string> merged = MergedModelBytes();
       if (!merged.ok()) return SendError(conn.fd, merged.status());
@@ -221,8 +219,8 @@ Status Aggregator::ServeConnection(Connection& conn, bool* close_conn) {
   }
 }
 
-Status Aggregator::HandleHello(Connection& conn, const Frame& frame, bool* close_conn) {
-  Result<HelloPayload> decoded = DecodeHello(frame.payload);
+Status Aggregator::HandleHello(Connection& conn, bool* close_conn) {
+  Result<HelloPayload> decoded = DecodeHello(conn.in.payload);
   if (!decoded.ok()) {
     *close_conn = true;
     return SendError(conn.fd, decoded.status());
@@ -248,13 +246,13 @@ Status Aggregator::HandleHello(Connection& conn, const Frame& frame, bool* close
   return SendFrame(conn.fd, FrameType::kHelloAck, EncodeHelloAck(ack));
 }
 
-Status Aggregator::HandleSync(Connection& conn, const Frame& frame, bool* close_conn) {
+Status Aggregator::HandleSync(Connection& conn, bool* close_conn) {
   if (!conn.has_worker) {
     *close_conn = true;
     return SendError(conn.fd, Status::FailedPrecondition("sync before handshake"));
   }
   std::string_view body;
-  Result<SyncHeader> decoded = DecodeSyncHeader(frame.payload, &body);
+  Result<SyncHeader> decoded = DecodeSyncHeader(conn.in.payload, &body);
   if (!decoded.ok()) {
     *close_conn = true;
     return SendError(conn.fd, decoded.status());
@@ -288,23 +286,25 @@ Status Aggregator::HandleSync(Connection& conn, const Frame& frame, bool* close_
     return SendError(conn.fd, Status::IOError("injected merge-apply failure"));
   }
 
-  if (frame.type == FrameType::kDelta) {
+  if (conn.in.type == FrameType::kDelta) {
     if (ws.needs_full || ws.replica == nullptr) {
       return SendError(conn.fd,
                        Status::FailedPrecondition(
                            "full snapshot required before deltas can be applied"));
     }
-    // Apply to a clone and swap: a corrupt delta leaves the replica at its
+    // In place, straight from the frame: ApplyDelta validates the whole
+    // payload before it writes, so a corrupt delta leaves the replica at its
     // previous sync, byte for byte.
-    std::unique_ptr<BudgetedClassifier> staged = ws.replica->Clone();
-    snapshot::SnapshotReader reader(body);
-    if (const Status st = ApplyDelta(options_.config.method, *staged, reader); !st.ok()) {
+    if (const Status st = ApplyDelta(options_.config.method, *ws.replica, body); !st.ok()) {
       ws.needs_full = true;
       return SendError(conn.fd, st);
     }
-    ws.replica = std::move(staged);
   } else {  // kFullState
-    std::istringstream in{std::string(body), std::ios::binary};
+    // LoadLearner reads a stream: the payload moves into one, positioned at
+    // the body, rather than being copied. The next frame regrows the buffer.
+    const size_t body_at = conn.in.payload.size() - body.size();
+    std::istringstream in(std::move(conn.in.payload), std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(body_at));
     Result<Learner> loaded = LoadLearner(in, options_.opts);
     if (!loaded.ok()) return SendError(conn.fd, loaded.status());
     Result<MergeIdentity> loaded_id =

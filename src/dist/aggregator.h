@@ -46,9 +46,12 @@ struct AggregatorOptions {
 ///    contributing to the merged model ("dead worker degrades").
 ///  * An incompatible handshake or mismatched session/sequence is answered
 ///    with kError and zero state mutation.
-///  * A delta is applied to a clone and swapped in only on success, so even
-///    an injected mid-apply failure ("dist:merge_apply") cannot leave a
-///    half-applied replica.
+///  * A delta is validated in full, then committed in place: ApplyDelta
+///    checks every header, count, index and length of the CRC-checked
+///    payload before it writes a byte, and copies the pages straight from
+///    the received frame into the live replica. A malformed delta, or an
+///    injected failure ("dist:merge_apply", which fires before the apply),
+///    leaves the replica at its previous sync, byte for byte.
 class Aggregator {
  public:
   static Result<Aggregator> Create(const AggregatorOptions& options);
@@ -94,6 +97,8 @@ class Aggregator {
     int fd = -1;
     bool has_worker = false;
     uint64_t worker_id = 0;
+    /// The last frame received; its payload buffer is reused by the next.
+    Frame in;
   };
   struct WorkerState {
     // Null until the first accepted sync: a handshake alone must not add a
@@ -113,8 +118,8 @@ class Aggregator {
   // Serves one frame on `conn`; sets *close_conn when the connection must
   // drop (bad frame, rejected handshake, clean EOF).
   Status ServeConnection(Connection& conn, bool* close_conn);
-  Status HandleHello(Connection& conn, const Frame& frame, bool* close_conn);
-  Status HandleSync(Connection& conn, const Frame& frame, bool* close_conn);
+  Status HandleHello(Connection& conn, bool* close_conn);
+  Status HandleSync(Connection& conn, bool* close_conn);
   Result<std::unique_ptr<BudgetedClassifier>> MergedImpl() const;
   Status SendError(int fd, const Status& status);
 

@@ -24,18 +24,29 @@ Status SendFrame(int fd, FrameType type, std::string_view payload) {
   return net::SendFrame(fd, static_cast<uint8_t>(type), payload, "dist:send");
 }
 
+Status SendEncodedFrame(int fd, std::string_view frame) {
+  return net::SendEncodedFrame(fd, frame, "dist:send");
+}
+
 Result<Frame> RecvFrame(int fd) {
-  WMS_ASSIGN_OR_RETURN(
-      net::TypedFrame typed,
-      net::RecvFrame(fd, static_cast<uint8_t>(FrameType::kHello),
-                     static_cast<uint8_t>(FrameType::kShutdown), "dist:recv"));
+  Frame frame;
+  WMS_RETURN_NOT_OK(RecvFrame(fd, &frame));
+  return frame;
+}
+
+Status RecvFrame(int fd, Frame* frame) {
+  net::TypedFrame typed;
+  typed.payload = std::move(frame->payload);  // lend the kept buffer
+  const Status st = net::RecvFrame(fd, static_cast<uint8_t>(FrameType::kHello),
+                                   static_cast<uint8_t>(FrameType::kShutdown), "dist:recv",
+                                   &typed);
+  frame->type = static_cast<FrameType>(typed.type);
+  frame->payload = std::move(typed.payload);
+  WMS_RETURN_NOT_OK(st);
   if (WMS_FAILPOINT("dist:frame_decode") != failpoint::Action::kOff) {
     return Status::Corruption("injected frame decode failure");
   }
-  Frame frame;
-  frame.type = static_cast<FrameType>(typed.type);
-  frame.payload = std::move(typed.payload);
-  return frame;
+  return Status::OK();
 }
 
 }  // namespace wmsketch::dist

@@ -60,10 +60,17 @@ struct Frame {
 /// the caller must treat the connection as dead.
 Status SendFrame(int fd, FrameType type, std::string_view payload);
 
+/// SendFrame for a frame the caller built with net::BeginFrame/SealFrame.
+Status SendEncodedFrame(int fd, std::string_view frame);
+
 /// Reads one frame from `fd`. NotFound on clean EOF before the first byte
 /// (peer closed between frames); IOError on timeouts/resets; Corruption on
 /// a torn frame, an unknown type, a bad envelope, or a checksum mismatch.
 /// Only a returned OK frame has been fully validated.
 Result<Frame> RecvFrame(int fd);
+
+/// RecvFrame into a frame the caller keeps: its payload buffer is reused,
+/// so a connection allocates for its largest frame once.
+Status RecvFrame(int fd, Frame* frame);
 
 }  // namespace wmsketch::dist

@@ -1,7 +1,5 @@
 #include "dist/protocol.h"
 
-#include <sstream>
-
 #include "core/snapshot_io.h"
 
 namespace wmsketch::dist {
@@ -14,13 +12,13 @@ using snapshot::WriteRaw;
 }  // namespace
 
 std::string EncodeHello(const HelloPayload& hello) {
-  std::ostringstream os(std::ios::binary);
-  WriteRaw(os, hello.protocol_version);
-  WriteRaw(os, hello.worker_id);
-  WriteRaw(os, hello.session_token);
-  WriteRaw(os, hello.acked_sync_seq);
-  EncodeMergeIdentity(os, hello.identity);
-  return std::move(os).str();
+  std::string out;
+  WriteRaw(out, hello.protocol_version);
+  WriteRaw(out, hello.worker_id);
+  WriteRaw(out, hello.session_token);
+  WriteRaw(out, hello.acked_sync_seq);
+  EncodeMergeIdentity(hello.identity, &out);
+  return out;
 }
 
 Result<HelloPayload> DecodeHello(std::string_view payload) {
@@ -40,11 +38,11 @@ Result<HelloPayload> DecodeHello(std::string_view payload) {
 }
 
 std::string EncodeHelloAck(const HelloAckPayload& ack) {
-  std::ostringstream os(std::ios::binary);
-  WriteRaw(os, ack.session_token);
-  WriteRaw(os, ack.resume_ok);
-  WriteRaw(os, ack.next_sync_seq);
-  return std::move(os).str();
+  std::string out;
+  WriteRaw(out, ack.session_token);
+  WriteRaw(out, ack.resume_ok);
+  WriteRaw(out, ack.next_sync_seq);
+  return out;
 }
 
 Result<HelloAckPayload> DecodeHelloAck(std::string_view payload) {
@@ -57,13 +55,10 @@ Result<HelloAckPayload> DecodeHelloAck(std::string_view payload) {
   return ack;
 }
 
-std::string EncodeSync(const SyncHeader& header, std::string_view body) {
-  std::ostringstream os(std::ios::binary);
-  WriteRaw(os, header.worker_id);
-  WriteRaw(os, header.session_token);
-  WriteRaw(os, header.sync_seq);
-  snapshot::WriteBytes(os, body.data(), body.size());
-  return std::move(os).str();
+void EncodeSyncHeader(const SyncHeader& header, std::string* out) {
+  WriteRaw(*out, header.worker_id);
+  WriteRaw(*out, header.session_token);
+  WriteRaw(*out, header.sync_seq);
 }
 
 Result<SyncHeader> DecodeSyncHeader(std::string_view payload, std::string_view* body) {
@@ -79,9 +74,9 @@ Result<SyncHeader> DecodeSyncHeader(std::string_view payload, std::string_view* 
 }
 
 std::string EncodeAck(const AckPayload& ack) {
-  std::ostringstream os(std::ios::binary);
-  WriteRaw(os, ack.sync_seq);
-  return std::move(os).str();
+  std::string out;
+  WriteRaw(out, ack.sync_seq);
+  return out;
 }
 
 Result<AckPayload> DecodeAck(std::string_view payload) {
@@ -92,12 +87,12 @@ Result<AckPayload> DecodeAck(std::string_view payload) {
 }
 
 std::string EncodeError(const Status& status) {
-  std::ostringstream os(std::ios::binary);
-  WriteRaw(os, static_cast<uint8_t>(status.code()));
-  WriteRaw(os, status.detail());
-  WriteRaw(os, static_cast<uint32_t>(status.message().size()));
-  snapshot::WriteBytes(os, status.message().data(), status.message().size());
-  return std::move(os).str();
+  std::string out;
+  WriteRaw(out, static_cast<uint8_t>(status.code()));
+  WriteRaw(out, status.detail());
+  WriteRaw(out, static_cast<uint32_t>(status.message().size()));
+  snapshot::WriteBytes(out, status.message().data(), status.message().size());
+  return out;
 }
 
 Status DecodeErrorStatus(std::string_view payload) {

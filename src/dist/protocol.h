@@ -76,7 +76,9 @@ Result<HelloPayload> DecodeHello(std::string_view payload);
 std::string EncodeHelloAck(const HelloAckPayload& ack);
 Result<HelloAckPayload> DecodeHelloAck(std::string_view payload);
 
-std::string EncodeSync(const SyncHeader& header, std::string_view body);
+/// Appends a sync header to `*out`; the caller appends the body after it,
+/// so the body is written once, straight into the frame.
+void EncodeSyncHeader(const SyncHeader& header, std::string* out);
 /// Splits a sync payload into its header and `*body` (a view into
 /// `payload`, valid while `payload`'s storage lives).
 Result<SyncHeader> DecodeSyncHeader(std::string_view payload, std::string_view* body);

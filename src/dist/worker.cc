@@ -138,19 +138,23 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model, uint64_t window) {
   header.session_token = session_token_;
   header.sync_seq = acked_seq_ + 1;
   const bool full = needs_full_;
-  std::string body;
   DeltaStats delta_stats;
-  {
-    std::ostringstream os(std::ios::binary);
-    if (full) {
-      WMS_RETURN_NOT_OK(SaveClassifier(method_, model, os));
-    } else {
-      WMS_RETURN_NOT_OK(SaveDelta(method_, model, acked_watermark_, os, &delta_stats));
-    }
-    body = std::move(os).str();
+  net::BeginFrame(&frame_,
+                  static_cast<uint8_t>(full ? FrameType::kFullState : FrameType::kDelta));
+  EncodeSyncHeader(header, &frame_);
+  const size_t body_at = frame_.size();
+  if (full) {
+    // SaveClassifier writes to a stream, so the frame's prefix moves into
+    // one, the snapshot is appended, and the buffer moves back: no copy.
+    std::ostringstream os(std::move(frame_), std::ios::binary | std::ios::ate);
+    WMS_RETURN_NOT_OK(SaveClassifier(method_, model, os));
+    frame_ = std::move(os).str();
+  } else {
+    WMS_RETURN_NOT_OK(SaveDelta(method_, model, acked_watermark_, &frame_, &delta_stats));
   }
-  WMS_RETURN_NOT_OK(SendFrame(fd_, full ? FrameType::kFullState : FrameType::kDelta,
-                              EncodeSync(header, body)));
+  const size_t body_bytes = frame_.size() - body_at;
+  net::SealFrame(&frame_);
+  WMS_RETURN_NOT_OK(SendEncodedFrame(fd_, frame_));
   WMS_ASSIGN_OR_RETURN(const Frame reply, RecvFrame(fd_));
   if (reply.type == FrameType::kError) return DecodeErrorStatus(reply.payload);
   if (reply.type != FrameType::kAck) {
@@ -164,7 +168,7 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model, uint64_t window) {
   acked_watermark_ = window;
   needs_full_ = false;
   ++stats_.syncs;
-  stats_.bytes_shipped += body.size();
+  stats_.bytes_shipped += body_bytes;
   if (full) {
     ++stats_.full_syncs;
   } else {

@@ -100,6 +100,9 @@ class SyncClient {
   bool needs_full_ = true;
   SyncStats stats_;
   std::mt19937_64 rng_;
+  /// The outgoing sync frame, kept across syncs so its capacity is reused:
+  /// each sync writes the frame header, sync header and body into it once.
+  std::string frame_;
 };
 
 }  // namespace wmsketch::dist

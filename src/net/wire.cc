@@ -4,6 +4,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -57,42 +58,78 @@ Status SetIoTimeouts(int fd, int timeout_ms) {
   return Status::OK();
 }
 
-std::string EncodeFrame(uint8_t type, std::string_view payload) {
-  // Assemble the whole frame first so a torn write is a contiguous prefix —
-  // exactly what a process death mid-send leaves on a SOCK_STREAM socket.
-  std::string buf;
-  buf.reserve(kFrameHeaderBytes + payload.size());
-  buf.push_back(static_cast<char>(type));
-  char header[16];
+void BeginFrame(std::string* frame, uint8_t type) {
+  frame->assign(kFrameHeaderBytes, '\0');
+  (*frame)[0] = static_cast<char>(type);
+}
+
+void SealFrame(std::string* frame) {
+  char* header = frame->data() + 1;
   const uint32_t magic = snapshot::kEnvelopeMagic;
   const uint32_t version = snapshot::kEnvelopeVersion;
-  const uint64_t length = payload.size();
+  const uint64_t length = frame->size() - kFrameHeaderBytes;
   std::memcpy(header + 0, &magic, sizeof(magic));
   std::memcpy(header + 4, &version, sizeof(version));
   std::memcpy(header + 8, &length, sizeof(length));
-  buf.append(header, sizeof(header));
-  const uint32_t crc = crc32c::Extend(crc32c::Value(header, sizeof(header)),
-                                      payload.data(), payload.size());
-  buf.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  buf.append(payload);
-  return buf;
+  const uint32_t crc = crc32c::Extend(crc32c::Value(header, 16),
+                                      frame->data() + kFrameHeaderBytes, length);
+  std::memcpy(header + 16, &crc, sizeof(crc));
+}
+
+std::string EncodeFrame(uint8_t type, std::string_view payload) {
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  BeginFrame(&frame, type);
+  frame.append(payload);
+  SealFrame(&frame);
+  return frame;
 }
 
 Status SendFrame(int fd, uint8_t type, std::string_view payload,
                  const char* failpoint_site) {
+  return SendEncodedFrame(fd, EncodeFrame(type, payload), failpoint_site);
+}
+
+Status SendEncodedFrame(int fd, std::string_view frame, const char* failpoint_site) {
+  // The whole frame is assembled before the first byte goes out, so a torn
+  // write is a contiguous prefix — exactly what a process death mid-send
+  // leaves on a SOCK_STREAM socket.
   const failpoint::Action act = WMS_FAILPOINT(failpoint_site);
   if (act == failpoint::Action::kError) {
     return Status::IOError("injected send failure");
   }
-  const std::string buf = EncodeFrame(type, payload);
   if (act == failpoint::Action::kShortWrite) {
-    WMS_RETURN_NOT_OK(WriteAll(fd, buf.data(), buf.size() / 2));
+    WMS_RETURN_NOT_OK(WriteAll(fd, frame.data(), frame.size() / 2));
     return Status::IOError("injected torn write mid-frame");
   }
-  return WriteAll(fd, buf.data(), buf.size());
+  return WriteAll(fd, frame.data(), frame.size());
 }
 
 namespace {
+
+/// Payload bytes the receive buffer grows by per read. A header that lies
+/// about its length therefore costs at most one chunk of memory before the
+/// missing bytes surface as a torn frame, however large the declared length.
+/// One chunk holds a full snapshot of the sync workload's model (~260 kB),
+/// so receiving it takes one allocation, not a grow-and-copy.
+constexpr size_t kRecvChunkBytes = size_t{512} << 10;
+
+/// Reads up to `n` bytes from `fd` into the empty `*payload`, growing it one
+/// chunk at a time as bytes arrive. It comes back shorter than `n` only at
+/// EOF.
+Status ReadPayload(int fd, size_t n, std::string* payload) {
+  while (payload->size() < n) {
+    const size_t old_size = payload->size();
+    const size_t chunk = std::min(kRecvChunkBytes, n - old_size);
+    payload->resize(old_size + chunk);
+    size_t got = 0;
+    const Status st = ReadUpTo(fd, payload->data() + old_size, chunk, &got);
+    payload->resize(old_size + got);
+    WMS_RETURN_NOT_OK(st);
+    if (got < chunk) break;  // EOF
+  }
+  return Status::OK();
+}
 
 /// Validates the 20 header bytes after the type byte (magic, version,
 /// length cap) and extracts the declared payload length + CRC.
@@ -123,6 +160,14 @@ Status CheckCrc(const char* head, std::string_view payload, uint32_t declared_cr
 
 Result<TypedFrame> RecvFrame(int fd, uint8_t min_type, uint8_t max_type,
                              const char* failpoint_site) {
+  TypedFrame frame;
+  WMS_RETURN_NOT_OK(RecvFrame(fd, min_type, max_type, failpoint_site, &frame));
+  return frame;
+}
+
+Status RecvFrame(int fd, uint8_t min_type, uint8_t max_type, const char* failpoint_site,
+                 TypedFrame* frame) {
+  frame->payload.clear();  // no stale payload survives a failed receive
   const failpoint::Action act = WMS_FAILPOINT(failpoint_site);
   if (act == failpoint::Action::kError) {
     return Status::IOError("injected recv failure");
@@ -142,20 +187,16 @@ Result<TypedFrame> RecvFrame(int fd, uint8_t min_type, uint8_t max_type,
   uint32_t declared_crc;
   WMS_RETURN_NOT_OK(DecodeHeader(head, &length, &declared_crc));
 
-  TypedFrame frame;
-  frame.type = raw_type;
-  frame.payload.resize(static_cast<size_t>(length));
+  frame->type = raw_type;
   if (act == failpoint::Action::kShortWrite) {
     // Consume a partial payload, then fail: the connection is now mid-frame
     // desynchronized, exactly like a peer reset halfway through a read.
-    WMS_RETURN_NOT_OK(ReadUpTo(fd, frame.payload.data(), frame.payload.size() / 2, &got));
+    WMS_RETURN_NOT_OK(ReadPayload(fd, static_cast<size_t>(length / 2), &frame->payload));
     return Status::IOError("injected torn read mid-frame");
   }
-  WMS_RETURN_NOT_OK(ReadUpTo(fd, frame.payload.data(), frame.payload.size(), &got));
-  if (got != frame.payload.size()) return Status::Corruption("torn frame payload");
-
-  WMS_RETURN_NOT_OK(CheckCrc(head, frame.payload, declared_crc));
-  return frame;
+  WMS_RETURN_NOT_OK(ReadPayload(fd, static_cast<size_t>(length), &frame->payload));
+  if (frame->payload.size() != length) return Status::Corruption("torn frame payload");
+  return CheckCrc(head, frame->payload, declared_crc);
 }
 
 Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type,

@@ -66,6 +66,16 @@ Status SetIoTimeouts(int fd, int timeout_ms);
 /// Assembles one complete frame (type + envelope header + CRC + payload).
 std::string EncodeFrame(uint8_t type, std::string_view payload);
 
+/// Starts a frame in `*frame`, replacing its contents with the type byte
+/// and room for the envelope header and CRC. Append the payload, then call
+/// SealFrame. Together they build the frame in one buffer the caller keeps
+/// across frames, so the payload is written once and never copied.
+void BeginFrame(std::string* frame, uint8_t type);
+
+/// Completes a frame begun by BeginFrame: fills in the envelope header for
+/// the payload appended since, and the CRC32C over header + payload.
+void SealFrame(std::string* frame);
+
 /// Writes one frame to `fd` (blocking, loops over partial writes).
 /// `failpoint_site` names the WMS_FAILPOINT consulted first (error: fail
 /// before writing; short: write a torn prefix then fail). IOError on any
@@ -74,13 +84,25 @@ std::string EncodeFrame(uint8_t type, std::string_view payload);
 Status SendFrame(int fd, uint8_t type, std::string_view payload,
                  const char* failpoint_site);
 
+/// SendFrame for a frame already assembled by EncodeFrame or
+/// BeginFrame/SealFrame.
+Status SendEncodedFrame(int fd, std::string_view frame, const char* failpoint_site);
+
 /// Reads one frame from `fd` (blocking). NotFound on clean EOF before the
 /// first byte (peer closed between frames); IOError on timeouts/resets;
 /// Corruption on a torn frame, a type outside [min_type, max_type], a bad
 /// envelope, or a checksum mismatch. Only a returned OK frame has been
 /// fully validated. `failpoint_site` as in SendFrame (error / short read).
+/// The payload buffer grows in bounded chunks as bytes arrive, so a header
+/// that lies about its length costs one chunk, not the declared length.
 Result<TypedFrame> RecvFrame(int fd, uint8_t min_type, uint8_t max_type,
                              const char* failpoint_site);
+
+/// RecvFrame into caller-kept storage: `frame->payload` keeps its capacity
+/// across calls, so a connection that receives frames of similar size
+/// allocates only for the first. On error `*frame` holds no valid frame.
+Status RecvFrame(int fd, uint8_t min_type, uint8_t max_type, const char* failpoint_site,
+                 TypedFrame* frame);
 
 /// Non-blocking decode for buffered event loops: attempts to extract one
 /// complete frame from the front of `buf`. Returns OK with *consumed == 0

@@ -133,6 +133,46 @@ class IndexedMinHeap {
     return Status::OK();
   }
 
+  /// Replaces the contents with `n` entries taken in order from
+  /// `entry_at(i)`. The array comes out exactly as after Clear() and an
+  /// Insert() of each, but the work is proportional to what changed: the
+  /// index keeps its buckets and the nodes of keys present before and
+  /// after, and a key arriving in the slot it already held costs no index
+  /// operation at all. Requires distinct keys.
+  template <typename EntryAt>
+  void Assign(size_t n, EntryAt entry_at) {
+    // Slot i is overwritten in order, so when entry i arrives slots [0, i)
+    // hold the new prefix (the only slots its SiftUp touches) and slot i
+    // still holds its old entry. Keys are distinct, so if that old entry has
+    // the same key, no earlier step remapped it and the index already says i.
+    std::vector<uint32_t> displaced;  // old keys overwritten by another key
+    const size_t old_size = heap_.size();
+    for (size_t i = 0; i < n; ++i) {
+      const Entry e = entry_at(i);
+      if (i < old_size) {
+        if (heap_[i].key != e.key) {
+          displaced.push_back(heap_[i].key);
+          pos_.insert_or_assign(e.key, i);
+        }
+        heap_[i] = e;
+      } else {
+        heap_.push_back(e);
+        pos_.insert_or_assign(e.key, i);
+      }
+      SiftUp(i);
+    }
+    for (size_t i = n; i < old_size; ++i) displaced.push_back(heap_[i].key);
+    heap_.resize(n);
+    // A displaced key that did not come back still maps to its stale slot,
+    // which now holds another key or lies past the end.
+    for (const uint32_t key : displaced) {
+      const auto it = pos_.find(key);
+      if (it != pos_.end() && (it->second >= n || heap_[it->second].key != key)) {
+        pos_.erase(it);
+      }
+    }
+  }
+
   /// Removes all entries.
   void Clear() {
     heap_.clear();

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/indexed_heap.h"
@@ -117,6 +118,25 @@ class TopKHeap {
     const IndexedMinHeap::Entry* e = heap_.Find(feature);
     const float w = e->value + delta;
     heap_.Update(feature, std::fabs(w), w);
+  }
+
+  /// Replaces the tracked set with `entries`: the result is the tracker an
+  /// empty one becomes by Set() of each entry in order (so entries in
+  /// heap-array order reproduce that array exactly). Reuses the index; see
+  /// IndexedMinHeap::Assign. Requires entries.size() <= capacity() and
+  /// distinct features.
+  void Assign(std::span<const FeatureWeight> entries) {
+    heap_.Assign(entries.size(), [entries](size_t i) {
+      const FeatureWeight& fw = entries[i];
+      return IndexedMinHeap::Entry{fw.feature, std::fabs(fw.weight), fw.weight};
+    });
+  }
+
+  /// Visits every tracked entry as fn(feature, weight), in heap-array
+  /// order (the order Entries() returns).
+  template <typename Fn>
+  void ForEachEntry(Fn&& fn) const {
+    for (const auto& e : heap_.entries()) fn(e.key, e.value);
   }
 
   /// All tracked entries in unspecified order.

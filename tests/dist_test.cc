@@ -1,7 +1,9 @@
 // Tests for the distributed training tier (src/dist/ + core/delta_io):
-// dirty-page deltas reproduce the sender byte-for-byte, the merge handshake
-// rejects every incompatible identity dimension with zero aggregator
-// mutation, CRC-corrupt frames drop the connection without touching state,
+// chained dirty-page deltas reproduce the sender byte-for-byte in place, a
+// truncated or structurally corrupt delta leaves the replica untouched, the
+// merge handshake rejects every incompatible identity dimension with zero
+// aggregator mutation, CRC-corrupt frames drop the connection without
+// touching state,
 // a multi-worker merge is byte-identical to the sequential reference, and an
 // aggregator restart forces a reconnect + re-handshake + full resync.
 
@@ -15,7 +17,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -162,30 +166,42 @@ class DistTest : public ::testing::Test {
 // ---------------------------------------------------------- delta codec
 
 TEST_F(DistTest, DeltaReproducesSenderByteForByte) {
+  // Encode-then-apply of a WMD1 delta reproduces the sender byte for byte,
+  // chained: 60 consecutive windows per method, each applied in place to
+  // one replica, with window sizes mixing empty, single-example, one sync
+  // interval and many-page windows.
+  constexpr int kWindows = 60;
+  constexpr int kWindowSizes[] = {0, 1, 16, 500};
   for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
     Result<Learner> built = Builder(method).Build();
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     Learner learner = std::move(built).value();
-    Train(learner, 200, 7);
-
-    // Replica captured at the watermark; the delta must carry it to the
-    // sender's exact final state.
-    Result<uint64_t> window = BeginDeltaWindow(method, learner.impl());
-    ASSERT_TRUE(window.ok()) << window.status().ToString();
+    // As SyncClient does: a window opened at construction covers the whole
+    // history, so the replica starts from the freshly constructed state.
+    Result<uint64_t> opened = BeginDeltaWindow(method, learner.impl());
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    uint64_t since = opened.value();
     std::unique_ptr<BudgetedClassifier> replica = learner.impl().Clone();
-    Train(learner, 300, 11);
-
-    std::ostringstream delta(std::ios::binary);
-    DeltaStats stats;
-    ASSERT_TRUE(SaveDelta(method, learner.impl(), window.value(), delta, &stats).ok());
-    EXPECT_GT(stats.pages_shipped, 0u);
-    EXPECT_LE(stats.pages_shipped, stats.pages_total);
-
-    const std::string payload = std::move(delta).str();
-    snapshot::SnapshotReader reader{std::string_view(payload)};
-    ASSERT_TRUE(ApplyDelta(method, *replica, reader).ok());
-    EXPECT_EQ(Bytes(method, *replica), Bytes(method, learner.impl()))
-        << MethodName(method);
+    std::mt19937 rng(5);
+    std::string payload;
+    for (int w = 0; w < kWindows; ++w) {
+      const int examples = kWindowSizes[rng() % 4];
+      if (examples > 0) Train(learner, examples, 1000 + w);
+      Result<uint64_t> next = BeginDeltaWindow(method, learner.impl());
+      ASSERT_TRUE(next.ok());
+      payload.clear();
+      DeltaStats stats;
+      ASSERT_TRUE(SaveDelta(method, learner.impl(), since, &payload, &stats).ok());
+      EXPECT_LE(stats.pages_shipped, stats.pages_total);
+      if (examples == 0) {
+        EXPECT_EQ(stats.pages_shipped, 0u) << "window " << w;
+      }
+      const Status st = ApplyDelta(method, *replica, payload);
+      ASSERT_TRUE(st.ok()) << MethodName(method) << " window " << w << ": " << st.ToString();
+      ASSERT_EQ(Bytes(method, *replica), Bytes(method, learner.impl()))
+          << MethodName(method) << " window " << w << " (" << examples << " examples)";
+      since = next.value();
+    }
   }
 }
 
@@ -209,39 +225,136 @@ TEST_F(DistTest, SecondWindowShipsOnlyDirtyPages) {
   ASSERT_TRUE(window.ok());
   Train(learner, 1, 5);
 
-  std::ostringstream delta(std::ios::binary);
+  std::string delta;
   DeltaStats stats;
   ASSERT_TRUE(
-      SaveDelta(learner.method(), learner.impl(), window.value(), delta, &stats).ok());
+      SaveDelta(learner.method(), learner.impl(), window.value(), &delta, &stats).ok());
   EXPECT_GT(stats.pages_total, 8u);
   EXPECT_GT(stats.pages_shipped, 0u);
   EXPECT_LT(stats.pages_shipped, stats.pages_total / 2)
       << "one example should dirty a small fraction of a 16K-cell table";
 }
 
+// A learner trained past a delta window, the replica captured at the
+// window's watermark, and the delta that carries the replica to the learner.
+struct DeltaFixture {
+  Learner learner;
+  std::unique_ptr<BudgetedClassifier> replica;
+  std::string payload;
+};
+
+DeltaFixture MakeDelta(Method method) {
+  Result<Learner> built = Builder(method).Build();
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  DeltaFixture f{std::move(built).value(), nullptr, {}};
+  Train(f.learner, 200, 7);
+  Result<uint64_t> window = BeginDeltaWindow(method, f.learner.impl());
+  EXPECT_TRUE(window.ok());
+  f.replica = f.learner.impl().Clone();
+  Train(f.learner, 100, 13);
+  EXPECT_TRUE(SaveDelta(method, f.learner.impl(), window.value(), &f.payload, nullptr).ok());
+  return f;
+}
+
 TEST_F(DistTest, TruncatedDeltaLeavesReplicaUntouched) {
-  Result<Learner> built = Builder().Build();
-  ASSERT_TRUE(built.ok());
-  Learner learner = std::move(built).value();
-  Train(learner, 200, 7);
-  Result<uint64_t> window = BeginDeltaWindow(learner.method(), learner.impl());
-  ASSERT_TRUE(window.ok());
-  std::unique_ptr<BudgetedClassifier> replica = learner.impl().Clone();
-  const std::string before = Bytes(learner.method(), *replica);
-  Train(learner, 100, 13);
+  for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
+    DeltaFixture f = MakeDelta(method);
+    const std::string before = Bytes(method, *f.replica);
+    // Every proper prefix must be rejected as Corruption with the replica
+    // byte-identical to before: the apply validates before it writes.
+    for (size_t keep = 0; keep < f.payload.size(); ++keep) {
+      const Status st =
+          ApplyDelta(method, *f.replica, std::string_view(f.payload).substr(0, keep));
+      ASSERT_EQ(st.code(), StatusCode::kCorruption) << MethodName(method) << " keep=" << keep;
+      ASSERT_EQ(Bytes(method, *f.replica), before) << MethodName(method) << " keep=" << keep;
+    }
+    ASSERT_TRUE(ApplyDelta(method, *f.replica, f.payload).ok());
+    EXPECT_EQ(Bytes(method, *f.replica), Bytes(method, f.learner.impl())) << MethodName(method);
+  }
+}
 
-  std::ostringstream delta(std::ios::binary);
-  ASSERT_TRUE(
-      SaveDelta(learner.method(), learner.impl(), window.value(), delta, nullptr).ok());
-  const std::string payload = std::move(delta).str();
+template <typename T>
+T Peek(const std::string& bytes, size_t at) {
+  T value;
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
 
-  // Chop the payload at several depths: every truncation must be rejected
-  // as Corruption with the replica byte-identical to before.
-  for (const size_t keep : {size_t{3}, payload.size() / 2, payload.size() - 1}) {
-    snapshot::SnapshotReader reader{std::string_view(payload).substr(0, keep)};
-    const Status st = ApplyDelta(learner.method(), *replica, reader);
-    EXPECT_EQ(st.code(), StatusCode::kCorruption) << "keep=" << keep;
-    EXPECT_EQ(Bytes(learner.method(), *replica), before) << "keep=" << keep;
+template <typename T>
+void Poke(std::string& bytes, size_t at, T value) {
+  std::memcpy(bytes.data() + at, &value, sizeof(T));
+}
+
+TEST_F(DistTest, StructurallyCorruptDeltaLeavesReplicaUntouched) {
+  // CRC-valid faults: the frame checksum would pass, so only the apply's own
+  // validation stands between these payloads and the replica. The faults sit
+  // late in their section where they can, so an apply that wrote as it
+  // parsed would already have touched the replica.
+  for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
+    DeltaFixture f = MakeDelta(method);
+    const std::string before = Bytes(method, *f.replica);
+    const std::string& good = f.payload;
+
+    // WMD1 layout: magic u32, method u8, step u64, one (WM) or two (AWM) f64
+    // scales; heap: u64 count + (u32, f32) pairs; table: u64 cells, u32 page
+    // cells, u64 pages, u64 shipped, then (u64 index, cells) records.
+    const size_t heap_at = 4 + 1 + 8 + (method == Method::kAwmSketch ? 16 : 8);
+    const uint64_t heap_n = Peek<uint64_t>(good, heap_at);
+    const size_t table_at = heap_at + 8 + 8 * heap_n;
+    const uint64_t cells = Peek<uint64_t>(good, table_at);
+    const uint32_t page_cells = Peek<uint32_t>(good, table_at + 8);
+    const uint64_t num_pages = Peek<uint64_t>(good, table_at + 12);
+    const uint64_t shipped = Peek<uint64_t>(good, table_at + 20);
+    const size_t record_bytes = 8 + 4 * size_t{page_cells};
+    const size_t last_record = table_at + 28 + (shipped - 1) * record_bytes;
+    const uint64_t prev_index = Peek<uint64_t>(good, last_record - record_bytes);
+    ASSERT_GE(heap_n, 2u) << MethodName(method);
+    ASSERT_GE(shipped, 3u) << MethodName(method);
+    ASSERT_EQ(table_at + 28 + shipped * record_bytes, good.size()) << MethodName(method);
+
+    struct Fault {
+      const char* what;
+      std::function<void(std::string&)> apply;
+    };
+    const Method other = method == Method::kWmSketch ? Method::kAwmSketch : Method::kWmSketch;
+    const std::vector<Fault> faults = {
+        {"wrong magic",
+         [](std::string& b) { Poke<uint32_t>(b, 0, Peek<uint32_t>(b, 0) ^ 1u); }},
+        {"wrong method tag",
+         [other](std::string& b) { Poke<uint8_t>(b, 4, static_cast<uint8_t>(other)); }},
+        {"heap count > capacity",
+         [&](std::string& b) {
+           Poke<uint64_t>(b, heap_at, f.learner.config().heap_capacity + 1);
+         }},
+        {"duplicate heap feature",
+         [&](std::string& b) {
+           Poke<uint32_t>(b, heap_at + 8 + 8 * (heap_n - 1), Peek<uint32_t>(b, heap_at + 8));
+         }},
+        {"wrong cell count", [&](std::string& b) { Poke<uint64_t>(b, table_at, cells + 1); }},
+        {"wrong page size",
+         [&](std::string& b) { Poke<uint32_t>(b, table_at + 8, page_cells * 2); }},
+        {"wrong page count",
+         [&](std::string& b) { Poke<uint64_t>(b, table_at + 12, num_pages + 1); }},
+        {"shipped count > page count",
+         [&](std::string& b) { Poke<uint64_t>(b, table_at + 20, num_pages + 1); }},
+        {"page index >= page count",
+         [&](std::string& b) { Poke<uint64_t>(b, last_record, num_pages); }},
+        {"repeated page index",
+         [&](std::string& b) { Poke<uint64_t>(b, last_record, prev_index); }},
+        {"decreasing page index",
+         [&](std::string& b) { Poke<uint64_t>(b, last_record, prev_index - 1); }},
+    };
+    for (const Fault& fault : faults) {
+      std::string bad = good;
+      fault.apply(bad);
+      ASSERT_NE(bad, good) << fault.what;
+      const Status st = ApplyDelta(method, *f.replica, bad);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << MethodName(method) << ", " << fault.what << ": " << st.ToString();
+      EXPECT_EQ(Bytes(method, *f.replica), before) << MethodName(method) << ", " << fault.what;
+    }
+    ASSERT_TRUE(ApplyDelta(method, *f.replica, good).ok());
+    EXPECT_EQ(Bytes(method, *f.replica), Bytes(method, f.learner.impl())) << MethodName(method);
   }
 }
 
@@ -357,8 +470,10 @@ TEST_F(DistTest, SyncBeforeHandshakeIsRejected) {
   header.worker_id = 9;
   header.session_token = 1;
   header.sync_seq = 1;
-  ASSERT_TRUE(
-      dist::SendFrame(fd, dist::FrameType::kDelta, EncodeSync(header, "junk")).ok());
+  std::string payload;
+  dist::EncodeSyncHeader(header, &payload);
+  payload += "junk";
+  ASSERT_TRUE(dist::SendFrame(fd, dist::FrameType::kDelta, payload).ok());
   Result<dist::Frame> reply = dist::RecvFrame(fd);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   ASSERT_EQ(reply.value().type, dist::FrameType::kError);

@@ -107,6 +107,59 @@ TEST(IndexedMinHeapTest, RandomOpsAgainstReferenceModel) {
   }
 }
 
+// Property: Assign leaves the array a fresh heap gets from Insert() of each
+// entry in order, and an index that agrees with it, whatever the heap held
+// before: entries that stay in their slot, move, arrive, or leave; sizes
+// that grow or shrink; and sequences that do or do not satisfy the heap
+// property (the latter sift exactly as Insert would sift them).
+TEST(IndexedMinHeapTest, AssignMatchesInsertInOrder) {
+  Rng rng(11);
+  IndexedMinHeap heap;
+  std::vector<IndexedMinHeap::Entry> prev;
+  for (int round = 0; round < 300; ++round) {
+    // Next contents: a random mix of the previous keys (often in their old
+    // slot order) and fresh ones, with random priorities.
+    std::vector<IndexedMinHeap::Entry> next;
+    const size_t n = static_cast<size_t>(rng.Bounded(40));
+    std::vector<bool> used(200, false);
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t key;
+      if (i < prev.size() && rng.NextDouble() < 0.7 && !used[prev[i].key]) {
+        key = prev[i].key;
+      } else {
+        do {
+          key = static_cast<uint32_t>(rng.Bounded(200));
+        } while (used[key]);
+      }
+      used[key] = true;
+      next.push_back({key, static_cast<double>(rng.Bounded(8)), static_cast<float>(i)});
+    }
+    heap.Assign(next.size(), [&next](size_t i) { return next[i]; });
+
+    IndexedMinHeap fresh;
+    for (const IndexedMinHeap::Entry& e : next) fresh.Insert(e.key, e.priority, e.value);
+    ASSERT_EQ(heap.size(), fresh.size()) << "round " << round;
+    for (size_t i = 0; i < fresh.size(); ++i) {
+      ASSERT_EQ(heap.entries()[i].key, fresh.entries()[i].key) << "round " << round;
+      ASSERT_EQ(heap.entries()[i].priority, fresh.entries()[i].priority);
+      ASSERT_EQ(heap.entries()[i].value, fresh.entries()[i].value);
+    }
+    for (uint32_t key = 0; key < 200; ++key) {
+      ASSERT_EQ(heap.Contains(key), fresh.Contains(key)) << "round " << round << " key " << key;
+      if (const IndexedMinHeap::Entry* e = heap.Find(key)) {
+        ASSERT_EQ(e->key, key);
+      }
+    }
+    // The index must stay usable by the ordinary operations.
+    if (!heap.empty()) {
+      const IndexedMinHeap::Entry min = heap.PopMin();
+      ASSERT_EQ(min.key, fresh.PopMin().key);
+      heap.Insert(min.key, min.priority, min.value);
+    }
+    prev = heap.entries();
+  }
+}
+
 // --------------------------------------------------------------- TopKHeap
 
 TEST(TopKHeapTest, OfferBelowCapacityAlwaysAdmits) {

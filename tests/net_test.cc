@@ -166,6 +166,50 @@ TEST_F(NetTest, TryDecodeFrameRejectsCorruption) {
             StatusCode::kCorruption);
 }
 
+TEST_F(NetTest, SealedFrameMatchesEncodeFrameAndReceiveReusesItsBuffer) {
+  std::string sealed = "stale bytes";
+  net::BeginFrame(&sealed, 17);
+  sealed += "payload-bytes";
+  net::SealFrame(&sealed);
+  EXPECT_EQ(sealed, net::EncodeFrame(17, "payload-bytes"));
+
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const std::string big(5000, 'x');
+  ASSERT_TRUE(net::SendFrame(fds[0], 17, big, "test:send").ok());
+  ASSERT_TRUE(net::SendEncodedFrame(fds[0], sealed, "test:send").ok());
+  net::TypedFrame frame;
+  ASSERT_TRUE(net::RecvFrame(fds[1], 0, 255, "test:recv", &frame).ok());
+  EXPECT_EQ(frame.payload, big);
+  const char* buffer = frame.payload.data();
+  ASSERT_TRUE(net::RecvFrame(fds[1], 0, 255, "test:recv", &frame).ok());
+  EXPECT_EQ(frame.type, 17);
+  EXPECT_EQ(frame.payload, "payload-bytes");
+  EXPECT_EQ(frame.payload.data(), buffer) << "the second frame must reuse the kept buffer";
+  ::close(fds[0]);
+  ::close(fds[1]);
+}
+
+TEST_F(NetTest, LyingFrameLengthCostsBoundedMemory) {
+  // A bare header declaring a near-cap payload, 100 bytes, then EOF: the
+  // receiver must report a torn frame without having sized its buffer to
+  // the declared length.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::string lie = net::EncodeFrame(17, "");
+  const uint64_t declared = net::kMaxFramePayloadBytes - 1;
+  std::memcpy(lie.data() + 9, &declared, sizeof(declared));
+  lie.append(100, 'x');
+  ASSERT_EQ(::send(fds[0], lie.data(), lie.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(lie.size()));
+  ::close(fds[0]);
+  net::TypedFrame frame;
+  EXPECT_EQ(net::RecvFrame(fds[1], 0, 255, "test:recv", &frame).code(),
+            StatusCode::kCorruption);
+  EXPECT_LT(frame.payload.capacity(), size_t{1} << 20);
+  ::close(fds[1]);
+}
+
 // --------------------------------------- round-trip bit-identity, 7 methods
 
 TEST_F(NetTest, ResponsesBitIdenticalToServingHandleAllMethods) {

@@ -34,9 +34,9 @@ linter turns them into CI-failing checks:
                WriteBytes / SectionGuard / SnapshotReader), which validate
                stream state and bound declared sizes before allocation. Raw
                `stream.read(` / `stream.write(` member calls are forbidden
-               in src/core/serialization.cc, src/api/learner.cc, and
-               src/engine/checkpoint.cc so no load path can regress into
-               unvalidated IO.
+               in the CHECKED_IO_FILES below (the snapshot and delta codecs
+               and every file that builds or parses net/dist frame bytes)
+               so no load path can regress into unvalidated IO.
 
 Engine: the default token-level engine lexes C++ (comments and string
 literals stripped, line numbers preserved) and needs nothing beyond the
@@ -72,9 +72,10 @@ SIMD_TABLE_FILE = "tests/hash_plan_test.cc"
 # the helpers themselves (src/core/snapshot_io.*) own the raw calls.
 CHECKED_IO_FILES = ("src/core/serialization.cc", "src/api/learner.cc",
                     "src/engine/checkpoint.cc", "src/core/delta_io.cc",
-                    "src/dist/frame.cc", "src/net/wire.cc",
-                    "src/net/protocol.cc", "src/net/server.cc",
-                    "src/net/client.cc")
+                    "src/dist/frame.cc", "src/dist/protocol.cc",
+                    "src/dist/worker.cc", "src/dist/aggregator.cc",
+                    "src/net/wire.cc", "src/net/protocol.cc",
+                    "src/net/server.cc", "src/net/client.cc")
 SIMD_TABLE_BEGIN = "wms-lint: simd-kernel-table begin"
 SIMD_TABLE_END = "wms-lint: simd-kernel-table end"
 ALLOWLIST_PATH = os.path.join("tools", "lint", "allowlist.json")
