@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 
 #include "sketch/hash_plan.h"
 #include "sketch/merge_compat.h"
@@ -19,14 +18,14 @@ namespace {
 
 constexpr double kMinScale = 1e-25;
 
-/// The frozen AWM read model: the active set as a hash map of *raw* weights
-/// plus its scale (so margins keep the live path's double-precision
+/// The frozen AWM read model: a copy of the active set (*raw* weights) plus
+/// its scale (so margins keep the live path's double-precision
 /// heap_scale·raw products), and the published pages of the tail sketch
 /// (shared across snapshots; only dirtied pages were copied). Answers are
 /// bit-identical to what the live model answered at capture time.
 class AwmReadModel final : public ReadModel {
  public:
-  AwmReadModel(std::unordered_map<uint32_t, float> active, double heap_scale,
+  AwmReadModel(TopKHeap active, double heap_scale,
                std::vector<SignedBucketHash> rows, PageSet<float> pages,
                double estimate_factor)
       : active_(std::move(active)),
@@ -39,10 +38,9 @@ class AwmReadModel final : public ReadModel {
     double acc = 0.0;
     for (size_t i = 0; i < x.nnz(); ++i) {
       const uint32_t feature = x.index(i);
-      const auto it = active_.find(feature);
-      const double w = it != active_.end()
-                           ? heap_scale_ * static_cast<double>(it->second)
-                           : static_cast<double>(TailQuery(feature));
+      const std::optional<float> exact = active_.Get(feature);
+      const double w = exact.has_value() ? heap_scale_ * static_cast<double>(*exact)
+                                         : static_cast<double>(TailQuery(feature));
       acc += w * static_cast<double>(x.value(i));
     }
     return acc;
@@ -57,10 +55,8 @@ class AwmReadModel final : public ReadModel {
   }
 
   float Estimate(uint32_t feature) const override {
-    const auto it = active_.find(feature);
-    if (it != active_.end()) {
-      return static_cast<float>(heap_scale_ * static_cast<double>(it->second));
-    }
+    const std::optional<float> exact = active_.Get(feature);
+    if (exact.has_value()) return static_cast<float>(heap_scale_ * static_cast<double>(*exact));
     return TailQuery(feature);
   }
 
@@ -68,9 +64,9 @@ class AwmReadModel final : public ReadModel {
     readpath::ActiveEstimateBatchPaged(
         pages_.view(), rows_, features, estimate_factor_,
         [this](uint32_t feature) -> std::optional<float> {
-          const auto it = active_.find(feature);
-          if (it == active_.end()) return std::nullopt;
-          return static_cast<float>(heap_scale_ * static_cast<double>(it->second));
+          const std::optional<float> exact = active_.Get(feature);
+          if (!exact.has_value()) return std::nullopt;
+          return static_cast<float>(heap_scale_ * static_cast<double>(*exact));
         },
         out);
   }
@@ -84,7 +80,7 @@ class AwmReadModel final : public ReadModel {
     return readpath::FusedEstimatePaged(pages_.view(), rows_, feature, estimate_factor_);
   }
 
-  std::unordered_map<uint32_t, float> active_;  // raw active-set weights
+  TopKHeap active_;  // raw active-set weights
   double heap_scale_;
   std::vector<SignedBucketHash> rows_;
   PageSet<float> pages_;
@@ -157,10 +153,7 @@ void AwmSketch::EstimateBatch(std::span<const uint32_t> features, float* out) co
 }
 
 std::unique_ptr<const ReadModel> AwmSketch::MakeReadModel() const {
-  std::unordered_map<uint32_t, float> active;
-  active.reserve(heap_.size());
-  for (const FeatureWeight& fw : heap_.Entries()) active.emplace(fw.feature, fw.weight);
-  return std::make_unique<AwmReadModel>(std::move(active), heap_scale_, rows_,
+  return std::make_unique<AwmReadModel>(heap_, heap_scale_, rows_,
                                         table_.SharePages(), sqrt_depth_ * sketch_scale_);
 }
 
@@ -378,24 +371,18 @@ WeightEstimator AwmSketch::EstimatorSnapshot() const {
   // closure's tail answer is the paged fused estimate, bit-identical to the
   // live SketchQuery at capture time.
   struct State {
-    std::unordered_map<uint32_t, float> active;  // raw active-set weights
+    TopKHeap active;  // raw active-set weights
     std::vector<SignedBucketHash> rows;
     PageSet<float> pages;
     double heap_scale;
     double sketch_scale;  // √s·α, the factor SketchQuery applies
   };
-  State st;
-  st.active.reserve(heap_.size());
-  for (const FeatureWeight& fw : heap_.Entries()) st.active.emplace(fw.feature, fw.weight);
-  st.rows = rows_;
-  st.pages = table_.SharePages();
-  st.heap_scale = heap_scale_;
-  st.sketch_scale = sqrt_depth_ * sketch_scale_;
-  auto shared = std::make_shared<const State>(std::move(st));
+  auto shared = std::make_shared<const State>(State{heap_, rows_, table_.SharePages(),
+                                                    heap_scale_, sqrt_depth_ * sketch_scale_});
   return [shared](uint32_t feature) {
-    const auto it = shared->active.find(feature);
-    if (it != shared->active.end()) {
-      return static_cast<float>(shared->heap_scale * static_cast<double>(it->second));
+    const std::optional<float> exact = shared->active.Get(feature);
+    if (exact.has_value()) {
+      return static_cast<float>(shared->heap_scale * static_cast<double>(*exact));
     }
     return readpath::FusedEstimatePaged(shared->pages.view(), shared->rows, feature,
                                         shared->sketch_scale);

@@ -1,7 +1,6 @@
 #include "core/serialization.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -11,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "util/indexed_heap.h"
 #include "util/math.h"
 
 namespace wmsketch {
@@ -136,19 +136,12 @@ Status ReadHeapEntries(SnapshotReader& in, size_t capacity,
   if (!in.ReadExactRaw(reinterpret_cast<char*>(entries->data()), n * kHeapEntryBytes)) {
     return Status::Corruption("truncated heap entry");
   }
-  // Duplicate check: one pass over an open-addressing set at most half
-  // full, keyed by feature (a slot of all ones is empty; no u32 equals it).
-  size_t slots = 16;
-  while (slots < 2 * n) slots <<= 1;
-  std::vector<uint64_t> seen(slots, ~uint64_t{0});
-  const int shift = 64 - std::countr_zero(slots);
-  for (const FeatureWeight& fw : *entries) {
-    size_t i = static_cast<size_t>((fw.feature * 0x9e3779b97f4a7c15ULL) >> shift);
-    while (seen[i] != ~uint64_t{0}) {
-      if (seen[i] == fw.feature) return Status::Corruption("duplicate heap feature");
-      i = (i + 1) & (slots - 1);
+  KeySlotIndex seen;
+  seen.Reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (!seen.Insert((*entries)[i].feature, i)) {
+      return Status::Corruption("duplicate heap feature");
     }
-    seen[i] = fw.feature;
   }
   return Status::OK();
 }

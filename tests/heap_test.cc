@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "util/indexed_heap.h"
 #include "util/random.h"
+#include "util/status.h"
 #include "util/top_k_heap.h"
 
 namespace wmsketch {
@@ -77,34 +80,223 @@ TEST(IndexedMinHeapTest, PopMinDrainsInPriorityOrder) {
   }
 }
 
-// Property: against a reference std::multimap model under a random operation
-// mix, the heap min always matches.
-TEST(IndexedMinHeapTest, RandomOpsAgainstReferenceModel) {
-  IndexedMinHeap heap;
-  std::map<uint32_t, double> model;  // key -> priority
-  Rng rng(7);
-  for (int step = 0; step < 20000; ++step) {
-    const uint32_t key = static_cast<uint32_t>(rng.Bounded(64));
-    const double op = rng.NextDouble();
-    if (op < 0.5) {
-      const double pri = rng.NextDouble();
-      if (model.count(key)) {
-        heap.Update(key, pri, 0.0f);
-      } else {
-        heap.Insert(key, pri, 0.0f);
-      }
-      model[key] = pri;
-    } else if (op < 0.7 && !model.empty() && model.count(key)) {
-      heap.Remove(key);
-      model.erase(key);
-    } else if (!model.empty()) {
-      auto min_it = std::min_element(
-          model.begin(), model.end(),
-          [](const auto& a, const auto& b) { return a.second < b.second; });
-      EXPECT_EQ(heap.Min().priority, min_it->second);
-    }
-    ASSERT_EQ(heap.size(), model.size());
+// A reference for IndexedMinHeap: the same array and the same sift code,
+// with keys found by linear scan instead of through an index.
+class LinearScanHeap {
+ public:
+  using Entry = IndexedMinHeap::Entry;
+
+  const std::vector<Entry>& entries() const { return heap_; }
+
+  void Insert(uint32_t key, double priority, float value) {
+    heap_.push_back(Entry{key, priority, value});
+    SiftUp(heap_.size() - 1);
   }
+
+  void Update(uint32_t key, double priority, float value) {
+    const size_t i = IndexOf(key);
+    heap_[i].priority = priority;
+    heap_[i].value = value;
+    if (!SiftUp(i)) SiftDown(i);
+  }
+
+  Entry Remove(uint32_t key) {
+    const size_t i = IndexOf(key);
+    const Entry removed = heap_[i];
+    const size_t last = heap_.size() - 1;
+    heap_[i] = heap_[last];
+    heap_.pop_back();
+    if (i != last && !SiftUp(i)) SiftDown(i);
+    return removed;
+  }
+
+  Entry PopMin() { return Remove(heap_[0].key); }
+
+ private:
+  size_t IndexOf(uint32_t key) const {
+    for (size_t i = 0; i < heap_.size(); ++i) {
+      if (heap_[i].key == key) return i;
+    }
+    ADD_FAILURE() << "key " << key << " not in the reference heap";
+    return 0;
+  }
+
+  bool SiftUp(size_t i) {
+    bool moved = false;
+    while (i > 0) {
+      const size_t parent = (i - 1) / 2;
+      if (heap_[parent].priority <= heap_[i].priority) break;
+      std::swap(heap_[i], heap_[parent]);
+      i = parent;
+      moved = true;
+    }
+    return moved;
+  }
+
+  void SiftDown(size_t i) {
+    const size_t n = heap_.size();
+    while (true) {
+      const size_t l = 2 * i + 1;
+      const size_t r = 2 * i + 2;
+      size_t smallest = i;
+      if (l < n && heap_[l].priority < heap_[smallest].priority) smallest = l;
+      if (r < n && heap_[r].priority < heap_[smallest].priority) smallest = r;
+      if (smallest == i) break;
+      std::swap(heap_[i], heap_[smallest]);
+      i = smallest;
+    }
+  }
+
+  std::vector<Entry> heap_;
+};
+
+// Property: under a random operation mix over hard keys, the heap agrees
+// with a key -> (priority, value) model on every key of the pool, and its
+// array equals the linear-scan reference's after every operation. Array
+// order decides eviction ties, so the equality pins model evolution to the
+// sift code, whatever the index does. The pool holds:
+//  * 0 and 0xFFFFFFFF (no key value may mark an empty index cell);
+//  * a group whose hash puts all of them in the last cell of every index
+//    size up to 4096 cells, so their probe runs wrap to cell 0 and
+//    backward-shift deletion moves cells across the wrap;
+//  * random keys, enough for the index to grow from its first array at
+//    least three times before the heap is drained.
+TEST(IndexedMinHeapTest, RandomOpsAgainstReferenceModel) {
+  constexpr size_t kMaxCells = 4096;
+  std::vector<uint32_t> pool = {0u, 0xffffffffu};
+  std::vector<uint32_t> wrapping;
+  for (uint32_t key = 1; wrapping.size() < 12; ++key) {
+    if (KeySlotIndex::HomeCell(key, kMaxCells) == kMaxCells - 1) wrapping.push_back(key);
+  }
+  pool.insert(pool.end(), wrapping.begin(), wrapping.end());
+  Rng rng(7);
+  while (pool.size() < 300) {
+    const uint32_t key = rng.NextU32();
+    if (std::find(pool.begin(), pool.end(), key) == pool.end()) pool.push_back(key);
+  }
+  const auto pick = [&]() {
+    // Favour the hard keys so they are often live together.
+    if (rng.NextDouble() < 0.3) return pool[rng.Bounded(2 + wrapping.size())];
+    return pool[rng.Bounded(pool.size())];
+  };
+
+  IndexedMinHeap heap;
+  LinearScanHeap ref;
+  std::map<uint32_t, std::pair<double, float>> model;  // key -> (priority, value)
+  size_t peak = 0;
+  const auto check = [&](int step) {
+    ASSERT_EQ(heap.size(), model.size()) << "step " << step;
+    ASSERT_EQ(heap.entries().size(), ref.entries().size()) << "step " << step;
+    for (size_t i = 0; i < ref.entries().size(); ++i) {
+      ASSERT_EQ(heap.entries()[i].key, ref.entries()[i].key) << "step " << step << " slot " << i;
+      ASSERT_EQ(heap.entries()[i].priority, ref.entries()[i].priority);
+      ASSERT_EQ(heap.entries()[i].value, ref.entries()[i].value);
+    }
+    for (const uint32_t key : pool) {
+      const auto it = model.find(key);
+      ASSERT_EQ(heap.Contains(key), it != model.end()) << "step " << step << " key " << key;
+      const IndexedMinHeap::Entry* e = heap.Find(key);
+      if (it == model.end()) {
+        ASSERT_EQ(e, nullptr) << "step " << step << " key " << key;
+        continue;
+      }
+      ASSERT_NE(e, nullptr) << "step " << step << " key " << key;
+      ASSERT_EQ(e->key, key);
+      ASSERT_EQ(e->priority, it->second.first);
+      ASSERT_EQ(e->value, it->second.second);
+    }
+  };
+
+  // Fill, churn, then drain to empty.
+  const double insert_share[] = {0.8, 0.5, 0.1};
+  int step = 0;
+  for (int phase = 0; phase < 3; ++phase) {
+    for (int i = 0; i < 6000 || (phase == 2 && !model.empty()); ++i, ++step) {
+      const double op = rng.NextDouble();
+      if (op < insert_share[phase]) {
+        const uint32_t key = pick();
+        // Few distinct priorities, so ties are common.
+        const double priority = static_cast<double>(rng.Bounded(16));
+        const float value = static_cast<float>(step);
+        if (model.count(key)) {
+          heap.Update(key, priority, value);
+          ref.Update(key, priority, value);
+        } else {
+          heap.Insert(key, priority, value);
+          ref.Insert(key, priority, value);
+        }
+        model[key] = {priority, value};
+      } else if (model.empty()) {
+        continue;
+      } else if (op < (1.0 + insert_share[phase]) / 2) {
+        const IndexedMinHeap::Entry got = heap.PopMin();
+        const IndexedMinHeap::Entry want = ref.PopMin();
+        ASSERT_EQ(got.key, want.key) << "step " << step;
+        model.erase(got.key);
+      } else {
+        auto it = model.begin();
+        std::advance(it, static_cast<long>(rng.Bounded(model.size())));
+        const uint32_t key = it->first;
+        ASSERT_EQ(heap.Remove(key).key, key);
+        ref.Remove(key);
+        model.erase(it);
+      }
+      peak = std::max(peak, heap.size());
+      check(step);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_TRUE(heap.empty());
+  // The index is at most half full, so holding more than 4 * kMinCells keys
+  // took more than 8 * kMinCells cells: three or more doublings.
+  EXPECT_GT(peak, 4 * KeySlotIndex::kMinCells);
+}
+
+// RestoreHeapOrder guards the snapshot loaders: a duplicate key or a parent
+// above its child is rejected and leaves the heap as it was; a valid array
+// is taken in its exact order with every key findable.
+TEST(IndexedMinHeapTest, RestoreHeapOrderRejectsBadArraysAndKeepsTheHeap) {
+  using Entry = IndexedMinHeap::Entry;
+  IndexedMinHeap heap;
+  for (const uint32_t key : {5u, 9u, 0u, 0xffffffffu, 12u}) {
+    heap.Insert(key, static_cast<double>(key % 7), static_cast<float>(key));
+  }
+  const std::vector<Entry> before = heap.entries();
+  const auto expect_unchanged = [&](const char* what) {
+    ASSERT_EQ(heap.entries().size(), before.size()) << what;
+    for (size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(heap.entries()[i].key, before[i].key) << what;
+      EXPECT_EQ(heap.entries()[i].priority, before[i].priority) << what;
+      EXPECT_EQ(heap.entries()[i].value, before[i].value) << what;
+      const Entry* e = heap.Find(before[i].key);
+      ASSERT_NE(e, nullptr) << what;
+      EXPECT_EQ(e->key, before[i].key) << what;
+    }
+    EXPECT_FALSE(heap.Contains(1)) << what;
+  };
+
+  const Status dup = heap.RestoreHeapOrder({{1, 1.0, 0.f}, {2, 2.0, 0.f}, {1, 3.0, 0.f}});
+  EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument);
+  expect_unchanged("duplicate key");
+
+  const Status order = heap.RestoreHeapOrder({{1, 1.0, 0.f}, {2, 3.0, 0.f}, {3, 0.5, 0.f}});
+  EXPECT_EQ(order.code(), StatusCode::kInvalidArgument);
+  expect_unchanged("parent above child");
+
+  const std::vector<Entry> valid = {
+      {7, 1.0, 1.f}, {3, 1.0, 2.f}, {0xffffffffu, 2.0, 3.f}, {0, 1.5, 4.f}, {8, 1.0, 5.f}};
+  ASSERT_TRUE(heap.RestoreHeapOrder(valid).ok());
+  ASSERT_EQ(heap.entries().size(), valid.size());
+  for (size_t i = 0; i < valid.size(); ++i) {
+    EXPECT_EQ(heap.entries()[i].key, valid[i].key);
+    EXPECT_EQ(heap.entries()[i].priority, valid[i].priority);
+    EXPECT_EQ(heap.entries()[i].value, valid[i].value);
+    const Entry* e = heap.Find(valid[i].key);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->key, valid[i].key);
+    EXPECT_EQ(e->value, valid[i].value);
+  }
+  for (const uint32_t gone : {5u, 9u, 12u}) EXPECT_FALSE(heap.Contains(gone));
 }
 
 // Property: Assign leaves the array a fresh heap gets from Insert() of each
