@@ -1,13 +1,16 @@
-// Distributed sync payload sizes: per-sync bytes of a dirty-page delta as a
-// function of how much of the table the window dirtied, against the
+// Distributed sync payload sizes: per-sync bytes of a written-cell (WMD2)
+// delta as a function of how many examples the window ingested, against the
 // full-snapshot fallback cost. The claim under test: delta bytes scale with
-// dirty pages, so a lightly-updated worker ships a small fraction of its
-// table, while the fallback pays the full model every time.
+// the cells a window writes, so a lightly-updated worker ships a small
+// fraction of its table, while the fallback pays the full model every time.
 //
 //   $ ./bench_dist_sync [--json BENCH_dist_sync.json]
 //
-// Columns: fraction of the stream ingested inside one delta window, pages
-// shipped / total, delta payload bytes, full snapshot bytes, and the ratio.
+// Columns: examples ingested inside one delta window, cells shipped, pages
+// holding a shipped cell / total, delta payload bytes, full snapshot bytes,
+// and the ratio. Every byte count is a deterministic function of the stream
+// seed and WMS_BENCH_SCALE, so CI gates delta_bytes raw against the
+// committed BENCH_dist_sync.json (rows join on config and kernel).
 
 #include <cstdint>
 #include <sstream>
@@ -33,8 +36,8 @@ Result<Learner> Build() {
 }
 
 int Run(int argc, char** argv) {
-  Banner("dist sync: delta bytes vs dirty pages (AWM, 64K-cell table)");
-  PrintRow({"window_examples", "pages", "delta_B", "full_B", "delta/full"});
+  Banner("dist sync: delta bytes vs written cells (AWM, 64K-cell table)");
+  PrintRow({"window_examples", "cells", "pages", "delta_B", "full_B", "delta/full"});
 
   BenchJson json("dist_sync");
   const int kWindows[] = {0, 1, 10, 100, 1000, 10000, 40000};
@@ -56,9 +59,8 @@ int Run(int argc, char** argv) {
     for (int i = 0; i < warm; ++i) stream.push_back(gen.Next());
     learner.UpdateBatch(stream);
 
-    Result<uint64_t> window = BeginDeltaWindow(learner.method(), learner.impl());
-    if (!window.ok()) {
-      std::fprintf(stderr, "window failed: %s\n", window.status().ToString().c_str());
+    if (const Status st = BeginDeltaWindow(learner.method(), learner.impl()); !st.ok()) {
+      std::fprintf(stderr, "window failed: %s\n", st.ToString().c_str());
       return 1;
     }
     stream.clear();
@@ -67,8 +69,7 @@ int Run(int argc, char** argv) {
 
     std::string delta;
     DeltaStats stats;
-    const Status st =
-        SaveDelta(learner.method(), learner.impl(), window.value(), &delta, &stats);
+    const Status st = SaveDelta(learner.method(), learner.impl(), &delta, &stats);
     if (!st.ok()) {
       std::fprintf(stderr, "delta failed: %s\n", st.ToString().c_str());
       return 1;
@@ -80,10 +81,13 @@ int Run(int argc, char** argv) {
     const double full_bytes = static_cast<double>(full.str().size());
     const std::string pages = std::to_string(stats.pages_shipped) + "/" +
                               std::to_string(stats.pages_total);
-    PrintRow({std::to_string(window_examples), pages, Fmt(delta_bytes, 0),
-              Fmt(full_bytes, 0), Fmt(delta_bytes / full_bytes, 3)});
+    PrintRow({std::to_string(window_examples), std::to_string(stats.cells_shipped), pages,
+              Fmt(delta_bytes, 0), Fmt(full_bytes, 0), Fmt(delta_bytes / full_bytes, 3)});
     json.Row()
+        .Str("config", "awm64k_win" + std::to_string(window_examples))
+        .Str("kernel", "wmd2")
         .Num("window_examples", window_examples)
+        .Num("cells_shipped", static_cast<double>(stats.cells_shipped))
         .Num("pages_shipped", static_cast<double>(stats.pages_shipped))
         .Num("pages_total", static_cast<double>(stats.pages_total))
         .Num("delta_bytes", delta_bytes)

@@ -1,6 +1,6 @@
 // Merge aggregator daemon for distributed training: listens on a Unix-domain
 // socket, verifies each worker's merge identity in the handshake, keeps one
-// replica per worker current via dirty-page deltas (full-snapshot fallback),
+// replica per worker current via written-cell deltas (full-snapshot fallback),
 // and serves the exact merge of all replicas to any client that asks.
 //
 //   $ ./dist_aggregator --socket=/tmp/wms.sock \

@@ -1,6 +1,6 @@
 // Distributed training worker: trains a sketch on a synthetic stream shard
 // and ships its state to a running dist_aggregator — a full snapshot first,
-// dirty-page deltas afterwards — surviving aggregator restarts and transient
+// written-cell deltas afterwards — surviving aggregator restarts and transient
 // I/O failures through the client's bounded retry/backoff budget.
 //
 //   $ ./dist_aggregator --socket=/tmp/wms.sock &
@@ -134,11 +134,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     const dist::SyncStats& s = client.stats();
-    std::printf("round %d: synced step %llu (%llu full, %llu delta; last delta %llu/%llu "
-                "pages; %llu bytes shipped; %llu retries, %llu reconnects)\n",
+    std::printf("round %d: synced step %llu (%llu full, %llu delta; last delta %llu cells "
+                "on %llu/%llu pages; %llu bytes shipped; %llu retries, %llu reconnects)\n",
                 round, static_cast<unsigned long long>(learner.steps()),
                 static_cast<unsigned long long>(s.full_syncs),
                 static_cast<unsigned long long>(s.delta_syncs),
+                static_cast<unsigned long long>(s.last_cells_shipped),
                 static_cast<unsigned long long>(s.last_pages_shipped),
                 static_cast<unsigned long long>(s.last_pages_total),
                 static_cast<unsigned long long>(s.bytes_shipped),

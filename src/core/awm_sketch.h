@@ -24,8 +24,8 @@ class SnapshotReader;
 namespace detail {
 Status SaveAwmSketchPayload(const AwmSketch&, std::ostream&);
 Result<AwmSketch> LoadAwmSketchPayload(snapshot::SnapshotReader&, const LearnerOptions&);
-uint64_t BeginAwmDeltaWindow(AwmSketch&);
-void SaveAwmSketchDelta(const AwmSketch&, uint64_t, std::string*, DeltaStats*);
+void BeginAwmDeltaWindow(AwmSketch&);
+Status SaveAwmSketchDelta(const AwmSketch&, std::string*, DeltaStats*);
 Status ApplyAwmSketchDelta(AwmSketch&, snapshot::SnapshotReader&);
 }  // namespace detail
 
@@ -117,8 +117,11 @@ class AwmSketch final : public BudgetedClassifier {
   /// AWM-Sketch's answer to top-K queries.
   std::vector<FeatureWeight> TopK(size_t k) const override;
   size_t MemoryCostBytes() const override { return config_.MemoryCostBytes(); }
+  /// The Sec. 7.1 cost plus what the model really holds beyond it: page
+  /// metadata, the delta window's cell record once one is open, and the
+  /// heap's key → slot index.
   size_t ResidentStorageBytes() const override {
-    return config_.MemoryCostBytes() + table_.MetadataBytes();
+    return config_.MemoryCostBytes() + table_.MetadataBytes() + heap_.IndexBytes();
   }
   TablePublishStats publish_stats() const override { return table_.publish_stats(); }
   uint64_t steps() const override { return t_; }
@@ -135,9 +138,8 @@ class AwmSketch final : public BudgetedClassifier {
   friend Status detail::SaveAwmSketchPayload(const AwmSketch&, std::ostream&);
   friend Result<AwmSketch> detail::LoadAwmSketchPayload(snapshot::SnapshotReader&,
                                                         const LearnerOptions&);
-  friend uint64_t detail::BeginAwmDeltaWindow(AwmSketch&);
-  friend void detail::SaveAwmSketchDelta(const AwmSketch&, uint64_t, std::string*,
-                                        DeltaStats*);
+  friend void detail::BeginAwmDeltaWindow(AwmSketch&);
+  friend Status detail::SaveAwmSketchDelta(const AwmSketch&, std::string*, DeltaStats*);
   friend Status detail::ApplyAwmSketchDelta(AwmSketch&, snapshot::SnapshotReader&);
 
   /// Count-Sketch point estimate of a tail feature's weight (true scale).

@@ -20,7 +20,11 @@ using snapshot::WriteRaw;
 
 // Delta payload magic; the payload rides inside a v3 envelope like every
 // other snapshot stream, so it is length- and CRC-validated before parsing.
-constexpr uint32_t kDeltaMagic = 0x31444d57;  // "WMD1"
+constexpr uint32_t kDeltaMagic = 0x32444d57;  // "WMD2"
+
+// One table record: u32 absolute cell offset (HashPlan's offsets are u32
+// too), then the cell's raw bits.
+constexpr size_t kCellRecordBytes = sizeof(uint32_t) + sizeof(float);
 
 std::string TagName(uint8_t tag) {
   if (tag > static_cast<uint8_t>(Method::kAwmSketch)) {
@@ -29,89 +33,95 @@ std::string TagName(uint8_t tag) {
   return MethodName(static_cast<Method>(tag));
 }
 
-// Table section: shape header, then the pages dirtied at-or-after `since` as
-// (page index, raw cells) records in ascending page order. Raw bytes — no
-// float arithmetic on either end — so applying onto a replica that matches
-// the sender's unshipped pages reproduces the sender byte-for-byte.
-void WriteDirtyPages(std::string* out, const PagedTable& table, uint64_t since,
-                     DeltaStats* stats) {
+// Table section: u64 cell count, u64 record count, then one record per cell
+// written since the table's delta window opened, in strictly increasing
+// offset order. Raw bits — no float arithmetic on either end — so applying
+// onto a replica that matches the sender as of the window reproduces the
+// sender byte-for-byte. One walk writes the records; the count is patched
+// in after it.
+void WriteWrittenCells(std::string* out, const PagedTable& table, DeltaStats* stats) {
   WriteRaw(*out, static_cast<uint64_t>(table.size()));
-  WriteRaw(*out, static_cast<uint32_t>(table.page_cells()));
-  WriteRaw(*out, static_cast<uint64_t>(table.num_pages()));
-  const uint64_t shipped = table.CountDirtyPagesSince(since);
-  WriteRaw(*out, shipped);
-  table.ForEachDirtyPageSince(since, [&](size_t p, const float* cells, size_t pc) {
-    WriteRaw(*out, static_cast<uint64_t>(p));
-    WriteBytes(*out, cells, pc * sizeof(float));
+  const size_t count_at = out->size();
+  WriteRaw(*out, uint64_t{0});
+  const size_t page_cells = table.page_cells();
+  uint64_t count = 0, pages = 0;
+  size_t last_page = table.num_pages();
+  table.ForEachWrittenCell([&](size_t off, const float* cell) {
+    char record[kCellRecordBytes];
+    const uint32_t offset = static_cast<uint32_t>(off);
+    std::memcpy(record, &offset, sizeof(offset));
+    std::memcpy(record + sizeof(offset), cell, sizeof(float));
+    WriteBytes(*out, record, sizeof(record));
+    ++count;
+    if (off / page_cells != last_page) {
+      last_page = off / page_cells;
+      ++pages;
+    }
   });
+  std::memcpy(out->data() + count_at, &count, sizeof(count));
   if (stats != nullptr) {
     stats->pages_total = table.num_pages();
-    stats->pages_shipped = shipped;
+    stats->pages_shipped = pages;
+    stats->cells_shipped = count;
   }
 }
 
-// The page records of a validated table section, left in place in the
-// payload: `count` records of (u64 page index, page cells), `record_bytes`
-// each.
-struct PageRecords {
+// A delta is relative to the table's open window; without one there is no
+// record of what was written, and an empty delta would silently desync the
+// replica.
+Status CheckWindowOpen(const PagedTable& table) {
+  if (table.recording()) return Status::OK();
+  return Status::FailedPrecondition("no delta window is open on this model");
+}
+
+// The cell records of a validated table section, left in place in the
+// payload.
+struct CellRecords {
   std::string_view bytes;
   uint64_t count = 0;
-  size_t record_bytes = 0;
 
-  uint64_t index(uint64_t i) const {
-    uint64_t p = 0;
-    std::memcpy(&p, bytes.data() + i * record_bytes, sizeof(p));
-    return p;
+  uint32_t offset(uint64_t i) const {
+    uint32_t off = 0;
+    std::memcpy(&off, bytes.data() + i * kCellRecordBytes, sizeof(off));
+    return off;
   }
-  const char* cells(uint64_t i) const {
-    return bytes.data() + i * record_bytes + sizeof(uint64_t);
+  const char* cell(uint64_t i) const {
+    return bytes.data() + i * kCellRecordBytes + sizeof(uint32_t);
   }
 };
 
 // Validates a table section against the receiver's live table without
-// touching it: the page geometry must match exactly, and the records must
-// fit the payload with strictly increasing in-range indices.
-Status ReadPageRecords(SnapshotReader& in, const PagedTable& table, PageRecords* pages) {
-  uint64_t cells = 0, num_pages = 0, shipped = 0;
-  uint32_t page_cells = 0;
-  if (!in.ReadRaw(&cells) || !in.ReadRaw(&page_cells) || !in.ReadRaw(&num_pages)) {
+// touching it: the cell count must match, and the records must fit the
+// payload with strictly increasing in-range offsets.
+Status ReadCellRecords(SnapshotReader& in, const PagedTable& table, CellRecords* cells) {
+  uint64_t total = 0, count = 0;
+  if (!in.ReadRaw(&total) || !in.ReadRaw(&count)) {
     return Status::Corruption("truncated delta table header");
   }
-  if (cells != table.size()) return Status::Corruption("delta table size mismatch");
-  // Page indices address the receiver's arena, so the page geometry must
-  // match exactly — equal shapes pick equal page sizes (PickPageCells is
-  // deterministic), making a mismatch corruption rather than a version skew.
-  if (page_cells != table.page_cells()) {
-    return Status::Corruption("delta page size mismatch");
+  if (total != table.size()) return Status::Corruption("delta table size mismatch");
+  if (count > total) return Status::Corruption("delta ships more cells than exist");
+  if (!in.CanRead(count, kCellRecordBytes) ||
+      !in.ReadView(count * kCellRecordBytes, &cells->bytes)) {
+    return Status::Corruption("delta cells exceed stream size");
   }
-  if (num_pages != table.num_pages()) return Status::Corruption("delta page count mismatch");
-  if (!in.ReadRaw(&shipped)) return Status::Corruption("truncated delta page header");
-  if (shipped > num_pages) return Status::Corruption("delta ships more pages than exist");
-  pages->count = shipped;
-  pages->record_bytes = sizeof(uint64_t) + static_cast<size_t>(page_cells) * sizeof(float);
-  if (!in.CanRead(shipped, pages->record_bytes) ||
-      !in.ReadView(shipped * pages->record_bytes, &pages->bytes)) {
-    return Status::Corruption("delta pages exceed stream size");
-  }
-  for (uint64_t i = 0; i < shipped; ++i) {
-    const uint64_t p = pages->index(i);
-    if (p >= num_pages) return Status::Corruption("delta page index out of range");
-    if (i > 0 && p <= pages->index(i - 1)) {
-      return Status::Corruption("delta page indices not strictly increasing");
+  cells->count = count;
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint32_t off = cells->offset(i);
+    if (off >= total) return Status::Corruption("delta cell offset out of range");
+    if (i > 0 && off <= cells->offset(i - 1)) {
+      return Status::Corruption("delta cell offsets not strictly increasing");
     }
   }
+  if (in.remaining() != 0) return Status::Corruption("trailing bytes after delta");
   return Status::OK();
 }
 
 // Copies validated records straight from the payload into the live arena.
-// The arena is padded to a whole number of pages, so a full-page copy at any
-// valid index is in bounds (pad cells are zero on both ends and stay zero).
-void CommitPageRecords(const PageRecords& pages, PagedTable* table) {
-  const size_t pc = table->page_cells();
-  for (uint64_t i = 0; i < pages.count; ++i) {
-    const size_t offset = static_cast<size_t>(pages.index(i)) * pc;
-    std::memcpy(table->data() + offset, pages.cells(i), pc * sizeof(float));
-    table->MarkDirtyOffset(offset);
+void CommitCellRecords(const CellRecords& cells, PagedTable* table) {
+  for (uint64_t i = 0; i < cells.count; ++i) {
+    const size_t off = cells.offset(i);
+    std::memcpy(table->data() + off, cells.cell(i), sizeof(float));
+    table->MarkDirtyOffset(off);
   }
 }
 
@@ -219,26 +229,26 @@ Result<MergeIdentity> DecodeMergeIdentity(SnapshotReader& in) {
 
 // ------------------------------------------------------------- dispatch
 
-Result<uint64_t> BeginDeltaWindow(Method method, BudgetedClassifier& impl) {
+Status BeginDeltaWindow(Method method, BudgetedClassifier& impl) {
   switch (method) {
     case Method::kWmSketch:
-      return detail::BeginWmDeltaWindow(static_cast<WmSketch&>(impl));
+      detail::BeginWmDeltaWindow(static_cast<WmSketch&>(impl));
+      return Status::OK();
     case Method::kAwmSketch:
-      return detail::BeginAwmDeltaWindow(static_cast<AwmSketch&>(impl));
+      detail::BeginAwmDeltaWindow(static_cast<AwmSketch&>(impl));
+      return Status::OK();
     default:
       return Status::Unimplemented(MethodName(method) + " does not support delta sync");
   }
 }
 
-Status SaveDelta(Method method, const BudgetedClassifier& impl, uint64_t since,
-                 std::string* out, DeltaStats* stats) {
+Status SaveDelta(Method method, const BudgetedClassifier& impl, std::string* out,
+                 DeltaStats* stats) {
   switch (method) {
     case Method::kWmSketch:
-      detail::SaveWmSketchDelta(static_cast<const WmSketch&>(impl), since, out, stats);
-      return Status::OK();
+      return detail::SaveWmSketchDelta(static_cast<const WmSketch&>(impl), out, stats);
     case Method::kAwmSketch:
-      detail::SaveAwmSketchDelta(static_cast<const AwmSketch&>(impl), since, out, stats);
-      return Status::OK();
+      return detail::SaveAwmSketchDelta(static_cast<const AwmSketch&>(impl), out, stats);
     default:
       return Status::Unimplemented(MethodName(method) + " does not support delta sync");
   }
@@ -260,18 +270,19 @@ namespace detail {
 
 // ------------------------------------------------------------ WM-Sketch
 
-uint64_t BeginWmDeltaWindow(WmSketch& sketch) { return sketch.table_.BeginDeltaWindow(); }
+void BeginWmDeltaWindow(WmSketch& sketch) { sketch.table_.BeginDeltaWindow(); }
 
-void SaveWmSketchDelta(const WmSketch& sketch, uint64_t since, std::string* out,
-                       DeltaStats* stats) {
+Status SaveWmSketchDelta(const WmSketch& sketch, std::string* out, DeltaStats* stats) {
+  WMS_RETURN_NOT_OK(CheckWindowOpen(sketch.table_));
   WriteRaw(*out, kDeltaMagic);
   WriteRaw(*out, static_cast<uint8_t>(Method::kWmSketch));
   WriteRaw(*out, sketch.t_);
   WriteRaw(*out, sketch.scale_);
   // The heap ships in full: it is small (KBs) and its entries move between
-  // sketch and heap on every update, so page-level diffing would buy nothing.
+  // sketch and heap on every update, so diffing it would buy nothing.
   WriteHeapEntries(*out, sketch.heap_);
-  WriteDirtyPages(out, sketch.table_, since, stats);
+  WriteWrittenCells(out, sketch.table_, stats);
+  return Status::OK();
 }
 
 Status ApplyWmSketchDelta(WmSketch& sketch, SnapshotReader& in) {
@@ -285,28 +296,29 @@ Status ApplyWmSketchDelta(WmSketch& sketch, SnapshotReader& in) {
   // below leaves it byte-identical to its pre-call state.
   std::vector<FeatureWeight> heap;
   WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.config_.heap_capacity, &heap));
-  PageRecords pages;
-  WMS_RETURN_NOT_OK(ReadPageRecords(in, sketch.table_, &pages));
+  CellRecords cells;
+  WMS_RETURN_NOT_OK(ReadCellRecords(in, sketch.table_, &cells));
   sketch.t_ = t;
   sketch.scale_ = scale;
   sketch.heap_.Assign(heap);
-  CommitPageRecords(pages, &sketch.table_);
+  CommitCellRecords(cells, &sketch.table_);
   return Status::OK();
 }
 
 // ----------------------------------------------------------- AWM-Sketch
 
-uint64_t BeginAwmDeltaWindow(AwmSketch& sketch) { return sketch.table_.BeginDeltaWindow(); }
+void BeginAwmDeltaWindow(AwmSketch& sketch) { sketch.table_.BeginDeltaWindow(); }
 
-void SaveAwmSketchDelta(const AwmSketch& sketch, uint64_t since, std::string* out,
-                        DeltaStats* stats) {
+Status SaveAwmSketchDelta(const AwmSketch& sketch, std::string* out, DeltaStats* stats) {
+  WMS_RETURN_NOT_OK(CheckWindowOpen(sketch.table_));
   WriteRaw(*out, kDeltaMagic);
   WriteRaw(*out, static_cast<uint8_t>(Method::kAwmSketch));
   WriteRaw(*out, sketch.t_);
   WriteRaw(*out, sketch.sketch_scale_);
   WriteRaw(*out, sketch.heap_scale_);
   WriteHeapEntries(*out, sketch.heap_);
-  WriteDirtyPages(out, sketch.table_, since, stats);
+  WriteWrittenCells(out, sketch.table_, stats);
+  return Status::OK();
 }
 
 Status ApplyAwmSketchDelta(AwmSketch& sketch, SnapshotReader& in) {
@@ -318,13 +330,13 @@ Status ApplyAwmSketchDelta(AwmSketch& sketch, SnapshotReader& in) {
   }
   std::vector<FeatureWeight> heap;
   WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.config_.heap_capacity, &heap));
-  PageRecords pages;
-  WMS_RETURN_NOT_OK(ReadPageRecords(in, sketch.table_, &pages));
+  CellRecords cells;
+  WMS_RETURN_NOT_OK(ReadCellRecords(in, sketch.table_, &cells));
   sketch.t_ = t;
   sketch.sketch_scale_ = sketch_scale;
   sketch.heap_scale_ = heap_scale;
   sketch.heap_.Assign(heap);
-  CommitPageRecords(pages, &sketch.table_);
+  CommitCellRecords(cells, &sketch.table_);
   return Status::OK();
 }
 

@@ -16,20 +16,27 @@ namespace snapshot {
 class SnapshotReader;
 }
 
-/// Dirty-page delta serialization and the merge-compatibility handshake for
+/// Written-cell delta serialization and the merge-compatibility handshake for
 /// the distributed training tier (src/dist/).
 ///
 /// The sketches are linear projections, so a worker's state composes into an
-/// aggregator's replica *exactly* — and because every raw-cell mutation is
-/// tagged in the copy-on-write paged table (util/paged_table.h, enforced by
-/// the cow-dirty lint rule), "what changed since the last sync" is knowable
-/// per page. A delta therefore ships the full scalar state (step count, lazy
-/// scales, the heap/active set — all small) plus only the table pages written
-/// since a BeginDeltaWindow watermark, as raw cell bytes. Applying a delta
-/// overwrites those pages and scalars on a replica that matches the sender's
-/// state as of the watermark, reproducing the sender's model byte-for-byte —
-/// no arithmetic on floats, so byte-identity with a sequential reference is a
-/// testable property, not an aspiration.
+/// aggregator's replica *exactly* — and because every raw-cell mutation
+/// names its cell to the copy-on-write paged table (util/paged_table.h,
+/// enforced by the cow-dirty lint rule), the table can record "what changed
+/// since the last sync" per cell. A delta therefore ships the full scalar
+/// state (step count, lazy scales, the heap/active set — all small) plus
+/// only the table cells written since BeginDeltaWindow, as raw cell bits.
+/// Applying a delta overwrites those cells and scalars on a replica that
+/// matches the sender's state as of the window's opening, reproducing the
+/// sender's model byte-for-byte — no arithmetic on floats, so byte-identity
+/// with a sequential reference is a testable property, not an aspiration.
+///
+/// WMD2 payload layout (little-endian):
+///   u32 magic "WMD2", u8 method tag, u64 step count, f64 scale (WM) or
+///   f64 sketch scale + f64 active-set scale (AWM);
+///   heap: u64 count, then (u32 feature, f32 weight) in heap-array order;
+///   table: u64 cell count, u64 record count, then (u32 offset, u32 raw
+///   cell bits) records in strictly increasing offset order.
 ///
 /// Only the mergeable methods (WM/AWM) participate; the non-linear baselines
 /// return Unimplemented from every entry point.
@@ -38,7 +45,9 @@ class SnapshotReader;
 /// worker's shipped-bytes accounting).
 struct DeltaStats {
   uint64_t pages_total = 0;
+  /// Pages holding at least one shipped cell.
   uint64_t pages_shipped = 0;
+  uint64_t cells_shipped = 0;
 };
 
 /// The structural identity a worker presents in its handshake: everything
@@ -72,29 +81,31 @@ void EncodeMergeIdentity(const MergeIdentity& id, std::string* out);
 /// Parses an identity section; Corruption on truncation or an unknown tag.
 Result<MergeIdentity> DecodeMergeIdentity(snapshot::SnapshotReader& in);
 
-/// Opens a dirty-page delta window on a mergeable classifier and returns its
-/// watermark (see BasicPagedTable::BeginDeltaWindow). Call once right after
-/// construction — every later write is then tagged, so the first sync can
-/// already be a delta against the deterministic freshly-constructed state —
-/// and again at each sync to bound the next window.
-Result<uint64_t> BeginDeltaWindow(Method method, BudgetedClassifier& impl);
+/// Opens a delta window on a mergeable classifier: clears its table's
+/// written-cell record and starts recording (see
+/// BasicPagedTable::BeginDeltaWindow). The sync client calls it after each
+/// acknowledged sync, so the next delta carries exactly the cells written
+/// since the aggregator's replica last matched the model.
+Status BeginDeltaWindow(Method method, BudgetedClassifier& impl);
 
-/// Appends the delta payload of `impl` relative to watermark `since` to
-/// `*out`: scalars + heap in full, table pages dirtied at-or-after `since`
-/// as raw bytes. Appending lets the sync client write the payload once,
-/// straight into the frame it sends. `stats` (optional) receives the page
-/// counters.
-Status SaveDelta(Method method, const BudgetedClassifier& impl, uint64_t since,
-                 std::string* out, DeltaStats* stats);
+/// Appends the WMD2 delta payload of `impl` to `*out`: scalars + heap in
+/// full, and the table cells written since the last BeginDeltaWindow as raw
+/// bits. Appending lets the sync client write the payload once, straight
+/// into the frame it sends. `stats` (optional) receives the page and cell
+/// counters. FailedPrecondition, with nothing appended, when no window was
+/// ever opened on `impl`.
+Status SaveDelta(Method method, const BudgetedClassifier& impl, std::string* out,
+                 DeltaStats* stats);
 
-/// Applies a delta payload to `impl` in place; `impl`'s unshipped state
-/// must match the sender's as of the delta's watermark (the caller's sync
+/// Applies a delta payload to `impl` in place; `impl` must match the
+/// sender's state as of the delta's window opening (the caller's sync
 /// protocol guarantees this; see src/dist/). Validates the whole payload
 /// before it writes anything: header and method tag, scalars, heap count
-/// and duplicates, page geometry against `impl`, strictly increasing
-/// in-range page indices, and every length against the payload. A
-/// malformed payload therefore returns Corruption with `impl` untouched.
-/// Pages are then copied straight from `payload` into the live table.
+/// and duplicates, the cell count against `impl`, the record count against
+/// the cell count and the payload, strictly increasing in-range offsets,
+/// and no trailing bytes. A malformed payload therefore returns Corruption
+/// with `impl` untouched. Cells are then copied straight from `payload`
+/// into the live table.
 Status ApplyDelta(Method method, BudgetedClassifier& impl, std::string_view payload);
 
 namespace detail {
@@ -102,14 +113,12 @@ namespace detail {
 // Per-method delta implementations (friends of the sketch classes, like the
 // snapshot payload savers in core/serialization.h).
 
-uint64_t BeginWmDeltaWindow(WmSketch& sketch);
-void SaveWmSketchDelta(const WmSketch& sketch, uint64_t since, std::string* out,
-                       DeltaStats* stats);
+void BeginWmDeltaWindow(WmSketch& sketch);
+Status SaveWmSketchDelta(const WmSketch& sketch, std::string* out, DeltaStats* stats);
 Status ApplyWmSketchDelta(WmSketch& sketch, snapshot::SnapshotReader& in);
 
-uint64_t BeginAwmDeltaWindow(AwmSketch& sketch);
-void SaveAwmSketchDelta(const AwmSketch& sketch, uint64_t since, std::string* out,
-                        DeltaStats* stats);
+void BeginAwmDeltaWindow(AwmSketch& sketch);
+Status SaveAwmSketchDelta(const AwmSketch& sketch, std::string* out, DeltaStats* stats);
 Status ApplyAwmSketchDelta(AwmSketch& sketch, snapshot::SnapshotReader& in);
 
 }  // namespace detail

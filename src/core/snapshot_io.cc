@@ -94,7 +94,9 @@ bool SnapshotReader::ReadExactRaw(char* dst, size_t n) {
       remaining_ = 0;
       return false;
     }
-    std::memcpy(dst, mem_.data() + mem_pos_, n);
+    // An empty section (a heap of 0 entries) may pass a null `dst`, and
+    // memcpy with a null pointer is undefined even for 0 bytes.
+    if (n > 0) std::memcpy(dst, mem_.data() + mem_pos_, n);
     mem_pos_ += n;
     remaining_ -= n;
     return true;

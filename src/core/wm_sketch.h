@@ -22,8 +22,8 @@ class SnapshotReader;
 namespace detail {
 Status SaveWmSketchPayload(const WmSketch&, std::ostream&);
 Result<WmSketch> LoadWmSketchPayload(snapshot::SnapshotReader&, const LearnerOptions&);
-uint64_t BeginWmDeltaWindow(WmSketch&);
-void SaveWmSketchDelta(const WmSketch&, uint64_t, std::string*, DeltaStats*);
+void BeginWmDeltaWindow(WmSketch&);
+Status SaveWmSketchDelta(const WmSketch&, std::string*, DeltaStats*);
 Status ApplyWmSketchDelta(WmSketch&, snapshot::SnapshotReader&);
 }  // namespace detail
 
@@ -103,8 +103,11 @@ class WmSketch final : public BudgetedClassifier {
   WeightEstimator EstimatorSnapshot() const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   size_t MemoryCostBytes() const override { return config_.MemoryCostBytes(); }
+  /// The Sec. 7.1 cost plus what the model really holds beyond it: page
+  /// metadata, the delta window's cell record once one is open, and the
+  /// heap's key → slot index.
   size_t ResidentStorageBytes() const override {
-    return config_.MemoryCostBytes() + table_.MetadataBytes();
+    return config_.MemoryCostBytes() + table_.MetadataBytes() + heap_.IndexBytes();
   }
   TablePublishStats publish_stats() const override { return table_.publish_stats(); }
   uint64_t steps() const override { return t_; }
@@ -117,9 +120,8 @@ class WmSketch final : public BudgetedClassifier {
   friend Status detail::SaveWmSketchPayload(const WmSketch&, std::ostream&);
   friend Result<WmSketch> detail::LoadWmSketchPayload(snapshot::SnapshotReader&,
                                                       const LearnerOptions&);
-  friend uint64_t detail::BeginWmDeltaWindow(WmSketch&);
-  friend void detail::SaveWmSketchDelta(const WmSketch&, uint64_t, std::string*,
-                                        DeltaStats*);
+  friend void detail::BeginWmDeltaWindow(WmSketch&);
+  friend Status detail::SaveWmSketchDelta(const WmSketch&, std::string*, DeltaStats*);
   friend Status detail::ApplyWmSketchDelta(WmSketch&, snapshot::SnapshotReader&);
 
   // Median over rows of σ_j(i)·v[j, h_j(i)] on the *raw* table (no scale, no

@@ -33,7 +33,7 @@ struct AggregatorOptions {
 
 /// The merge aggregator daemon: accepts workers over a Unix-domain socket,
 /// verifies each one's merge identity in the handshake, maintains one
-/// replica of every worker's model (kept current by dirty-page deltas, with
+/// replica of every worker's model (kept current by written-cell deltas, with
 /// full-snapshot fallback), and serves/checkpoints the exact merge of all
 /// replicas. Single-threaded poll loop; every mutation of aggregator state
 /// happens between two fully-validated frames, so a worker crash at any
@@ -47,8 +47,8 @@ struct AggregatorOptions {
 ///  * An incompatible handshake or mismatched session/sequence is answered
 ///    with kError and zero state mutation.
 ///  * A delta is validated in full, then committed in place: ApplyDelta
-///    checks every header, count, index and length of the CRC-checked
-///    payload before it writes a byte, and copies the pages straight from
+///    checks every header, count, offset and length of the CRC-checked
+///    payload before it writes a byte, and copies the cells straight from
 ///    the received frame into the live replica. A malformed delta, or an
 ///    injected failure ("dist:merge_apply", which fires before the apply),
 ///    leaves the replica at its previous sync, byte for byte.

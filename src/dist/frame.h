@@ -34,7 +34,7 @@ enum class FrameType : uint8_t {
   kHello = 1,        ///< worker → aggregator: merge-compatibility handshake
   kHelloAck = 2,     ///< aggregator → worker: session token + resume verdict
   kFullState = 3,    ///< worker → aggregator: full enveloped learner snapshot
-  kDelta = 4,        ///< worker → aggregator: dirty-page delta payload
+  kDelta = 4,        ///< worker → aggregator: written-cell delta payload
   kAck = 5,          ///< aggregator → worker: sync committed
   kError = 6,        ///< aggregator → worker: rejected (encoded Status)
   kFetchMerged = 7,  ///< client → aggregator: request the merged model

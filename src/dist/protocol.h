@@ -22,7 +22,7 @@ namespace wmsketch::dist {
 ///     | <-- kHelloAck {session, resume_ok, next} ---
 ///     | -- kFullState {sync hdr | learner bytes} -->  (replica replaced)
 ///     | <-- kAck {seq} ----------------------------
-///     | -- kDelta {sync hdr | delta bytes} ------->  (dirty pages applied)
+///     | -- kDelta {sync hdr | delta bytes} ------->  (cells applied)
 ///     | <-- kAck {seq} ----------------------------
 ///     | -- kFetchMerged ---------------------------> (replicas merged)
 ///     | <-- kMergedState {learner bytes} ----------

@@ -131,7 +131,7 @@ Status SyncClient::Connect(const BudgetedClassifier& model) {
   return last;
 }
 
-Status SyncClient::TrySyncOnce(BudgetedClassifier& model, uint64_t window) {
+Status SyncClient::TrySyncOnce(BudgetedClassifier& model) {
   WMS_RETURN_NOT_OK(EnsureConnected(model));
   SyncHeader header;
   header.worker_id = options_.worker_id;
@@ -150,7 +150,7 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model, uint64_t window) {
     WMS_RETURN_NOT_OK(SaveClassifier(method_, model, os));
     frame_ = std::move(os).str();
   } else {
-    WMS_RETURN_NOT_OK(SaveDelta(method_, model, acked_watermark_, &frame_, &delta_stats));
+    WMS_RETURN_NOT_OK(SaveDelta(method_, model, &frame_, &delta_stats));
   }
   const size_t body_bytes = frame_.size() - body_at;
   net::SealFrame(&frame_);
@@ -164,8 +164,11 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model, uint64_t window) {
   if (ack.sync_seq != header.sync_seq) {
     return Status::Corruption("ack for wrong sync sequence");
   }
+  // The aggregator's replica now matches the model: the next delta carries
+  // the cells written from here on. The first sync is always full, so
+  // recording starts at its ack.
+  WMS_RETURN_NOT_OK(BeginDeltaWindow(method_, model));
   acked_seq_ = header.sync_seq;
-  acked_watermark_ = window;
   needs_full_ = false;
   ++stats_.syncs;
   stats_.bytes_shipped += body_bytes;
@@ -175,23 +178,19 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model, uint64_t window) {
     ++stats_.delta_syncs;
     stats_.last_pages_shipped = delta_stats.pages_shipped;
     stats_.last_pages_total = delta_stats.pages_total;
+    stats_.last_cells_shipped = delta_stats.cells_shipped;
   }
   return Status::OK();
 }
 
 Status SyncClient::Sync(BudgetedClassifier& model) {
-  // Open the next delta window *before* serializing: pages dirtied during or
-  // after this sync carry tags >= `window`, so once this sync is acked the
-  // next delta (shipping pages >= window) covers them. Re-opening on retry
-  // is unnecessary — the model does not change inside this call.
-  WMS_ASSIGN_OR_RETURN(const uint64_t window, BeginDeltaWindow(method_, model));
   Status last = Status::OK();
   for (int attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       ++stats_.retries;
       Backoff(attempt - 1);
     }
-    last = TrySyncOnce(model, window);
+    last = TrySyncOnce(model);
     if (last.ok()) return last;
     if (!Retryable(last)) break;
     // Unknown whether the frame landed: drop the connection, re-handshake,

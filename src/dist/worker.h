@@ -35,13 +35,15 @@ struct SyncStats {
   uint64_t retries = 0;
   uint64_t reconnects = 0;
   uint64_t bytes_shipped = 0;
-  /// From the most recent delta sync.
+  /// From the most recent delta sync: pages holding a shipped cell, the
+  /// table's page count, and the cells shipped.
   uint64_t last_pages_shipped = 0;
   uint64_t last_pages_total = 0;
+  uint64_t last_cells_shipped = 0;
 };
 
 /// Worker-side client of the merge aggregator: handshakes the model's merge
-/// identity, then ships state — dirty-page deltas when the aggregator holds
+/// identity, then ships state — written-cell deltas when the aggregator holds
 /// a matching acked baseline, full snapshots otherwise — surviving
 /// aggregator restarts (reconnect, re-handshake, full resync) and transient
 /// I/O failures within a bounded retry budget. The model itself is owned by
@@ -58,12 +60,14 @@ class SyncClient {
   /// aggregator's InvalidArgument — not retried, it can never succeed.
   Status Connect(const BudgetedClassifier& model);
 
-  /// Ships `model`'s state: a delta of the pages dirtied since the last
+  /// Ships `model`'s state: a delta of the cells written since the last
   /// acked sync when the aggregator can accept one, a full snapshot
-  /// otherwise. Retries with backoff; reconnects and falls back to a full
-  /// snapshot on session loss. On failure the next Sync starts with a full
-  /// snapshot — correctness never depends on a delta the aggregator may not
-  /// have applied.
+  /// otherwise. Each acked sync opens the model's next delta window, so a
+  /// failed attempt keeps its record and the retry re-ships it. Retries
+  /// with backoff; reconnects and falls back to a full snapshot on session
+  /// loss. On failure the next Sync starts with a full snapshot —
+  /// correctness never depends on a delta the aggregator may not have
+  /// applied.
   Status Sync(BudgetedClassifier& model);
 
   /// Fetches the merged model as enveloped learner bytes (LoadLearner
@@ -84,7 +88,7 @@ class SyncClient {
   Status Dial();
   Status Handshake(const BudgetedClassifier& model);
   Status EnsureConnected(const BudgetedClassifier& model);
-  Status TrySyncOnce(BudgetedClassifier& model, uint64_t window);
+  Status TrySyncOnce(BudgetedClassifier& model);
   void Backoff(int attempt);
 
   Method method_;
@@ -93,10 +97,6 @@ class SyncClient {
   bool handshaken_ = false;
   uint64_t session_token_ = 0;
   uint64_t acked_seq_ = 0;
-  /// Delta-window watermark captured at the last *acked* sync: the
-  /// aggregator's replica matches the model as of this watermark, so the
-  /// next delta ships exactly the pages dirtied at or after it.
-  uint64_t acked_watermark_ = 0;
   bool needs_full_ = true;
   SyncStats stats_;
   std::mt19937_64 rng_;

@@ -104,6 +104,9 @@ class KeySlotIndex {
     size_ = 0;
   }
 
+  /// Bytes of the cell array.
+  size_t Bytes() const { return cells_.size() * sizeof(uint64_t); }
+
  private:
   // Cells per key at the fullest. At half full, where a power-of-two active
   // set sits whenever it is full, half of all misses probe past their home
@@ -245,6 +248,9 @@ class IndexedMinHeap {
 
   /// All entries in unspecified (heap) order.
   const std::vector<Entry>& entries() const { return heap_; }
+
+  /// Bytes of the key → slot index (the entry array is not included).
+  size_t IndexBytes() const { return pos_.Bytes(); }
 
   /// Replaces the heap's contents with `entries`, preserving their array
   /// order exactly (snapshot-restore support). Array order matters because

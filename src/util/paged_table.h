@@ -25,6 +25,11 @@
 //     refcounts. Readers only ever see immutable copied-out pages, so there
 //     is no reader-visible mutation and nothing for them to synchronize on.
 //
+// Delta windows (the distributed sync tier, src/dist/) work at cell, not
+// page, granularity: between BeginDeltaWindow() calls every MarkDirty* call
+// also sets one bit per cell it names, so a delta ships exactly the cells
+// written since the window opened. Windows never touch the page epochs.
+//
 // Publication cost: O(#pages) refcount bumps + O(dirty pages) copies —
 // proportional to what changed, which is what a high-cadence (small
 // ServeEvery) serving tier needs. Cloning a table copies the arena but
@@ -51,6 +56,8 @@
 // annotations through the whole virtual classifier SPI. The annotated-mutex
 // layers live where real locks exist (engine/serving.h, sharded_learner.cc).
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -180,30 +187,40 @@ class BasicPagedTable {
   size_t num_pages() const { return mirror_.size(); }
 
   /// Marks the page holding logical offset `off` dirty (a plain store;
-  /// idempotent within one publish interval). A no-op until the first
+  /// idempotent within one publish interval) and, inside a delta window,
+  /// records the cell itself. The page tag is a no-op until the first
   /// publish: before anything is shared there is nothing to diverge from.
   void MarkDirtyOffset(size_t off) {
     TouchWriterFence();
-    if (!tracking_) return;
-    page_epoch_[off >> shift_] = epoch_;
+    if (tracking_) page_epoch_[off >> shift_] = epoch_;
+    if (recording_) RecordCell(off);
   }
 
   /// Marks every page a hash plan's entries touch — the batched write
   /// barrier of the plan-driven scatter paths (offsets are the plan's
-  /// absolute table offsets).
+  /// absolute table offsets) — and records those cells inside a window.
   void MarkPlanDirty(const uint32_t* offsets, size_t n) {
     TouchWriterFence();
-    if (!tracking_) return;
-    const uint64_t e = epoch_;
-    for (size_t i = 0; i < n; ++i) page_epoch_[offsets[i] >> shift_] = e;
+    if (tracking_) {
+      const uint64_t e = epoch_;
+      for (size_t i = 0; i < n; ++i) page_epoch_[offsets[i] >> shift_] = e;
+    }
+    if (recording_) {
+      for (size_t i = 0; i < n; ++i) RecordCell(offsets[i]);
+    }
   }
 
   /// Marks everything dirty (table-wide sweeps: merge, scale, clear, load).
+  /// Inside a delta window it records every logical cell, never the pad.
   void MarkAllDirty() {
     TouchWriterFence();
-    if (!tracking_) return;
-    const uint64_t e = epoch_;
-    for (uint64_t& pe : page_epoch_) pe = e;
+    if (tracking_) std::fill(page_epoch_.begin(), page_epoch_.end(), epoch_);
+    if (recording_) {
+      std::fill(written_.begin(), written_.end(), ~uint64_t{0});
+      if (const size_t tail = cells_ % 64; tail != 0) {
+        written_.back() = (uint64_t{1} << tail) - 1;
+      }
+    }
   }
 
   /// Fills the whole table with `value` (Clear support).
@@ -228,7 +245,7 @@ class BasicPagedTable {
     out.raw_.reserve(pages);
     const size_t pc = page_cells();
     for (size_t p = 0; p < pages; ++p) {
-      const bool dirty = mirror_[p] == nullptr || page_epoch_[p] >= publish_watermark_;
+      const bool dirty = mirror_[p] == nullptr || page_epoch_[p] == epoch_;
       if (dirty) {
         std::shared_ptr<T[]> fresh = std::make_shared<T[]>(pc);
         std::memcpy(fresh.get(), arena_.data() + p * pc, pc * sizeof(T));
@@ -241,47 +258,40 @@ class BasicPagedTable {
       out.refs_.push_back(mirror_[p]);
       out.raw_.push_back(mirror_[p].get());
     }
-    // Advance the epoch and remember it as the publish watermark: every page
-    // is now clean relative to its mirror, and any later write's tag (>= the
-    // watermark) re-dirties exactly its page. No per-page state is cleared.
-    // The watermark comparison (rather than == epoch_) keeps publication
-    // correct when BeginDeltaWindow() advances the epoch between publishes.
-    publish_watermark_ = ++epoch_;
+    // Advance the epoch: every page is now clean relative to its mirror, and
+    // any later write's tag (== the new epoch) re-dirties exactly its page.
+    // No per-page state is cleared.
+    ++epoch_;
     tracking_ = true;
     ++stats_.publishes;
     return out;
   }
 
-  /// Opens a new delta window and returns its watermark: every write from
-  /// this call on tags its page with an epoch >= the returned value, so
-  /// ForEachDirtyPageSince(watermark) enumerates exactly the pages touched
-  /// afterwards. Enables dirty tracking immediately (unlike publication,
-  /// which only starts tracking at the first SharePages), so a window opened
-  /// at construction time captures the model's entire mutation history —
-  /// what the distributed delta-sync tier ships between syncs. Writer-thread
-  /// only, like all mutation.
-  uint64_t BeginDeltaWindow() {
+  /// Opens a new delta window: clears the written-cell record and turns
+  /// recording on, so from this call on every MarkDirty* call records the
+  /// cells it names and ForEachWrittenCell visits exactly the cells written
+  /// since. The record costs one bit per cell, allocated by the first call.
+  /// Windows leave page epochs alone; those serve publication only.
+  /// Writer-thread only, like all mutation.
+  void BeginDeltaWindow() {
     TouchWriterFence();
-    tracking_ = true;
-    return ++epoch_;
+    written_.assign((cells_ + 63) / 64, 0);
+    recording_ = true;
   }
 
-  /// Number of pages written since `since` (a BeginDeltaWindow watermark).
-  size_t CountDirtyPagesSince(uint64_t since) const {
-    size_t n = 0;
-    for (const uint64_t pe : page_epoch_) n += pe >= since ? 1 : 0;
-    return n;
-  }
+  /// True once BeginDeltaWindow has been called.
+  bool recording() const { return recording_; }
 
-  /// Visits every page written since `since` as
-  /// fn(page_index, cells_ptr, cell_count): the live arena slice of each
-  /// dirty page, in ascending page order. cell_count is page_cells() even
-  /// for the final page (the arena is padded; pad cells are zero).
+  /// Visits every cell written since the last BeginDeltaWindow as
+  /// fn(offset, cell), in ascending offset order; `cell` points into the
+  /// live arena.
   template <typename Fn>
-  void ForEachDirtyPageSince(uint64_t since, Fn&& fn) const {
-    const size_t pc = page_cells();
-    for (size_t p = 0; p < page_epoch_.size(); ++p) {
-      if (page_epoch_[p] >= since) fn(p, arena_.data() + p * pc, pc);
+  void ForEachWrittenCell(Fn&& fn) const {
+    for (size_t w = 0; w < written_.size(); ++w) {
+      for (uint64_t bits = written_[w]; bits != 0; bits &= bits - 1) {
+        const size_t off = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        fn(off, arena_.data() + off);
+      }
     }
   }
 
@@ -289,10 +299,13 @@ class BasicPagedTable {
   const TablePublishStats& publish_stats() const { return stats_; }
 
   /// Bytes of paged-storage bookkeeping beyond the raw cells: per-page
-  /// mirror + epoch metadata (kBytesPerPageMeta each). Mirror *data* is not
+  /// mirror + epoch metadata (kBytesPerPageMeta each), plus the written-cell
+  /// record once a delta window has been opened. Mirror *data* is not
   /// included: clean mirrors duplicate arena slices transiently and are
   /// owned by whichever snapshots pin them (PageSet::ResidentBytes).
-  size_t MetadataBytes() const { return mirror_.size() * kBytesPerPageMeta; }
+  size_t MetadataBytes() const {
+    return mirror_.size() * kBytesPerPageMeta + written_.size() * sizeof(uint64_t);
+  }
 
  private:
   std::vector<T> arena_;  // live data, padded to a whole number of pages
@@ -304,12 +317,17 @@ class BasicPagedTable {
   // page's epoch tag says it was written since the mirror was made.
   mutable std::vector<std::shared_ptr<const T[]>> mirror_;
   std::vector<uint64_t> page_epoch_;  // last epoch each page was written in
+  // Pages tagged with the current epoch are dirty relative to their mirror;
+  // each publish advances it.
   mutable uint64_t epoch_ = 1;
-  // Pages tagged at or after this are dirty relative to their mirror (set at
-  // each publish; delta windows advance epoch_ without touching it).
-  mutable uint64_t publish_watermark_ = 1;
-  mutable bool tracking_ = false;  // true after first publish or delta window
+  mutable bool tracking_ = false;  // true after the first publish
   mutable TablePublishStats stats_;
+  // Delta-window record: bit `off` of written_ is set when cell `off` was
+  // written since the last BeginDeltaWindow. Empty until the first window.
+  std::vector<uint64_t> written_;
+  bool recording_ = false;
+
+  void RecordCell(size_t off) { written_[off / 64] |= uint64_t{1} << (off % 64); }
 
 #if defined(WMS_PAGED_TABLE_TSAN)
   // Single-writer tripwire (see file comment): plain unsynchronized stores,

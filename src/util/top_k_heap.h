@@ -147,6 +147,10 @@ class TopKHeap {
     return out;
   }
 
+  /// Bytes of the feature → slot index, which the Sec. 7.1 cost model
+  /// (HeapBytes) does not charge.
+  size_t IndexBytes() const { return heap_.IndexBytes(); }
+
   /// The k largest-magnitude entries, sorted by descending |weight|
   /// (ties broken by ascending feature id for determinism).
   std::vector<FeatureWeight> TopK(size_t k) const;

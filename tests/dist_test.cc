@@ -1,6 +1,9 @@
 // Tests for the distributed training tier (src/dist/ + core/delta_io):
-// chained dirty-page deltas reproduce the sender byte-for-byte in place, a
-// truncated or structurally corrupt delta leaves the replica untouched, the
+// chained written-cell deltas reproduce the sender byte-for-byte in place
+// through every table write path, a truncated, structurally corrupt or
+// randomly mutated delta leaves the replica untouched, every dist decoder
+// survives seeded mutation, resident bytes count the cell record and the
+// heap index, the
 // merge handshake rejects every incompatible identity dimension with zero
 // aggregator mutation, CRC-corrupt frames drop the connection without
 // touching state,
@@ -13,6 +16,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -37,6 +41,7 @@
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/memory_cost.h"
+#include "util/paged_table.h"
 
 namespace wmsketch {
 namespace {
@@ -165,53 +170,100 @@ class DistTest : public ::testing::Test {
 
 // ---------------------------------------------------------- delta codec
 
+// True iff some feature of `before` is missing from `after`: on an AWM
+// active set, an eviction (whose fold-back writes the tail sketch through
+// SketchAdd's direct MarkDirtyOffset).
+bool SomeMemberLeft(const std::vector<FeatureWeight>& before,
+                    const std::vector<FeatureWeight>& after) {
+  for (const FeatureWeight& b : before) {
+    bool kept = false;
+    for (const FeatureWeight& a : after) kept = kept || a.feature == b.feature;
+    if (!kept) return true;
+  }
+  return false;
+}
+
 TEST_F(DistTest, DeltaReproducesSenderByteForByte) {
-  // Encode-then-apply of a WMD1 delta reproduces the sender byte for byte,
+  // Encode-then-apply of a WMD2 delta reproduces the sender byte for byte,
   // chained: 60 consecutive windows per method, each applied in place to
-  // one replica, with window sizes mixing empty, single-example, one sync
-  // interval and many-page windows.
+  // one replica. The window kinds reach the table through every marking
+  // call: training windows of 0, 1, 16 and 500 examples (MarkPlanDirty's
+  // scatters, and on AWM the evictions' fold-backs through SketchAdd's
+  // MarkDirtyOffset) and a table-wide sweep, a merge of a second learner
+  // (MarkAllDirty).
   constexpr int kWindows = 60;
-  constexpr int kWindowSizes[] = {0, 1, 16, 500};
+  constexpr int kSweep = -1;
+  constexpr int kWindowKinds[] = {0, 1, 16, 500, kSweep};
   for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
     Result<Learner> built = Builder(method).Build();
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    Result<Learner> other = Builder(method).Build();
+    ASSERT_TRUE(built.ok() && other.ok()) << built.status().ToString();
     Learner learner = std::move(built).value();
-    // As SyncClient does: a window opened at construction covers the whole
-    // history, so the replica starts from the freshly constructed state.
-    Result<uint64_t> opened = BeginDeltaWindow(method, learner.impl());
-    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    uint64_t since = opened.value();
+    Train(other.value(), 300, 99);
+    const size_t cells = size_t{learner.config().width} * learner.config().depth;
+    const size_t capacity = learner.config().heap_capacity;
+    // As SyncClient does at its first ack: the replica matches the model and
+    // the window opens.
     std::unique_ptr<BudgetedClassifier> replica = learner.impl().Clone();
+    ASSERT_TRUE(BeginDeltaWindow(method, learner.impl()).ok());
     std::mt19937 rng(5);
     std::string payload;
+    int sweeps = 0, evicting = 0;
     for (int w = 0; w < kWindows; ++w) {
-      const int examples = kWindowSizes[rng() % 4];
-      if (examples > 0) Train(learner, examples, 1000 + w);
-      Result<uint64_t> next = BeginDeltaWindow(method, learner.impl());
-      ASSERT_TRUE(next.ok());
+      const int kind = kWindowKinds[rng() % 5];
+      const std::vector<FeatureWeight> members = learner.impl().TopK(capacity);
+      if (kind == kSweep) {
+        ASSERT_TRUE(learner.impl().Merge(other.value().impl()).ok());
+        ++sweeps;
+      } else if (kind > 0) {
+        Train(learner, kind, 1000 + w);
+        if (SomeMemberLeft(members, learner.impl().TopK(capacity))) ++evicting;
+      }
       payload.clear();
       DeltaStats stats;
-      ASSERT_TRUE(SaveDelta(method, learner.impl(), since, &payload, &stats).ok());
+      ASSERT_TRUE(SaveDelta(method, learner.impl(), &payload, &stats).ok());
       EXPECT_LE(stats.pages_shipped, stats.pages_total);
-      if (examples == 0) {
-        EXPECT_EQ(stats.pages_shipped, 0u) << "window " << w;
+      EXPECT_LE(stats.pages_shipped, stats.cells_shipped);
+      if (kind == 0) {
+        EXPECT_EQ(stats.cells_shipped, 0u) << "window " << w;
+      }
+      if (kind == kSweep) {
+        EXPECT_EQ(stats.cells_shipped, cells) << "window " << w;
       }
       const Status st = ApplyDelta(method, *replica, payload);
       ASSERT_TRUE(st.ok()) << MethodName(method) << " window " << w << ": " << st.ToString();
       ASSERT_EQ(Bytes(method, *replica), Bytes(method, learner.impl()))
-          << MethodName(method) << " window " << w << " (" << examples << " examples)";
-      since = next.value();
+          << MethodName(method) << " window " << w << " (kind " << kind << ")";
+      ASSERT_TRUE(BeginDeltaWindow(method, learner.impl()).ok());
+    }
+    EXPECT_GT(sweeps, 0) << MethodName(method);
+    if (method == Method::kAwmSketch) {
+      EXPECT_GT(evicting, 0);
     }
   }
 }
 
-TEST_F(DistTest, SecondWindowShipsOnlyDirtyPages) {
-  // A wide depth-1 sketch spans many pages; a single extra example after the
-  // first sync dirties only a handful of them.
+TEST_F(DistTest, SaveDeltaWithoutWindowIsRejected) {
+  // With no window open there is no record of what was written: the delta
+  // is refused, with nothing appended, rather than shipped empty.
+  Result<Learner> built = Builder().Build();
+  ASSERT_TRUE(built.ok());
+  Train(built.value(), 50, 3);
+  std::string payload = "prefix";
+  const Status st = SaveDelta(built.value().method(), built.value().impl(), &payload, nullptr);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+  EXPECT_EQ(payload, "prefix");
+}
+
+TEST_F(DistTest, OneExampleShipsAtMostNnzTimesDepthCells) {
+  // Each feature of an AWM example writes at most one tail scatter or one
+  // evictee fold-back per row, so one example after the window opens ships
+  // between 1 and nnz × depth cells of a 48K-cell table.
+  constexpr uint32_t kDepth = 3;
   Result<Learner> built = LearnerBuilder()
                               .SetMethod(Method::kAwmSketch)
                               .SetWidth(16384)
-                              .SetDepth(1)
+                              .SetDepth(kDepth)
                               .SetHeapCapacity(64)
                               .SetLambda(1e-4)
                               .SetLearningRate(LearningRate::Constant(0.2))
@@ -221,22 +273,48 @@ TEST_F(DistTest, SecondWindowShipsOnlyDirtyPages) {
   Learner learner = std::move(built).value();
   Train(learner, 500, 3);
 
-  Result<uint64_t> window = BeginDeltaWindow(learner.method(), learner.impl());
-  ASSERT_TRUE(window.ok());
+  ASSERT_TRUE(BeginDeltaWindow(learner.method(), learner.impl()).ok());
   Train(learner, 1, 5);
+  const size_t nnz = SyntheticClassificationGen(ClassificationProfile::SmallTest(), 5)
+                         .Next()
+                         .x.nnz();
 
   std::string delta;
   DeltaStats stats;
-  ASSERT_TRUE(
-      SaveDelta(learner.method(), learner.impl(), window.value(), &delta, &stats).ok());
+  ASSERT_TRUE(SaveDelta(learner.method(), learner.impl(), &delta, &stats).ok());
+  EXPECT_GE(stats.cells_shipped, 1u);
+  EXPECT_LE(stats.cells_shipped, nnz * kDepth);
+  EXPECT_LE(stats.pages_shipped, stats.cells_shipped);
   EXPECT_GT(stats.pages_total, 8u);
-  EXPECT_GT(stats.pages_shipped, 0u);
-  EXPECT_LT(stats.pages_shipped, stats.pages_total / 2)
-      << "one example should dirty a small fraction of a 16K-cell table";
 }
 
-// A learner trained past a delta window, the replica captured at the
-// window's watermark, and the delta that carries the replica to the learner.
+TEST_F(DistTest, ResidentBytesCountCellRecordAndHeapIndex) {
+  // ResidentStorageBytes = the Sec. 7.1 cost + page metadata + the heap's
+  // key → slot index (a KeySlotIndex keeps at most a quarter of its u64
+  // cells full) + one bit per cell once a delta window is open.
+  // MemoryCostBytes stays the paper's figure throughout.
+  for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
+    Result<Learner> built = Builder(method).Build();
+    ASSERT_TRUE(built.ok());
+    Learner learner = std::move(built).value();
+    Train(learner, 500, 3);
+    const BudgetConfig& config = learner.config();
+    const size_t cells = size_t{config.width} * config.depth;
+    const size_t pages = (cells + PickPageCells(cells) - 1) / PickPageCells(cells);
+    ASSERT_EQ(learner.impl().TopK(config.heap_capacity).size(), config.heap_capacity)
+        << MethodName(method) << ": the heap must be full to pin its index size";
+    const size_t index = std::bit_ceil(4 * config.heap_capacity) * sizeof(uint64_t);
+    const size_t before = config.MemoryCostBytes() + pages * kBytesPerPageMeta + index;
+    EXPECT_EQ(learner.impl().ResidentStorageBytes(), before) << MethodName(method);
+
+    ASSERT_TRUE(BeginDeltaWindow(method, learner.impl()).ok());
+    EXPECT_EQ(learner.impl().ResidentStorageBytes(), before + cells / 8) << MethodName(method);
+    EXPECT_EQ(learner.impl().MemoryCostBytes(), config.MemoryCostBytes()) << MethodName(method);
+  }
+}
+
+// A learner trained past a delta window, the replica captured when the
+// window opened, and the delta that carries the replica to the learner.
 struct DeltaFixture {
   Learner learner;
   std::unique_ptr<BudgetedClassifier> replica;
@@ -248,11 +326,10 @@ DeltaFixture MakeDelta(Method method) {
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   DeltaFixture f{std::move(built).value(), nullptr, {}};
   Train(f.learner, 200, 7);
-  Result<uint64_t> window = BeginDeltaWindow(method, f.learner.impl());
-  EXPECT_TRUE(window.ok());
+  EXPECT_TRUE(BeginDeltaWindow(method, f.learner.impl()).ok());
   f.replica = f.learner.impl().Clone();
   Train(f.learner, 100, 13);
-  EXPECT_TRUE(SaveDelta(method, f.learner.impl(), window.value(), &f.payload, nullptr).ok());
+  EXPECT_TRUE(SaveDelta(method, f.learner.impl(), &f.payload, nullptr).ok());
   return f;
 }
 
@@ -285,6 +362,30 @@ void Poke(std::string& bytes, size_t at, T value) {
   std::memcpy(bytes.data() + at, &value, sizeof(T));
 }
 
+// Where the sections of a WMD2 payload start: magic u32, method u8, step
+// u64, one (WM) or two (AWM) f64 scales; heap: u64 count + (u32, f32)
+// pairs; table: u64 cells, u64 record count, then (u32 offset, u32 bits)
+// records.
+struct DeltaLayout {
+  size_t heap_at = 0;
+  uint64_t heap_n = 0;
+  size_t table_at = 0;
+  uint64_t cells = 0;
+  uint64_t records = 0;
+  size_t records_at = 0;
+};
+
+DeltaLayout LayoutOf(Method method, const std::string& delta) {
+  DeltaLayout l;
+  l.heap_at = 4 + 1 + 8 + (method == Method::kAwmSketch ? 16 : 8);
+  l.heap_n = Peek<uint64_t>(delta, l.heap_at);
+  l.table_at = l.heap_at + 8 + 8 * l.heap_n;
+  l.cells = Peek<uint64_t>(delta, l.table_at);
+  l.records = Peek<uint64_t>(delta, l.table_at + 8);
+  l.records_at = l.table_at + 16;
+  return l;
+}
+
 TEST_F(DistTest, StructurallyCorruptDeltaLeavesReplicaUntouched) {
   // CRC-valid faults: the frame checksum would pass, so only the apply's own
   // validation stands between these payloads and the replica. The faults sit
@@ -294,23 +395,13 @@ TEST_F(DistTest, StructurallyCorruptDeltaLeavesReplicaUntouched) {
     DeltaFixture f = MakeDelta(method);
     const std::string before = Bytes(method, *f.replica);
     const std::string& good = f.payload;
-
-    // WMD1 layout: magic u32, method u8, step u64, one (WM) or two (AWM) f64
-    // scales; heap: u64 count + (u32, f32) pairs; table: u64 cells, u32 page
-    // cells, u64 pages, u64 shipped, then (u64 index, cells) records.
-    const size_t heap_at = 4 + 1 + 8 + (method == Method::kAwmSketch ? 16 : 8);
-    const uint64_t heap_n = Peek<uint64_t>(good, heap_at);
-    const size_t table_at = heap_at + 8 + 8 * heap_n;
-    const uint64_t cells = Peek<uint64_t>(good, table_at);
-    const uint32_t page_cells = Peek<uint32_t>(good, table_at + 8);
-    const uint64_t num_pages = Peek<uint64_t>(good, table_at + 12);
-    const uint64_t shipped = Peek<uint64_t>(good, table_at + 20);
-    const size_t record_bytes = 8 + 4 * size_t{page_cells};
-    const size_t last_record = table_at + 28 + (shipped - 1) * record_bytes;
-    const uint64_t prev_index = Peek<uint64_t>(good, last_record - record_bytes);
-    ASSERT_GE(heap_n, 2u) << MethodName(method);
-    ASSERT_GE(shipped, 3u) << MethodName(method);
-    ASSERT_EQ(table_at + 28 + shipped * record_bytes, good.size()) << MethodName(method);
+    const DeltaLayout l = LayoutOf(method, good);
+    ASSERT_GE(l.heap_n, 2u) << MethodName(method);
+    ASSERT_GE(l.records, 3u) << MethodName(method);
+    ASSERT_EQ(l.records_at + 8 * l.records, good.size()) << MethodName(method);
+    const size_t last_record = l.records_at + 8 * (l.records - 1);
+    const uint32_t prev_offset = Peek<uint32_t>(good, last_record - 8);
+    ASSERT_GE(prev_offset, 1u) << MethodName(method);
 
     struct Fault {
       const char* what;
@@ -324,25 +415,24 @@ TEST_F(DistTest, StructurallyCorruptDeltaLeavesReplicaUntouched) {
          [other](std::string& b) { Poke<uint8_t>(b, 4, static_cast<uint8_t>(other)); }},
         {"heap count > capacity",
          [&](std::string& b) {
-           Poke<uint64_t>(b, heap_at, f.learner.config().heap_capacity + 1);
+           Poke<uint64_t>(b, l.heap_at, f.learner.config().heap_capacity + 1);
          }},
         {"duplicate heap feature",
          [&](std::string& b) {
-           Poke<uint32_t>(b, heap_at + 8 + 8 * (heap_n - 1), Peek<uint32_t>(b, heap_at + 8));
+           Poke<uint32_t>(b, l.heap_at + 8 + 8 * (l.heap_n - 1),
+                          Peek<uint32_t>(b, l.heap_at + 8));
          }},
-        {"wrong cell count", [&](std::string& b) { Poke<uint64_t>(b, table_at, cells + 1); }},
-        {"wrong page size",
-         [&](std::string& b) { Poke<uint32_t>(b, table_at + 8, page_cells * 2); }},
-        {"wrong page count",
-         [&](std::string& b) { Poke<uint64_t>(b, table_at + 12, num_pages + 1); }},
-        {"shipped count > page count",
-         [&](std::string& b) { Poke<uint64_t>(b, table_at + 20, num_pages + 1); }},
-        {"page index >= page count",
-         [&](std::string& b) { Poke<uint64_t>(b, last_record, num_pages); }},
-        {"repeated page index",
-         [&](std::string& b) { Poke<uint64_t>(b, last_record, prev_index); }},
-        {"decreasing page index",
-         [&](std::string& b) { Poke<uint64_t>(b, last_record, prev_index - 1); }},
+        {"wrong cell count", [&](std::string& b) { Poke<uint64_t>(b, l.table_at, l.cells + 1); }},
+        {"record count > cells",
+         [&](std::string& b) { Poke<uint64_t>(b, l.table_at + 8, l.cells + 1); }},
+        {"records run past the payload",
+         [&](std::string& b) { Poke<uint64_t>(b, l.table_at + 8, l.records + 1); }},
+        {"offset >= cells",
+         [&](std::string& b) { Poke<uint32_t>(b, last_record, static_cast<uint32_t>(l.cells)); }},
+        {"repeated offset", [&](std::string& b) { Poke<uint32_t>(b, last_record, prev_offset); }},
+        {"decreasing offset",
+         [&](std::string& b) { Poke<uint32_t>(b, last_record, prev_offset - 1); }},
+        {"trailing byte", [](std::string& b) { b.push_back('\0'); }},
     };
     for (const Fault& fault : faults) {
       std::string bad = good;
@@ -355,6 +445,122 @@ TEST_F(DistTest, StructurallyCorruptDeltaLeavesReplicaUntouched) {
     }
     ASSERT_TRUE(ApplyDelta(method, *f.replica, good).ok());
     EXPECT_EQ(Bytes(method, *f.replica), Bytes(method, f.learner.impl())) << MethodName(method);
+  }
+}
+
+// One decoder under mutation: valid input built by the encoders, and the
+// offsets of its count, length and id fields (width 4 or 8 bytes).
+struct FuzzTarget {
+  std::string name;
+  std::string seed;
+  std::vector<std::pair<size_t, size_t>> fields;  // (offset, width)
+  std::function<Status(std::string_view)> decode;
+};
+
+// One seeded mutation of `seed`: a bit flip, a byte overwrite, a
+// truncation, an insertion, or a count/length field set to 0, 1 or its
+// maximum (2^64 − 1 for a u64).
+std::string Mutate(const FuzzTarget& t, std::mt19937_64& rng) {
+  std::string b = t.seed;
+  switch (rng() % 5) {
+    case 0:
+      b[rng() % b.size()] ^= static_cast<char>(1u << (rng() % 8));
+      break;
+    case 1:
+      b[rng() % b.size()] = static_cast<char>(rng());
+      break;
+    case 2:
+      b.resize(rng() % b.size());
+      break;
+    case 3:
+      b.insert(rng() % (b.size() + 1), 1 + rng() % 16, static_cast<char>(rng()));
+      break;
+    default: {
+      const auto [at, width] = t.fields[rng() % t.fields.size()];
+      const uint64_t values[] = {0, 1, ~uint64_t{0}};
+      const uint64_t v = values[rng() % 3];
+      std::memcpy(b.data() + at, &v, width);
+      break;
+    }
+  }
+  return b;
+}
+
+TEST_F(DistTest, DistDecodersSurviveSeededMutation) {
+  // Every decoder that reads bytes off the dist socket, fed a few thousand
+  // seeded mutations of a valid input each: every call returns a Status
+  // (the sanitizer builds turn any out-of-bounds read or UB into a
+  // failure), and a rejected delta leaves the replica byte-identical.
+  constexpr int kMutations = 3000;
+  std::vector<FuzzTarget> targets;
+
+  dist::HelloPayload hello;
+  hello.worker_id = 3;
+  hello.session_token = 77;
+  hello.acked_sync_seq = 12;
+  {
+    Result<Learner> ref = Builder().Build();
+    ASSERT_TRUE(ref.ok());
+    Result<MergeIdentity> id = MergeIdentityOf(ref.value().method(), ref.value().impl());
+    ASSERT_TRUE(id.ok());
+    hello.identity = id.value();
+  }
+  // Hello: u32 version, u64 worker, session, acked; identity: u8 tag,
+  // u32 width, u32 depth, u64 capacity, u64 seed, u8 rate kind, f64 eta0,
+  // f64 lambda.
+  targets.push_back({"hello", dist::EncodeHello(hello),
+                     {{0, 4}, {4, 8}, {12, 8}, {20, 8}, {29, 4}, {33, 4}, {37, 8}, {45, 8}},
+                     [](std::string_view b) { return dist::DecodeHello(b).status(); }});
+  targets.push_back({"hello-ack", dist::EncodeHelloAck({77, 1, 13}), {{0, 8}, {9, 8}},
+                     [](std::string_view b) { return dist::DecodeHelloAck(b).status(); }});
+  std::string sync_payload;
+  dist::EncodeSyncHeader({3, 77, 13}, &sync_payload);
+  sync_payload += "body";
+  targets.push_back({"sync-header", sync_payload, {{0, 8}, {8, 8}, {16, 8}},
+                     [](std::string_view b) {
+                       std::string_view body;
+                       return dist::DecodeSyncHeader(b, &body).status();
+                     }});
+  targets.push_back({"ack", dist::EncodeAck({13}), {{0, 8}},
+                     [](std::string_view b) { return dist::DecodeAck(b).status(); }});
+  // Error: u8 code, u16 detail, u32 message length, message.
+  targets.push_back({"error", dist::EncodeError(Status::FailedPrecondition("stale session")),
+                     {{3, 4}},
+                     [](std::string_view b) { return dist::DecodeErrorStatus(b); }});
+
+  std::mt19937_64 rng(20261017);
+  for (const FuzzTarget& t : targets) {
+    for (int i = 0; i < kMutations; ++i) {
+      // Returning at all is the check: a mutated field can turn a valid
+      // message into another valid one.
+      (void)t.decode(Mutate(t, rng));
+    }
+  }
+
+  for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
+    DeltaFixture f = MakeDelta(method);
+    const std::unique_ptr<BudgetedClassifier> pristine = f.replica->Clone();
+    const std::string before = Bytes(method, *pristine);
+    const DeltaLayout l = LayoutOf(method, f.payload);
+    FuzzTarget t{MethodName(method) + " delta", f.payload,
+                 {{5, 8}, {l.heap_at, 8}, {l.table_at, 8}, {l.table_at + 8, 8},
+                  {l.records_at + 8 * (l.records - 1), 4}},
+                 nullptr};
+    int rejected = 0;
+    for (int i = 0; i < kMutations; ++i) {
+      const std::string bad = Mutate(t, rng);
+      const Status st = ApplyDelta(method, *f.replica, bad);
+      if (st.ok()) {
+        // A value-only mutation is a valid delta; start the next one from
+        // the pristine replica again.
+        f.replica = pristine->Clone();
+        continue;
+      }
+      ++rejected;
+      ASSERT_EQ(st.code(), StatusCode::kCorruption) << t.name << " mutation " << i;
+      ASSERT_EQ(Bytes(method, *f.replica), before) << t.name << " mutation " << i;
+    }
+    EXPECT_GT(rejected, kMutations / 4) << t.name;
   }
 }
 
@@ -506,12 +712,14 @@ TEST_F(DistTest, TwoWorkerMergeMatchesSequentialReference) {
   ASSERT_TRUE(c2.Connect(w2.impl()).ok());
   ASSERT_TRUE(c2.Sync(w2.impl()).ok());
 
-  // Second sync from worker 1 travels as a dirty-page delta.
+  // Second sync from worker 1 travels as a written-cell delta.
   Train(w1, 150, 29);
   ASSERT_TRUE(c1.Sync(w1.impl()).ok());
   EXPECT_EQ(c1.stats().full_syncs, 1u);
   EXPECT_EQ(c1.stats().delta_syncs, 1u);
   EXPECT_GT(c1.stats().last_pages_total, 0u);
+  EXPECT_GT(c1.stats().last_cells_shipped, 0u);
+  EXPECT_LE(c1.stats().last_pages_shipped, c1.stats().last_cells_shipped);
 
   Result<std::string> merged = c1.FetchMergedBytes();
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();

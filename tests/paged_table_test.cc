@@ -1,6 +1,7 @@
 // Unit tests for the copy-on-write paged table storage (util/paged_table.h):
 // page sizing, dirty tracking via epoch tags, publish-time sharing vs
-// copying, clone page sharing, and snapshot immutability.
+// copying, clone page sharing, snapshot immutability, and the delta
+// window's written-cell record.
 
 #include "util/paged_table.h"
 
@@ -146,6 +147,57 @@ TEST(PagedTableTest, FillMarksEverythingDirty) {
   EXPECT_EQ(s.view().At(1023), 3.5f);
 }
 
+// The cells a table's delta window recorded, in walk order.
+std::vector<size_t> WrittenCells(const PagedTable& t) {
+  std::vector<size_t> cells;
+  t.ForEachWrittenCell([&](size_t off, const float* cell) {
+    EXPECT_EQ(cell, t.data() + off);
+    cells.push_back(off);
+  });
+  return cells;
+}
+
+TEST(PagedTableTest, DeltaWindowRecordsExactlyTheNamedCells) {
+  PagedTable t(1000);  // padded tail: the last page holds pad cells
+  EXPECT_FALSE(t.recording());
+  t.MarkDirtyOffset(5);  // before any window: nothing is recorded
+  t.BeginDeltaWindow();
+  EXPECT_TRUE(t.recording());
+  EXPECT_TRUE(WrittenCells(t).empty());
+
+  const uint32_t plan[4] = {999, 64, 3, 64};
+  t.MarkPlanDirty(plan, 4);
+  t.MarkDirtyOffset(700);
+  EXPECT_EQ(WrittenCells(t), (std::vector<size_t>{3, 64, 700, 999}));
+
+  // A reopened window forgets the old record.
+  t.BeginDeltaWindow();
+  t.MarkDirtyOffset(128);
+  EXPECT_EQ(WrittenCells(t), (std::vector<size_t>{128}));
+
+  // A sweep records every logical cell once and never a pad cell.
+  t.MarkAllDirty();
+  const std::vector<size_t> all = WrittenCells(t);
+  ASSERT_EQ(all.size(), t.size());
+  for (size_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
+}
+
+TEST(PagedTableTest, DeltaWindowsLeavePublicationAlone) {
+  // Windows touch only the cell record: a publish after a window still
+  // copies exactly the pages written since the previous publish.
+  PagedTable t(4096);
+  (void)t.SharePages();
+  t.BeginDeltaWindow();
+  t.MarkDirtyOffset(0);
+  t.BeginDeltaWindow();
+  const uint64_t copied_before = t.publish_stats().copied_pages;
+  (void)t.SharePages();
+  EXPECT_EQ(t.publish_stats().copied_pages - copied_before, 1u);
+  (void)t.SharePages();
+  EXPECT_EQ(t.publish_stats().copied_pages - copied_before, 1u);
+  EXPECT_EQ(WrittenCells(t), (std::vector<size_t>{}));
+}
+
 TEST(PagedTableTest, DoubleTableWorksTheSameWay) {
   BasicPagedTable<double> t(300);
   t.data()[299] = 2.25;
@@ -256,6 +308,9 @@ TEST(PagedTableTest, ResidentAccounting) {
   EXPECT_EQ(s.ResidentBytes(),
             t.num_pages() * (t.page_cells() * sizeof(float) + kBytesPerPageMeta));
   EXPECT_EQ(t.MetadataBytes(), t.num_pages() * kBytesPerPageMeta);
+  // The written-cell record: one bit per cell from the first window on.
+  t.BeginDeltaWindow();
+  EXPECT_EQ(t.MetadataBytes(), t.num_pages() * kBytesPerPageMeta + t.size() / 8);
   EXPECT_EQ(PagedTableBytes(t.size(), t.num_pages()),
             t.size() * 4 + t.num_pages() * kBytesPerPageMeta);
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Perf-smoke gate for the hot-path benches (bench_hot_path, bench_serving).
+"""Perf-smoke gate for the committed bench baselines (bench_hot_path,
+bench_serving, bench_net_serving, bench_dist_sync).
 
 Compares a fresh `--json` run against the committed baseline and fails
 (exit 1) when any compared config regressed by more than --max-regression
