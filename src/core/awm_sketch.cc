@@ -72,7 +72,7 @@ class AwmReadModel final : public ReadModel {
   }
 
   size_t ResidentBytes() const override {
-    return pages_.ResidentBytes() + active_.size() * (sizeof(uint32_t) + sizeof(float));
+    return pages_.ResidentBytes() + active_.ResidentBytes();
   }
 
  private:
@@ -122,14 +122,20 @@ double AwmSketch::PredictMargin(const SparseVector& x) const {
 
 double AwmSketch::PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) const {
   // As PredictMargin, but each tail feature's hashes land in its plan slot
-  // (filled on first use) where the gradient stage below reuses them.
+  // (filled on first use) where the gradient stage below reuses them, and
+  // each active-set member is marked in the plan so the gradient stage
+  // probes the active set for members only.
   double acc = 0.0;
   for (size_t i = 0; i < x.nnz(); ++i) {
     const uint32_t feature = x.index(i);
-    const std::optional<float> exact = heap_.Get(feature);
-    const double w = exact.has_value()
-                         ? heap_scale_ * static_cast<double>(*exact)
-                         : static_cast<double>(SketchQueryFromPlan(plan, i, feature));
+    const size_t slot = heap_.SlotOf(feature);
+    double w;
+    if (slot != TopKHeap::kNoSlot) {
+      plan.MarkActive(i);
+      w = heap_scale_ * static_cast<double>(heap_.ValueAt(slot));
+    } else {
+      w = static_cast<double>(SketchQueryFromPlan(plan, i, feature));
+    }
     acc += w * static_cast<double>(x.value(i));
   }
   return acc;
@@ -171,8 +177,13 @@ float AwmSketch::SketchQuery(uint32_t feature) const {
 
 float AwmSketch::SketchQueryFromPlan(HashPlan& plan, size_t i, uint32_t feature) const {
   if (!plan.has(i)) plan.FillSlot(rows_, i, feature);  // first touch: hash once
+  // A per-feature gather is `depth` cells, too few for a vector gather to
+  // pay; this is GatherSigned's scalar expression, inline.
+  const uint32_t* off = plan.offsets(i);
+  const float* sg = plan.signs(i);
+  const float* tbl = table_.data();
   float est[kMaxDepth];
-  simd::GatherSigned(table_.data(), plan.offsets(i), plan.signs(i), plan.depth(), est);
+  for (uint32_t j = 0; j < plan.depth(); ++j) est[j] = sg[j] * tbl[off[j]];
   const float raw = MedianInPlace(est, plan.depth());
   return static_cast<float>(sqrt_depth_ * sketch_scale_ * static_cast<double>(raw));
 }
@@ -207,8 +218,9 @@ double AwmSketch::Update(const SparseVector& x, int8_t y) {
   // One lazy hash plan per example: a slot is hashed the first time its
   // feature touches the sketch (margin query, candidate query, or tail
   // scatter) and reused from then on. Active-set members — whose weights
-  // live in the heap and never touch the sketch — are never hashed, exactly
-  // as in the pre-plan code, and membership is looked up no more often.
+  // live in the heap and never touch the sketch — are never hashed. The
+  // margin probes the active set once per feature and marks the members in
+  // the plan, and the gradient stage probes again for those members only.
   HashPlan& plan = TlsPlan();
   plan.InitLazy(config_.depth, x.nnz());
   return UpdateWithPlan(x, y, plan);
@@ -231,16 +243,23 @@ double AwmSketch::UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan
   for (size_t i = 0; i < x.nnz(); ++i) {
     const uint32_t feature = x.index(i);
     const double xi = static_cast<double>(x.value(i));
-    if (heap_.Contains(feature)) {
-      // Exact gradient on an active-set member, written through the scale.
-      heap_.Add(feature, static_cast<float>(-step * xi / heap_scale_));
-      continue;
+    if (plan.was_active(i)) {
+      // A member when the margin was taken. It still holds its slot unless
+      // an earlier feature of x evicted it; then it is a tail feature now.
+      const size_t slot = heap_.SlotOf(feature);
+      if (slot != TopKHeap::kNoSlot) {
+        // Exact gradient on an active-set member, written through the scale.
+        heap_.AddAt(slot, static_cast<float>(-step * xi / heap_scale_));
+        continue;
+      }
     }
-    // Candidate weight for a tail feature.
+    // Candidate weight for a tail feature. The update only ever inserts the
+    // feature whose turn it is, and x's indices are distinct, so a feature
+    // outside the active set at margin time is still outside it here.
     const double w_tilde =
         static_cast<double>(SketchQueryFromPlan(plan, i, feature)) - step * xi;
     if (!heap_.full()) {
-      heap_.Set(feature, static_cast<float>(w_tilde / heap_scale_));
+      heap_.Insert(feature, static_cast<float>(w_tilde / heap_scale_));
       continue;
     }
     const FeatureWeight min = heap_.Min();
@@ -253,7 +272,7 @@ double AwmSketch::UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan
       // (hashing) query/add path.
       heap_.PopMin();
       SketchAdd(min.feature, min_true - static_cast<double>(SketchQuery(min.feature)));
-      heap_.Set(feature, static_cast<float>(w_tilde / heap_scale_));
+      heap_.Insert(feature, static_cast<float>(w_tilde / heap_scale_));
     } else {
       // Tail update: apply the gradient inside the sketch via the plan.
       SketchAddFromPlan(plan, i, feature, -step * xi);

@@ -117,11 +117,13 @@ class AwmSketch final : public BudgetedClassifier {
   /// AWM-Sketch's answer to top-K queries.
   std::vector<FeatureWeight> TopK(size_t k) const override;
   size_t MemoryCostBytes() const override { return config_.MemoryCostBytes(); }
-  /// The Sec. 7.1 cost plus what the model really holds beyond it: page
-  /// metadata, the delta window's cell record once one is open, and the
-  /// heap's key → slot index.
+  /// What the model really holds: the table's cells and page metadata, the
+  /// delta window's cell record once one is open, and the heap as stored
+  /// (16-byte entries and the key → slot index, where the Sec. 7.1 cost
+  /// model charges 8 bytes per entry of capacity).
   size_t ResidentStorageBytes() const override {
-    return config_.MemoryCostBytes() + table_.MetadataBytes() + heap_.IndexBytes();
+    return TableBytes(static_cast<size_t>(config_.width) * config_.depth) +
+           table_.MetadataBytes() + heap_.ResidentBytes();
   }
   TablePublishStats publish_stats() const override { return table_.publish_stats(); }
   uint64_t steps() const override { return t_; }

@@ -18,6 +18,9 @@ namespace {
 
 /// Per-worker queue depth. Deep enough to absorb bursts and keep workers
 /// busy across scheduling jitter, small enough that a drain barrier is fast.
+/// Ring slots are reused in place, so each keeps the vectors of the longest
+/// example it has held: a ring retains at most this many examples' worth of
+/// feature storage, the most it ever has in flight.
 constexpr size_t kQueueCapacity = 1024;
 
 /// How long an idle worker spin-checks its queue before sleeping; bounds the
@@ -130,21 +133,17 @@ struct ShardedLearner::Impl {
   Status last_checkpoint_status;
 
   void WorkerLoop(Worker& w) {
-    Example ex;
-    std::vector<Example> run;
-    run.reserve(kDrainBatch);
     for (;;) {
-      // Drain a run of queued examples and train them through the batched
-      // (plan-arena) path. Equivalent to example-by-example updates — the
-      // batch path is bit-identical by contract — and the run is fully
-      // trained before the idle/park logic below can observe an empty ring.
-      while (run.size() < kDrainBatch && w.ring.TryPop(&ex)) {
-        run.push_back(std::move(ex));
-      }
+      // Train a run of queued examples in place on their ring slots, through
+      // the batched (plan-arena) path, then release the slots. Equivalent to
+      // example-by-example updates (the batch path is bit-identical by
+      // contract), and the head moves only after training, so the idle/park
+      // logic below never sees an empty ring while an example is untrained.
+      const std::span<Example> run = w.ring.ReadSpan(kDrainBatch);
       if (!run.empty()) {
         w.model->UpdateBatch(run);
         w.processed.fetch_add(run.size(), std::memory_order_relaxed);
-        run.clear();
+        w.ring.CommitPop(run.size());
         continue;
       }
       // Queue empty: park, stop, or sleep until there is work.
@@ -281,6 +280,43 @@ struct ShardedLearner::Impl {
     return st;
   }
 
+  /// The push path of Push and PushBatch: runs the barrier a sync, serve or
+  /// checkpoint cadence calls for, picks the shard from `x`'s content, waits
+  /// (waking the worker) while that shard's ring is full, then has
+  /// `fill(Example&)` write the example into its slot and publishes it.
+  template <typename Fill>
+  Status Route(const SparseVector& x, Fill&& fill) {
+    if (collapsed) {
+      return Status::FailedPrecondition("sharded learner already collapsed");
+    }
+    if (sync_interval > 0 && since_sync >= sync_interval) {
+      WMS_RETURN_NOT_OK(Sync());
+    } else if (serving != nullptr && serve_every > 0 && since_publish >= serve_every) {
+      // A publication needs a consistent global model, which only a merge
+      // barrier produces — so ServeEvery paces extra sync-and-publish rounds.
+      WMS_RETURN_NOT_OK(Sync());
+    } else if (checkpointer != nullptr && checkpoint_every > 0 &&
+               since_checkpoint >= checkpoint_every) {
+      // Likewise CheckpointEvery: a durable snapshot needs a merge barrier.
+      WMS_RETURN_NOT_OK(Sync());
+    }
+    const size_t shard = shards > 1 ? static_cast<size_t>(ExampleHash(x) % shards) : 0;
+    Worker& w = *workers[shard];
+    Example* slot;
+    while ((slot = w.ring.WriteSlot()) == nullptr) {
+      if (w.sleeping.load(std::memory_order_relaxed)) Wake(w);
+      std::this_thread::yield();
+    }
+    fill(*slot);
+    w.ring.CommitPush();
+    if (w.sleeping.load(std::memory_order_relaxed)) Wake(w);
+    ++pushed;
+    ++since_sync;
+    ++since_publish;
+    ++since_checkpoint;
+    return Status::OK();
+  }
+
   void Shutdown() {
     stop.store(true, std::memory_order_release);
     for (auto& w : workers) Wake(*w);
@@ -302,40 +338,14 @@ ShardedLearner& ShardedLearner::operator=(ShardedLearner&&) noexcept = default;
 ShardedLearner::~ShardedLearner() = default;
 
 Status ShardedLearner::Push(Example example) {
-  Impl& impl = *impl_;
-  if (impl.collapsed) {
-    return Status::FailedPrecondition("sharded learner already collapsed");
-  }
-  if (impl.sync_interval > 0 && impl.since_sync >= impl.sync_interval) {
-    WMS_RETURN_NOT_OK(impl.Sync());
-  } else if (impl.serving != nullptr && impl.serve_every > 0 &&
-             impl.since_publish >= impl.serve_every) {
-    // A publication needs a consistent global model, which only a merge
-    // barrier produces — so ServeEvery paces extra sync-and-publish rounds.
-    WMS_RETURN_NOT_OK(impl.Sync());
-  } else if (impl.checkpointer != nullptr && impl.checkpoint_every > 0 &&
-             impl.since_checkpoint >= impl.checkpoint_every) {
-    // Likewise CheckpointEvery: a durable snapshot needs a merge barrier.
-    WMS_RETURN_NOT_OK(impl.Sync());
-  }
-  const size_t shard =
-      impl.shards > 1 ? static_cast<size_t>(ExampleHash(example.x) % impl.shards) : 0;
-  Impl::Worker& w = *impl.workers[shard];
-  while (!w.ring.TryPush(std::move(example))) {
-    if (w.sleeping.load(std::memory_order_relaxed)) impl.Wake(w);
-    std::this_thread::yield();
-  }
-  if (w.sleeping.load(std::memory_order_relaxed)) impl.Wake(w);
-  ++impl.pushed;
-  ++impl.since_sync;
-  ++impl.since_publish;
-  ++impl.since_checkpoint;
-  return Status::OK();
+  return impl_->Route(example.x, [&example](Example& slot) { slot = std::move(example); });
 }
 
 Status ShardedLearner::PushBatch(std::span<const Example> batch) {
   for (const Example& ex : batch) {
-    WMS_RETURN_NOT_OK(Push(ex));
+    // Copy-assignment reuses the slot's vectors: no allocation once the slot
+    // has held an example this long.
+    WMS_RETURN_NOT_OK(impl_->Route(ex.x, [&ex](Example& slot) { slot = ex; }));
   }
   return Status::OK();
 }

@@ -1,26 +1,36 @@
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace wmsketch {
 
-/// A bounded lock-free single-producer/single-consumer ring buffer — the
-/// hand-off queue between the sharding thread and one training worker.
+/// A bounded lock-free single-producer/single-consumer ring of reusable
+/// slots — the hand-off queue between the sharding thread and one training
+/// worker.
 ///
-/// Exactly one thread may call TryPush and exactly one thread may call
-/// TryPop; under that contract the only shared state is the two monotonic
-/// cursors, synchronized release/acquire. Each side keeps a local cache of
-/// the other side's cursor so the common case touches one shared atomic, not
-/// two (the folly/rigtorp ProducerConsumerQueue layout). Capacity is rounded
-/// up to a power of two so the cursor-to-slot mapping is a mask.
+/// Items are written and read in place. The producer fills the slot
+/// WriteSlot() returns and publishes it with CommitPush(); the consumer
+/// reads a run of published slots through ReadSpan() and releases them with
+/// CommitPop(). Slots are constructed once and never destroyed or moved out
+/// between laps, so each keeps what its last item owned: an item
+/// copy-assigned over an older one reuses that one's buffers.
+///
+/// Exactly one thread may produce and exactly one may consume; under that
+/// contract the only shared state is the two monotonic cursors, synchronized
+/// release/acquire. Each side keeps a local cache of the other side's cursor
+/// so the common case touches one shared atomic, not two (the
+/// folly/rigtorp ProducerConsumerQueue layout). Capacity is rounded up to a
+/// power of two so the cursor-to-slot mapping is a mask.
 template <typename T>
 class SpscRing {
  public:
-  /// Constructs a ring holding at most `capacity` items (rounded up to a
-  /// power of two; minimum 2).
+  /// Constructs a ring of `capacity` slots (rounded up to a power of two;
+  /// minimum 2), each a default-constructed T.
   explicit SpscRing(size_t capacity) {
     size_t cap = 2;
     while (cap < capacity) cap <<= 1;
@@ -32,28 +42,39 @@ class SpscRing {
   SpscRing(const SpscRing&) = delete;
   SpscRing& operator=(const SpscRing&) = delete;
 
-  /// Producer side: enqueues `item` unless the ring is full.
-  bool TryPush(T&& item) {
+  /// Producer side: the slot the next push fills, or nullptr while the ring
+  /// is full. The slot still holds the item that last occupied it; assign
+  /// over it, then CommitPush().
+  T* WriteSlot() {
     const uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ >= capacity_) {
       head_cache_ = head_.load(std::memory_order_acquire);
-      if (tail - head_cache_ >= capacity_) return false;
+      if (tail - head_cache_ >= capacity_) return nullptr;
     }
-    slots_[tail & mask_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
+    return &slots_[tail & mask_];
   }
 
-  /// Consumer side: dequeues into `*out` unless the ring is empty.
-  bool TryPop(T* out) {
+  /// Producer side: publishes the slot WriteSlot() returned.
+  void CommitPush() {
+    tail_.store(tail_.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+  }
+
+  /// Consumer side: up to `max` published slots in push order, in place.
+  /// A span never crosses the wrap: a run that does comes back in two
+  /// calls. Empty while the ring is empty. The slots stay the consumer's
+  /// until CommitPop() releases them.
+  std::span<T> ReadSpan(size_t max) {
     const uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head == tail_cache_) {
-      tail_cache_ = tail_.load(std::memory_order_acquire);
-      if (head == tail_cache_) return false;
-    }
-    *out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
+    if (tail_cache_ - head < max) tail_cache_ = tail_.load(std::memory_order_acquire);
+    const size_t begin = static_cast<size_t>(head & mask_);
+    const size_t n = std::min({max, static_cast<size_t>(tail_cache_ - head), capacity_ - begin});
+    return std::span<T>(slots_.data() + begin, n);
+  }
+
+  /// Consumer side: hands the first `n` slots of the last ReadSpan() back to
+  /// the producer. Requires n <= that span's size.
+  void CommitPop(size_t n) {
+    head_.store(head_.load(std::memory_order_relaxed) + n, std::memory_order_release);
   }
 
   /// True iff no items are in flight (callable from either side; the answer

@@ -133,13 +133,22 @@ class HashPlan {
   /// the AWM-Sketch's mode: which features touch the sketch depends on live
   /// active-set membership, so slots are hashed on first use (FillSlot)
   /// instead of up front, and active-set members are never hashed at all.
+  /// Every slot starts unmarked (see MarkActive).
   void InitLazy(uint32_t depth, size_t nnz) {
     assert(depth >= 1);
     depth_ = depth;
     nnz_ = nnz;
     offsets_.assign(nnz * depth, kPlanNoEntry);
     signs_.resize(nnz * depth);
+    active_.assign(nnz, 0);
   }
+
+  /// Records that slot `i`'s feature held an active-set slot when the
+  /// margin was taken (lazy plans only), so the update pass probes the
+  /// active set for marked features alone.
+  void MarkActive(size_t i) { active_[i] = 1; }
+  /// True when MarkActive(i) was called since InitLazy.
+  bool was_active(size_t i) const { return active_[i] != 0; }
 
   /// Hashes `feature`'s (bucket, sign) pairs into slot `i` of a lazy plan.
   void FillSlot(std::span<const SignedBucketHash> rows, size_t i, uint32_t feature) {
@@ -178,6 +187,7 @@ class HashPlan {
  private:
   std::vector<uint32_t> offsets_;
   std::vector<float> signs_;
+  std::vector<uint8_t> active_;  // lazy plans: one MarkActive flag per slot
   mutable std::vector<float> scratch_;
   size_t nnz_ = 0;
   uint32_t depth_ = 1;

@@ -67,8 +67,9 @@ Status SpaceSaving::RestoreEntries(const std::vector<SpaceSavingEntry>& entries,
   std::vector<IndexedMinHeap::Entry> heap_entries;
   heap_entries.reserve(entries.size());
   for (const SpaceSavingEntry& e : entries) {
-    heap_entries.push_back(IndexedMinHeap::Entry{e.item, static_cast<double>(e.count),
-                                                 static_cast<float>(e.error)});
+    heap_entries.push_back(IndexedMinHeap::Entry{.key = e.item,
+                                                 .value = static_cast<float>(e.error),
+                                                 .priority = static_cast<double>(e.count)});
   }
   WMS_RETURN_NOT_OK(heap_.RestoreHeapOrder(std::move(heap_entries)));
   total_ = total;

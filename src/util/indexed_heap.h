@@ -151,13 +151,19 @@ class KeySlotIndex {
   int shift_ = 64;   // 64 - log2(cells_.size()); unused while empty
 };
 
-/// A binary min-heap over (key, priority, value) entries with O(1) key
+/// A binary min-heap over (key, value, priority) entries with O(1) key
 /// lookup through a KeySlotIndex, supporting the decrease/increase-key
 /// operations that the active-set classifiers need.
 ///
 /// * `key`      — 32-bit feature identifier (unique within the heap).
-/// * `priority` — the heap order; the minimum-priority entry is at the root.
 /// * `value`    — an arbitrary payload scalar (e.g. the model weight).
+/// * `priority` — the heap order; the minimum-priority entry is at the root.
+///
+/// An entry lives in an array slot; SlotOf() finds a key's slot with one
+/// index probe, and At()/UpdateAt() then address the entry without another.
+/// A slot stays valid until the next mutating call. Sifts move a hole rather
+/// than swapping: each level writes one shifted entry and its index cell,
+/// and the sifted entry is written once where it lands.
 ///
 /// Used by: the AWM-Sketch active set and the simple-truncation baseline
 /// (priority = |weight|), the probabilistic-truncation baseline (priority =
@@ -165,11 +171,16 @@ class KeySlotIndex {
 /// estimated count), and the Space-Saving stream summary (priority = count).
 class IndexedMinHeap {
  public:
+  /// Build entries with designated initializers (`{.key = k, .value = v,
+  /// .priority = p}`), so a field reorder is a compile error rather than a
+  /// silent swap of value and priority.
   struct Entry {
     uint32_t key;
-    double priority;
     float value;
+    double priority;
   };
+
+  static constexpr size_t kNoSlot = KeySlotIndex::kNotFound;
 
   IndexedMinHeap() = default;
 
@@ -179,50 +190,56 @@ class IndexedMinHeap {
   bool empty() const { return heap_.empty(); }
 
   /// True iff `key` is present.
-  bool Contains(uint32_t key) const { return pos_.Find(key) != KeySlotIndex::kNotFound; }
+  bool Contains(uint32_t key) const { return pos_.Find(key) != kNoSlot; }
+
+  /// The slot holding `key`, or kNoSlot.
+  size_t SlotOf(uint32_t key) const { return pos_.Find(key); }
+
+  /// The entry in `slot`. Requires slot < size().
+  const Entry& At(size_t slot) const {
+    assert(slot < heap_.size());
+    return heap_[slot];
+  }
 
   /// Returns a pointer to the entry for `key`, or nullptr if absent. The
   /// pointer is invalidated by any mutating call.
   const Entry* Find(uint32_t key) const {
     const size_t i = pos_.Find(key);
-    if (i == KeySlotIndex::kNotFound) return nullptr;
+    if (i == kNoSlot) return nullptr;
     return &heap_[i];
   }
 
   /// Inserts a new entry. Requires that `key` is not already present.
   void Insert(uint32_t key, double priority, float value) {
     assert(!Contains(key));
-    heap_.push_back(Entry{key, priority, value});
-    pos_.Insert(key, heap_.size() - 1);
-    SiftUp(heap_.size() - 1);
+    heap_.emplace_back();
+    const size_t i = HoleUp(heap_.size() - 1, priority);
+    heap_[i] = Entry{.key = key, .value = value, .priority = priority};
+    pos_.Insert(key, i);
   }
 
   /// Updates the priority and value of an existing entry, restoring heap
   /// order. Requires that `key` is present.
   void Update(uint32_t key, double priority, float value) {
     const size_t i = pos_.Find(key);
-    assert(i != KeySlotIndex::kNotFound);
-    heap_[i].priority = priority;
-    heap_[i].value = value;
-    if (!SiftUp(i)) SiftDown(i);
+    assert(i != kNoSlot);
+    UpdateAt(i, priority, value);
+  }
+
+  /// Update() of the entry in `slot`. Requires slot < size().
+  void UpdateAt(size_t slot, double priority, float value) {
+    assert(slot < heap_.size());
+    Entry e = heap_[slot];
+    e.value = value;
+    e.priority = priority;
+    Settle(slot, e, /*indexed_here=*/true);
   }
 
   /// Removes the entry for `key`. Requires that `key` is present.
   Entry Remove(uint32_t key) {
     const size_t i = pos_.Find(key);
-    assert(i != KeySlotIndex::kNotFound);
-    const Entry removed = heap_[i];
-    const size_t last = heap_.size() - 1;
-    if (i != last) {
-      MoveInto(i, last);
-      heap_.pop_back();
-      pos_.Erase(removed.key);
-      if (!SiftUp(i)) SiftDown(i);
-    } else {
-      heap_.pop_back();
-      pos_.Erase(removed.key);
-    }
-    return removed;
+    assert(i != kNoSlot);
+    return RemoveAt(i);
   }
 
   /// The minimum-priority entry. Requires non-empty.
@@ -234,7 +251,7 @@ class IndexedMinHeap {
   /// Removes and returns the minimum-priority entry. Requires non-empty.
   Entry PopMin() {
     assert(!heap_.empty());
-    return Remove(heap_[0].key);
+    return RemoveAt(0);
   }
 
   /// Applies `fn(Entry&)` to every entry. The caller must guarantee that the
@@ -284,24 +301,23 @@ class IndexedMinHeap {
   template <typename EntryAt>
   void Assign(size_t n, EntryAt entry_at) {
     // Slot i is overwritten in order, so when entry i arrives slots [0, i)
-    // hold the new prefix (the only slots its SiftUp touches) and slot i
+    // hold the new prefix (the only slots its sift touches) and slot i
     // still holds its old entry. Keys are distinct, so if that old entry has
     // the same key, no earlier step remapped it and the index already says i.
     std::vector<uint32_t> displaced;  // old keys overwritten by another key
     const size_t old_size = heap_.size();
     for (size_t i = 0; i < n; ++i) {
       const Entry e = entry_at(i);
+      bool indexed_here = false;
       if (i < old_size) {
-        if (heap_[i].key != e.key) {
-          displaced.push_back(heap_[i].key);
-          pos_.Set(e.key, i);
-        }
-        heap_[i] = e;
+        indexed_here = heap_[i].key == e.key;
+        if (!indexed_here) displaced.push_back(heap_[i].key);
       } else {
-        heap_.push_back(e);
-        pos_.Set(e.key, i);
+        heap_.emplace_back();
       }
-      SiftUp(i);
+      const size_t j = HoleUp(i, e.priority);
+      heap_[j] = e;
+      if (j != i || !indexed_here) pos_.Set(e.key, j);
     }
     for (size_t i = n; i < old_size; ++i) displaced.push_back(heap_[i].key);
     heap_.resize(n);
@@ -309,7 +325,7 @@ class IndexedMinHeap {
     // which now holds another key or lies past the end.
     for (const uint32_t key : displaced) {
       const size_t i = pos_.Find(key);
-      if (i != KeySlotIndex::kNotFound && (i >= n || heap_[i].key != key)) pos_.Erase(key);
+      if (i != kNoSlot && (i >= n || heap_[i].key != key)) pos_.Erase(key);
     }
   }
 
@@ -320,47 +336,72 @@ class IndexedMinHeap {
   }
 
  private:
-  // Returns true if the entry moved.
-  bool SiftUp(size_t i) {
-    bool moved = false;
+  // Moves the hole at slot i toward the root while its parent's priority
+  // exceeds `priority`, shifting each such parent down into the hole, and
+  // returns the slot where an entry of that priority belongs. The hole's
+  // own contents are never read.
+  size_t HoleUp(size_t i, double priority) {
     while (i > 0) {
       const size_t parent = (i - 1) / 2;
-      if (heap_[parent].priority <= heap_[i].priority) break;
-      Swap(i, parent);
+      if (heap_[parent].priority <= priority) break;
+      Shift(parent, i);
       i = parent;
-      moved = true;
     }
-    return moved;
+    return i;
   }
 
-  void SiftDown(size_t i) {
+  // The downward counterpart: while a child's priority is below `priority`
+  // (the smaller child when both are, the left one on a tie), shifts that
+  // child up into the hole. The comparisons are those of a swap-based sift
+  // of an entry with this priority, so the array comes out the same.
+  size_t HoleDown(size_t i, double priority) {
     const size_t n = heap_.size();
-    while (true) {
+    for (;;) {
       const size_t l = 2 * i + 1;
-      const size_t r = 2 * i + 2;
+      const size_t r = l + 1;
       size_t smallest = i;
-      if (l < n && heap_[l].priority < heap_[smallest].priority) smallest = l;
-      if (r < n && heap_[r].priority < heap_[smallest].priority) smallest = r;
-      if (smallest == i) break;
-      Swap(i, smallest);
+      double best = priority;
+      if (l < n && heap_[l].priority < best) {
+        smallest = l;
+        best = heap_[l].priority;
+      }
+      if (r < n && heap_[r].priority < best) smallest = r;
+      if (smallest == i) return i;
+      Shift(smallest, i);
       i = smallest;
     }
   }
 
-  void Swap(size_t a, size_t b) {
-    std::swap(heap_[a], heap_[b]);
-    pos_.Set(heap_[a].key, a);
-    pos_.Set(heap_[b].key, b);
+  // Writes `e` at the slot the heap order gives it, sifting from the hole at
+  // `slot` up or else down. `indexed_here` says the index already maps
+  // e.key to `slot`, which spares the index write when `e` stays put.
+  void Settle(size_t slot, const Entry& e, bool indexed_here) {
+    size_t i = HoleUp(slot, e.priority);
+    if (i == slot) i = HoleDown(slot, e.priority);
+    heap_[i] = e;
+    if (i != slot || !indexed_here) pos_.Set(e.key, i);
   }
 
-  // Overwrites slot `dst` with the entry at slot `src` (used by Remove).
-  void MoveInto(size_t dst, size_t src) {
-    heap_[dst] = heap_[src];
-    pos_.Set(heap_[dst].key, dst);
+  Entry RemoveAt(size_t slot) {
+    const Entry removed = heap_[slot];
+    pos_.Erase(removed.key);
+    const Entry last = heap_.back();
+    heap_.pop_back();
+    if (slot < heap_.size()) Settle(slot, last, /*indexed_here=*/false);
+    return removed;
+  }
+
+  // Moves the entry at `from` into the hole at `to`.
+  void Shift(size_t from, size_t to) {
+    heap_[to] = heap_[from];
+    pos_.Set(heap_[to].key, to);
   }
 
   std::vector<Entry> heap_;
   KeySlotIndex pos_;
 };
+
+static_assert(sizeof(IndexedMinHeap::Entry) == 16,
+              "a heap entry is a u32 key, an f32 value and an f64 priority");
 
 }  // namespace wmsketch

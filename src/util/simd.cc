@@ -864,7 +864,7 @@ bool PagedReadPlanDispatched(size_t entries) {
          DispatchAvx2(entries, g_thresholds.paged_gather_min_entries);
 }
 
-bool FusedMedianDispatched(size_t keys) {
+bool FusedMedianDispatched([[maybe_unused]] size_t keys) {
 #ifdef WMS_SIMD_X86
   if (DispatchAvx2(keys, g_thresholds.fused_median_min_keys)) {
     EnsureGatherCalibrated();

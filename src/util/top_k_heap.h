@@ -32,10 +32,20 @@ class TopKHeap {
   /// Requires capacity >= 1.
   explicit TopKHeap(size_t capacity) : capacity_(capacity) {}
 
+  /// SlotOf's answer for an untracked feature.
+  static constexpr size_t kNoSlot = IndexedMinHeap::kNoSlot;
+
   size_t capacity() const { return capacity_; }
   size_t size() const { return heap_.size(); }
   bool full() const { return heap_.size() >= capacity_; }
   bool Contains(uint32_t feature) const { return heap_.Contains(feature); }
+
+  /// The slot of a tracked feature, or kNoSlot: one index probe. The slot
+  /// addresses the feature (ValueAt, AddAt) until the next mutating call.
+  size_t SlotOf(uint32_t feature) const { return heap_.SlotOf(feature); }
+
+  /// The weight in `slot`. Requires slot < size().
+  float ValueAt(size_t slot) const { return heap_.At(slot).value; }
 
   /// Returns the weight stored for `feature`, or nullopt if untracked.
   std::optional<float> Get(uint32_t feature) const {
@@ -48,11 +58,18 @@ class TopKHeap {
   /// already tracked or for which there is spare capacity; use Offer() for
   /// the evicting path. Requires Contains(feature) || !full().
   void Set(uint32_t feature, float weight) {
-    if (heap_.Contains(feature)) {
-      heap_.Update(feature, std::fabs(weight), weight);
+    const size_t slot = heap_.SlotOf(feature);
+    if (slot != kNoSlot) {
+      heap_.UpdateAt(slot, std::fabs(weight), weight);
     } else {
       heap_.Insert(feature, std::fabs(weight), weight);
     }
+  }
+
+  /// Tracks a feature known to be untracked, skipping the membership probe
+  /// Set() makes. Requires !Contains(feature) && !full().
+  void Insert(uint32_t feature, float weight) {
+    heap_.Insert(feature, std::fabs(weight), weight);
   }
 
   /// Offers a (feature, weight) estimate. If the feature is tracked, its
@@ -61,8 +78,9 @@ class TopKHeap {
   /// displaced minimum entry is returned so the caller can spill it (the
   /// AWM-Sketch folds it back into its sketch).
   std::optional<FeatureWeight> Offer(uint32_t feature, float weight) {
-    if (heap_.Contains(feature)) {
-      heap_.Update(feature, std::fabs(weight), weight);
+    const size_t slot = heap_.SlotOf(feature);
+    if (slot != kNoSlot) {
+      heap_.UpdateAt(slot, std::fabs(weight), weight);
       return std::nullopt;
     }
     if (!full()) {
@@ -114,10 +132,12 @@ class TopKHeap {
 
   /// Adds `delta` to the weight of a tracked feature. Requires
   /// Contains(feature).
-  void Add(uint32_t feature, float delta) {
-    const IndexedMinHeap::Entry* e = heap_.Find(feature);
-    const float w = e->value + delta;
-    heap_.Update(feature, std::fabs(w), w);
+  void Add(uint32_t feature, float delta) { AddAt(heap_.SlotOf(feature), delta); }
+
+  /// Add() to the feature in `slot`. Requires slot < size().
+  void AddAt(size_t slot, float delta) {
+    const float w = heap_.At(slot).value + delta;
+    heap_.UpdateAt(slot, std::fabs(w), w);
   }
 
   /// Replaces the tracked set with `entries`: the result is the tracker an
@@ -128,7 +148,8 @@ class TopKHeap {
   void Assign(std::span<const FeatureWeight> entries) {
     heap_.Assign(entries.size(), [entries](size_t i) {
       const FeatureWeight& fw = entries[i];
-      return IndexedMinHeap::Entry{fw.feature, std::fabs(fw.weight), fw.weight};
+      return IndexedMinHeap::Entry{
+          .key = fw.feature, .value = fw.weight, .priority = std::fabs(fw.weight)};
     });
   }
 
@@ -147,9 +168,13 @@ class TopKHeap {
     return out;
   }
 
-  /// Bytes of the feature → slot index, which the Sec. 7.1 cost model
-  /// (HeapBytes) does not charge.
-  size_t IndexBytes() const { return heap_.IndexBytes(); }
+  /// Bytes the tracker holds as stored: its entries at
+  /// sizeof(IndexedMinHeap::Entry) each (a 4-byte id and weight plus an
+  /// 8-byte priority, where the Sec. 7.1 cost model, HeapBytes, charges 8)
+  /// plus the feature → slot index, which that model does not charge.
+  size_t ResidentBytes() const {
+    return heap_.size() * sizeof(IndexedMinHeap::Entry) + heap_.IndexBytes();
+  }
 
   /// The k largest-magnitude entries, sorted by descending |weight|
   /// (ties broken by ascending feature id for determinism).

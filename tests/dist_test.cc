@@ -289,10 +289,10 @@ TEST_F(DistTest, OneExampleShipsAtMostNnzTimesDepthCells) {
 }
 
 TEST_F(DistTest, ResidentBytesCountCellRecordAndHeapIndex) {
-  // ResidentStorageBytes = the Sec. 7.1 cost + page metadata + the heap's
-  // key → slot index (a KeySlotIndex keeps at most a quarter of its u64
-  // cells full) + one bit per cell once a delta window is open.
-  // MemoryCostBytes stays the paper's figure throughout.
+  // ResidentStorageBytes = the table's cells + page metadata + the heap as
+  // stored (16-byte entries, and a key → slot index that keeps at most a
+  // quarter of its u64 cells full) + one bit per cell once a delta window
+  // is open. MemoryCostBytes stays the paper's figure throughout.
   for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
     Result<Learner> built = Builder(method).Build();
     ASSERT_TRUE(built.ok());
@@ -302,15 +302,37 @@ TEST_F(DistTest, ResidentBytesCountCellRecordAndHeapIndex) {
     const size_t cells = size_t{config.width} * config.depth;
     const size_t pages = (cells + PickPageCells(cells) - 1) / PickPageCells(cells);
     ASSERT_EQ(learner.impl().TopK(config.heap_capacity).size(), config.heap_capacity)
-        << MethodName(method) << ": the heap must be full to pin its index size";
-    const size_t index = std::bit_ceil(4 * config.heap_capacity) * sizeof(uint64_t);
-    const size_t before = config.MemoryCostBytes() + pages * kBytesPerPageMeta + index;
+        << MethodName(method) << ": the heap must be full to pin its size";
+    const size_t heap = config.heap_capacity * 16 +
+                        std::bit_ceil(4 * config.heap_capacity) * sizeof(uint64_t);
+    const size_t before = TableBytes(cells) + pages * kBytesPerPageMeta + heap;
     EXPECT_EQ(learner.impl().ResidentStorageBytes(), before) << MethodName(method);
 
     ASSERT_TRUE(BeginDeltaWindow(method, learner.impl()).ok());
     EXPECT_EQ(learner.impl().ResidentStorageBytes(), before + cells / 8) << MethodName(method);
     EXPECT_EQ(learner.impl().MemoryCostBytes(), config.MemoryCostBytes()) << MethodName(method);
   }
+}
+
+// A frozen AWM read model holds its own copy of the whole active set, so it
+// counts it as stored: at |S| = 1024, 1,024 16-byte entries and a 4,096-cell
+// index of 8-byte cells, beside the tail table's pages.
+TEST_F(DistTest, AwmReadModelResidentBytesCountTheWholeActiveSet) {
+  BudgetConfig config;
+  config.method = Method::kAwmSketch;
+  config.width = 2048;
+  config.depth = 1;
+  config.heap_capacity = 1024;
+  Result<Learner> built = FromConfig(config).Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Learner learner = std::move(built).value();
+  Train(learner, 3000, 5);
+  ASSERT_EQ(learner.impl().TopK(1024).size(), 1024u) << "the active set must be full";
+  const size_t page_cells = PickPageCells(2048);
+  const size_t pages = (2048 + page_cells - 1) / page_cells;
+  const std::unique_ptr<const ReadModel> frozen = learner.impl().MakeReadModel();
+  EXPECT_EQ(frozen->ResidentBytes(),
+            pages * (page_cells * sizeof(float) + kBytesPerPageMeta) + 1024 * 16 + 4096 * 8);
 }
 
 // A learner trained past a delta window, the replica captured when the

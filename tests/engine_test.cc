@@ -64,27 +64,54 @@ std::string Serialized(const Learner& learner) {
 
 // ------------------------------------------------------------ SPSC ring
 
-TEST(SpscRingTest, OrderPreservedAcrossThreads) {
-  SpscRing<int> ring(64);
-  constexpr int kCount = 100000;
+// Pushes `value` through the producer side; false while the ring is full.
+template <typename T>
+bool PushCopy(SpscRing<T>& ring, const T& value) {
+  T* slot = ring.WriteSlot();
+  if (slot == nullptr) return false;
+  *slot = value;
+  ring.CommitPush();
+  return true;
+}
+
+// A producer and a consumer thread run many laps of a small ring. The
+// consumer reads in place: every span starts at the slot the next item
+// occupies, never runs past the ring's last slot, and yields the items in
+// push order.
+TEST(SpscRingTest, InPlaceSpansKeepOrderAcrossLaps) {
+  SpscRing<std::vector<int>> ring(8);
+  const size_t cap = ring.capacity();
+  ASSERT_EQ(cap, 8u);
+  constexpr int kCount = 20000;  // 2,500 laps
   std::atomic<bool> fail{false};
   std::thread consumer([&] {
-    int expected = 0;
-    int v;
-    while (expected < kCount) {
-      if (ring.TryPop(&v)) {
-        if (v != expected++) {
+    int next = 0;
+    const std::vector<int>* base = nullptr;
+    while (next < kCount) {
+      const std::span<std::vector<int>> run = ring.ReadSpan(5);
+      if (run.empty()) {
+        std::this_thread::yield();
+        continue;
+      }
+      const size_t at = static_cast<size_t>(next) % cap;
+      if (base == nullptr) base = run.data() - at;
+      if (run.data() != base + at || at + run.size() > cap || run.size() > 5) {
+        fail.store(true);
+        return;
+      }
+      for (const std::vector<int>& item : run) {
+        if (item.size() != static_cast<size_t>(next % 7) + 1 || item.front() != next ||
+            item.back() != next) {
           fail.store(true);
           return;
         }
-      } else {
-        std::this_thread::yield();
+        ++next;
       }
+      ring.CommitPop(run.size());
     }
   });
   for (int i = 0; i < kCount;) {
-    int v = i;
-    if (ring.TryPush(std::move(v))) {
+    if (PushCopy(ring, std::vector<int>(static_cast<size_t>(i % 7) + 1, i))) {
       ++i;
     } else {
       std::this_thread::yield();
@@ -95,15 +122,75 @@ TEST(SpscRingTest, OrderPreservedAcrossThreads) {
   EXPECT_TRUE(ring.Empty());
 }
 
-TEST(SpscRingTest, CapacityRoundsUpAndBounds) {
+// WriteSlot fails exactly when capacity() items are pushed and not yet
+// popped, and CommitPop(n) hands back exactly n slots.
+TEST(SpscRingTest, FullAtCapacityAndCommitPopFreesExactlyN) {
   SpscRing<int> ring(3);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.TryPush(int(i)));
-  EXPECT_FALSE(ring.TryPush(99));
-  int v;
-  ASSERT_TRUE(ring.TryPop(&v));
-  EXPECT_EQ(v, 0);
-  EXPECT_TRUE(ring.TryPush(99));
+  ASSERT_EQ(ring.capacity(), 4u);
+  EXPECT_TRUE(ring.Empty());
+  EXPECT_TRUE(ring.ReadSpan(8).empty());
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(PushCopy(ring, i)) << i;
+  EXPECT_EQ(ring.WriteSlot(), nullptr);
+
+  std::span<int> run = ring.ReadSpan(3);
+  ASSERT_EQ(run.size(), 3u);
+  EXPECT_EQ(run[0], 0);
+  EXPECT_EQ(run[2], 2);
+  EXPECT_EQ(ring.WriteSlot(), nullptr);  // reading alone frees nothing
+  ring.CommitPop(2);
+  EXPECT_TRUE(PushCopy(ring, 4));
+  EXPECT_TRUE(PushCopy(ring, 5));
+  EXPECT_EQ(ring.WriteSlot(), nullptr);
+
+  // Items 2..5 are in flight; 4 and 5 sit past the wrap, so the first span
+  // stops at the ring's last slot.
+  run = ring.ReadSpan(8);
+  ASSERT_EQ(run.size(), 2u);
+  EXPECT_EQ(run[0], 2);
+  EXPECT_EQ(run[1], 3);
+  ring.CommitPop(1);
+  EXPECT_TRUE(PushCopy(ring, 6));
+  EXPECT_EQ(ring.WriteSlot(), nullptr);
+  run = ring.ReadSpan(8);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0], 3);
+  ring.CommitPop(1);
+  run = ring.ReadSpan(8);
+  ASSERT_EQ(run.size(), 3u);
+  EXPECT_EQ(run[0], 4);
+  EXPECT_EQ(run[2], 6);
+  ring.CommitPop(3);
+  EXPECT_TRUE(ring.Empty());
+}
+
+// A slot keeps the buffers of the longest example it has held: copying a
+// shorter example in reuses them.
+TEST(SpscRingTest, SlotKeepsCapacityWhenAShorterExampleIsCopiedIn) {
+  std::vector<uint32_t> long_ids(100);
+  for (uint32_t i = 0; i < 100; ++i) long_ids[i] = 3 * i;
+  const Example long_ex{SparseVector(long_ids, std::vector<float>(100, 1.0f)), 1};
+  const Example short_ex{SparseVector({7, 9, 11}, {1.0f, -1.0f, 2.0f}), -1};
+
+  SpscRing<Example> ring(2);
+  ASSERT_TRUE(PushCopy(ring, long_ex));
+  ASSERT_TRUE(PushCopy(ring, short_ex));
+  std::span<Example> run = ring.ReadSpan(2);
+  ASSERT_EQ(run.size(), 2u);
+  const uint32_t* ids = run[0].x.indices().data();
+  const float* values = run[0].x.values().data();
+  ring.CommitPop(2);
+
+  // The next lap starts at the slot that held the long example.
+  ASSERT_TRUE(PushCopy(ring, short_ex));
+  run = ring.ReadSpan(1);
+  ASSERT_EQ(run.size(), 1u);
+  EXPECT_EQ(run[0].x, short_ex.x);
+  EXPECT_EQ(run[0].y, short_ex.y);
+  EXPECT_GE(run[0].x.indices().capacity(), 100u);
+  EXPECT_GE(run[0].x.values().capacity(), 100u);
+  EXPECT_EQ(run[0].x.indices().data(), ids);
+  EXPECT_EQ(run[0].x.values().data(), values);
+  ring.CommitPop(1);
 }
 
 // -------------------------------------------------- merge: error paths
@@ -257,8 +344,16 @@ TEST(ShardedLearnerTest, RequiresMergeableMethodForMultipleShards) {
 }
 
 TEST(ShardedLearnerTest, SingleShardIsBitIdenticalToSequential) {
-  const ClassificationProfile profile = ClassificationProfile::SmallTest();
-  const std::vector<Example> stream = MakeStream(profile, 77, 4000);
+  // Long examples first, then short ones of varying nnz: the stream runs
+  // almost four laps of the worker's 1,024-slot ring, so later examples are
+  // copied into slots that still hold the buffers of longer ones.
+  ClassificationProfile long_profile = ClassificationProfile::SmallTest();
+  long_profile.min_nnz = 80;
+  long_profile.max_nnz = 120;
+  std::vector<Example> stream = MakeStream(long_profile, 76, 1500);
+  const std::vector<Example> short_tail =
+      MakeStream(ClassificationProfile::SmallTest(), 77, 2500);
+  stream.insert(stream.end(), short_tail.begin(), short_tail.end());
 
   for (const bool use_wm : {false, true}) {
     LearnerBuilder builder = use_wm ? WmBuilder() : AwmBuilder();
@@ -280,6 +375,39 @@ TEST(ShardedLearnerTest, SingleShardIsBitIdenticalToSequential) {
     EXPECT_EQ(engine.Push(stream[0]).code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(engine.SyncNow().code(), StatusCode::kFailedPrecondition);
   }
+}
+
+// The two push paths route and train identically: PushBatch copies each
+// example into its ring slot, Push moves it in. Three AWM shards fed the
+// same stream through either (in ragged blocks, or one example at a time)
+// collapse to the same bytes, and so does a second run of each.
+TEST(ShardedLearnerTest, PushAndPushBatchCollapseToTheSameBytes) {
+  const ClassificationProfile profile = ClassificationProfile::SmallTest();
+  const std::vector<Example> stream = MakeStream(profile, 17, 6000);
+  const auto train = [&](bool batched) -> std::string {
+    ShardedLearner engine =
+        std::move(AwmBuilder().Shards(3).SetSyncInterval(1000).BuildSharded()).value();
+    if (batched) {
+      size_t at = 0;
+      for (size_t block = 1; at < stream.size(); block = block * 5 % 331 + 1) {
+        const size_t n = std::min(block, stream.size() - at);
+        EXPECT_TRUE(engine.PushBatch(std::span<const Example>(stream.data() + at, n)).ok());
+        at += n;
+      }
+    } else {
+      for (const Example& ex : stream) EXPECT_TRUE(engine.Push(Example(ex)).ok());
+    }
+    Result<Learner> collapsed = engine.Collapse();
+    EXPECT_TRUE(collapsed.ok());
+    if (!collapsed.ok()) return {};
+    EXPECT_EQ(collapsed.value().steps(), stream.size());
+    return Serialized(collapsed.value());
+  };
+  const std::string batched = train(true);
+  ASSERT_FALSE(batched.empty());
+  EXPECT_EQ(train(false), batched);
+  EXPECT_EQ(train(true), batched);
+  EXPECT_EQ(train(false), batched);
 }
 
 TEST(ShardedLearnerTest, StatsCountEveryExampleExactly) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <map>
 #include <utility>
@@ -80,8 +81,14 @@ TEST(IndexedMinHeapTest, PopMinDrainsInPriorityOrder) {
   }
 }
 
-// A reference for IndexedMinHeap: the same array and the same sift code,
-// with keys found by linear scan instead of through an index.
+// Entries are 16 bytes. Every Entry in this file is built with designated
+// initializers, so reordering the fields cannot swap value and priority
+// unnoticed.
+static_assert(sizeof(IndexedMinHeap::Entry) == 16);
+
+// A reference for IndexedMinHeap: the same array, kept by the textbook
+// swap-based sifts, with keys found by linear scan instead of through an
+// index. The heap's hole-moving sifts must leave the same array.
 class LinearScanHeap {
  public:
   using Entry = IndexedMinHeap::Entry;
@@ -89,7 +96,7 @@ class LinearScanHeap {
   const std::vector<Entry>& entries() const { return heap_; }
 
   void Insert(uint32_t key, double priority, float value) {
-    heap_.push_back(Entry{key, priority, value});
+    heap_.push_back(Entry{.key = key, .value = value, .priority = priority});
     SiftUp(heap_.size() - 1);
   }
 
@@ -151,10 +158,12 @@ class LinearScanHeap {
 };
 
 // Property: under a random operation mix over hard keys, the heap agrees
-// with a key -> (priority, value) model on every key of the pool, and its
-// array equals the linear-scan reference's after every operation. Array
-// order decides eviction ties, so the equality pins model evolution to the
-// sift code, whatever the index does. The pool holds:
+// with a key -> (priority, value) model on every key of the pool, its array
+// equals the linear-scan reference's after every operation, and its index
+// maps every stored key to the slot that holds it. Array order decides
+// eviction ties, so the equality pins model evolution to the sift code,
+// whatever the index does. Updates go by key (Update) and by slot (SlotOf,
+// then UpdateAt) in turn. The pool holds:
 //  * 0 and 0xFFFFFFFF (no key value may mark an empty index cell);
 //  * a group whose hash puts all of them in the last cell of every index
 //    size up to 4096 cells, so their probe runs wrap to cell 0 and
@@ -191,6 +200,8 @@ TEST(IndexedMinHeapTest, RandomOpsAgainstReferenceModel) {
       ASSERT_EQ(heap.entries()[i].key, ref.entries()[i].key) << "step " << step << " slot " << i;
       ASSERT_EQ(heap.entries()[i].priority, ref.entries()[i].priority);
       ASSERT_EQ(heap.entries()[i].value, ref.entries()[i].value);
+      ASSERT_EQ(heap.SlotOf(heap.entries()[i].key), i) << "step " << step << " slot " << i;
+      ASSERT_EQ(&heap.At(i), &heap.entries()[i]);
     }
     for (const uint32_t key : pool) {
       const auto it = model.find(key);
@@ -198,6 +209,7 @@ TEST(IndexedMinHeapTest, RandomOpsAgainstReferenceModel) {
       const IndexedMinHeap::Entry* e = heap.Find(key);
       if (it == model.end()) {
         ASSERT_EQ(e, nullptr) << "step " << step << " key " << key;
+        ASSERT_EQ(heap.SlotOf(key), IndexedMinHeap::kNoSlot) << "step " << step << " key " << key;
         continue;
       }
       ASSERT_NE(e, nullptr) << "step " << step << " key " << key;
@@ -219,7 +231,11 @@ TEST(IndexedMinHeapTest, RandomOpsAgainstReferenceModel) {
         const double priority = static_cast<double>(rng.Bounded(16));
         const float value = static_cast<float>(step);
         if (model.count(key)) {
-          heap.Update(key, priority, value);
+          if (step % 2 == 0) {
+            heap.Update(key, priority, value);
+          } else {
+            heap.UpdateAt(heap.SlotOf(key), priority, value);
+          }
           ref.Update(key, priority, value);
         } else {
           heap.Insert(key, priority, value);
@@ -275,16 +291,23 @@ TEST(IndexedMinHeapTest, RestoreHeapOrderRejectsBadArraysAndKeepsTheHeap) {
     EXPECT_FALSE(heap.Contains(1)) << what;
   };
 
-  const Status dup = heap.RestoreHeapOrder({{1, 1.0, 0.f}, {2, 2.0, 0.f}, {1, 3.0, 0.f}});
+  const Status dup = heap.RestoreHeapOrder({{.key = 1, .value = 0.f, .priority = 1.0},
+                                            {.key = 2, .value = 0.f, .priority = 2.0},
+                                            {.key = 1, .value = 0.f, .priority = 3.0}});
   EXPECT_EQ(dup.code(), StatusCode::kInvalidArgument);
   expect_unchanged("duplicate key");
 
-  const Status order = heap.RestoreHeapOrder({{1, 1.0, 0.f}, {2, 3.0, 0.f}, {3, 0.5, 0.f}});
+  const Status order = heap.RestoreHeapOrder({{.key = 1, .value = 0.f, .priority = 1.0},
+                                              {.key = 2, .value = 0.f, .priority = 3.0},
+                                              {.key = 3, .value = 0.f, .priority = 0.5}});
   EXPECT_EQ(order.code(), StatusCode::kInvalidArgument);
   expect_unchanged("parent above child");
 
-  const std::vector<Entry> valid = {
-      {7, 1.0, 1.f}, {3, 1.0, 2.f}, {0xffffffffu, 2.0, 3.f}, {0, 1.5, 4.f}, {8, 1.0, 5.f}};
+  const std::vector<Entry> valid = {{.key = 7, .value = 1.f, .priority = 1.0},
+                                    {.key = 3, .value = 2.f, .priority = 1.0},
+                                    {.key = 0xffffffffu, .value = 3.f, .priority = 2.0},
+                                    {.key = 0, .value = 4.f, .priority = 1.5},
+                                    {.key = 8, .value = 5.f, .priority = 1.0}};
   ASSERT_TRUE(heap.RestoreHeapOrder(valid).ok());
   ASSERT_EQ(heap.entries().size(), valid.size());
   for (size_t i = 0; i < valid.size(); ++i) {
@@ -324,7 +347,9 @@ TEST(IndexedMinHeapTest, AssignMatchesInsertInOrder) {
         } while (used[key]);
       }
       used[key] = true;
-      next.push_back({key, static_cast<double>(rng.Bounded(8)), static_cast<float>(i)});
+      next.push_back({.key = key,
+                      .value = static_cast<float>(i),
+                      .priority = static_cast<double>(rng.Bounded(8))});
     }
     heap.Assign(next.size(), [&next](size_t i) { return next[i]; });
 
@@ -418,6 +443,36 @@ TEST(TopKHeapTest, AddShiftsWeight) {
   heap.Set(7, 1.0f);
   heap.Add(7, -3.0f);
   EXPECT_EQ(heap.Get(7).value(), -2.0f);
+}
+
+// The slot API (SlotOf, ValueAt, AddAt, Insert of an absent feature) drives
+// a tracker to the same array as the key API (Get, Add, Set) under a random
+// mix of refreshes, inserts and evictions.
+TEST(TopKHeapTest, SlotApiMatchesKeyApi) {
+  TopKHeap by_key(24);
+  TopKHeap by_slot(24);
+  Rng rng(23);
+  for (int step = 0; step < 20000; ++step) {
+    const uint32_t feature = static_cast<uint32_t>(rng.Bounded(64));
+    const float delta = static_cast<float>(rng.NextGaussian());
+    const size_t slot = by_slot.SlotOf(feature);
+    ASSERT_EQ(slot != TopKHeap::kNoSlot, by_key.Contains(feature)) << "step " << step;
+    if (slot != TopKHeap::kNoSlot) {
+      ASSERT_EQ(by_slot.ValueAt(slot), by_key.Get(feature).value());
+      by_key.Add(feature, delta);
+      by_slot.AddAt(slot, delta);
+    } else if (!by_key.full()) {
+      by_key.Set(feature, delta);
+      by_slot.Insert(feature, delta);
+    } else if (std::fabs(delta) > by_key.MinPriority()) {
+      ASSERT_EQ(by_key.PopMin(), by_slot.PopMin());
+      by_key.Set(feature, delta);
+      by_slot.Insert(feature, delta);
+    }
+    const std::vector<FeatureWeight> want = by_key.Entries();
+    ASSERT_EQ(by_slot.Entries(), want) << "step " << step;
+  }
+  EXPECT_TRUE(by_slot.full());
 }
 
 TEST(TopKHeapTest, CapacityOne) {
