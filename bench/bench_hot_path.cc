@@ -238,7 +238,6 @@ int main(int argc, char** argv) {
   const int reps = IntFlagArg(argc, argv, "--reps", 2);
   const std::vector<BenchStreamSpec> streams =
       ResolveBenchStreams(argc, argv, profile, examples, 88);
-  CalibrateKernelsBeforeTiming();
 
   Banner("Hot path — single-threaded throughput (Table 2 configs, " +
          std::to_string(streams.front().examples.size()) + " examples, best of " +

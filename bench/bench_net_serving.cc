@@ -193,7 +193,6 @@ int main(int argc, char** argv) {
   std::string socket_dir = StrFlagArg(argc, argv, "--socket-dir");
   if (socket_dir.empty()) socket_dir = "/tmp";
   const ClassificationProfile profile = ClassificationProfile::Rcv1Like();
-  CalibrateKernelsBeforeTiming();
 
   // One trained model behind every cell so policies compare like-for-like.
   Learner model = BuildOrDie(PaperBuilder(1e-6, 77)

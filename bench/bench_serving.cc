@@ -328,12 +328,14 @@ PublishCostResult RunPublishCost(const PublishCostConfig& c,
 
 // ------------------------------------------------------------ frozen reads
 //
-// Single-threaded wide reads against a *published* snapshot: the paged
+// Single-threaded batched reads against a *published* snapshot: the paged
 // frozen read models behind every ServingHandle, measured without writer or
-// reader contention so the row isolates the paged gather kernels themselves
-// (GatherSignedPaged / GatherMedianFusedPaged vs the fused per-cell loops).
-// Kernel paths toggle like bench_hot_path; the checksum is deterministic and
-// must match across paths (bit-identity contract).
+// reader contention so the row isolates the paged read loops themselves
+// (readpath::MarginBatchPaged / EstimateBatchPaged, which resolve each cell
+// through the page-pointer array). Kernel paths toggle like bench_hot_path;
+// on the read side only MedianLarge (depth >= 8) has a vector variant. The
+// checksum is deterministic and must match across paths (bit-identity
+// contract).
 
 struct FrozenReadResult {
   double batch_predicts_per_sec = 0.0;
@@ -434,7 +436,6 @@ int main(int argc, char** argv) {
       ResolveBenchStreams(argc, argv, profile, examples, 88);
   const std::vector<Example>& stream = streams.front().examples;
   const uint32_t dimension = streams.front().dimension;
-  CalibrateKernelsBeforeTiming();
 
   Banner("Serving — " + std::to_string(readers) + " readers × 1 writer, publish every " +
          std::to_string(kServeEvery) + " updates (" + std::to_string(stream.size()) +

@@ -142,17 +142,12 @@ class Learner {
 
   /// Batched margins under the current model (no state change): appends one
   /// margin per example to `*margins`, bit-identical to a PredictMargin
-  /// loop. WM-Sketch and feature hashing hash the whole batch once into the
-  /// per-thread plan arena and prefetch across examples (the read mirror of
-  /// UpdateBatch); the AWM runs its fused per-example loop, which is already
-  /// single-hash for read-only margins. Like PredictMargin this reads the
-  /// live model — for queries concurrent with training, use a
-  /// \ref ServingHandle instead.
+  /// loop. Like PredictMargin this reads the live model — for queries
+  /// concurrent with training, use a \ref ServingHandle instead.
   void PredictBatch(std::span<const Example> batch, std::vector<double>* margins) const;
 
   /// Batched live point estimates: appends one estimate per feature id to
-  /// `*out`, bit-identical to a WeightEstimate loop. Sketch-backed methods
-  /// hash every key once and answer from one wide signed gather.
+  /// `*out`, bit-identical to a WeightEstimate loop.
   void EstimateBatch(std::span<const uint32_t> features, std::vector<float>* out) const;
 
   /// OK iff `other`'s model can be merged into this one: same method, same

@@ -77,9 +77,8 @@ class AwmSketch final : public BudgetedClassifier {
   /// example runs through one lazy per-thread plan — bit-identical to the
   /// PredictMargin loop.
   void PredictBatch(std::span<const Example> batch, double* margins) const override;
-  /// Batched point estimates: active-set hits answer exactly; the tail
-  /// batches through a hash-once + wide-gather median path. Bit-identical
-  /// to a WeightEstimate loop.
+  /// Batched point estimates: active-set hits answer exactly, the rest from
+  /// the tail sketch. Bit-identical to a WeightEstimate loop.
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override;
   /// Frozen read model: the active set (raw weights + scale) plus a copy of
   /// the tail sketch, with the batched read paths.

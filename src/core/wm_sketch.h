@@ -70,13 +70,13 @@ class WmSketch final : public BudgetedClassifier {
 
   /// Plan-driven: hashes each (feature, row) pair exactly once per call.
   double PredictMargin(const SparseVector& x) const override;
-  /// Batched margins through the plan arena: whole batch hashed once,
-  /// cross-example prefetch, SIMD gathers — bit-identical to the loop.
+  /// Batched margins: the fused per-example loop, bit-identical to
+  /// PredictMargin.
   void PredictBatch(std::span<const Example> batch, double* margins) const override;
-  /// Batched point estimates: all keys hashed once, one wide signed gather,
-  /// per-key medians — bit-identical to a WeightEstimate loop.
+  /// Batched point estimates: the fused per-key loop, bit-identical to a
+  /// WeightEstimate loop.
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override;
-  /// Frozen table-backed read model with the batched SIMD read paths.
+  /// Frozen read model over the published table pages.
   std::unique_ptr<const ReadModel> MakeReadModel() const override;
   /// One OGD step from a single per-example hash plan: the margin, the
   /// gradient scatter, and the heap offers all reuse the same nnz×depth

@@ -21,7 +21,7 @@
 // touches the freed snapshot). Reader properties, by construction:
 //   * no mutexes and no atomic read-modify-write operations — the pin is two
 //     plain atomic loads and one plain atomic store (plus a fence);
-//   * no allocation on the hot path (per-thread plan scratch only grows);
+//   * no allocation on the hot path;
 //   * no waiting on other readers or on the writer: a pin retries only if a
 //     publication lands inside its two-instruction validation window, which
 //     the ServeEvery(k) cadence makes vanishingly rare — queries on a pinned

@@ -27,12 +27,12 @@ using WeightEstimator = std::function<float(uint32_t)>;
 /// answer margins and point estimates from one moment of a classifier's
 /// life, decoupled from the live (mutating) model. This is the structured
 /// sibling of \ref WeightEstimator — where the estimator is a single frozen
-/// point-query closure, a ReadModel additionally carries the batched SIMD
-/// read paths (plan-driven margins, wide gathered medians), which is what
-/// the wait-free serving layer (src/engine/serving.h) publishes to readers.
+/// point-query closure, a ReadModel additionally answers margins and batched
+/// queries, which is what the wait-free serving layer
+/// (src/engine/serving.h) publishes to readers.
 ///
 /// Contract: every method is const, thread-safe, and allocation-free on the
-/// steady state (per-thread plan scratch only ever grows), so any number of
+/// steady state, so any number of
 /// reader threads may query one ReadModel concurrently.
 class ReadModel {
  public:
@@ -42,9 +42,8 @@ class ReadModel {
   virtual double PredictMargin(const SparseVector& x) const = 0;
 
   /// Batched margins: out[e] = PredictMargin(batch[e].x), bit-identical to
-  /// the loop. Methods with a plan-driven read path override it to hash the
-  /// whole batch up front and prefetch across examples (see
-  /// sketch/read_path.h); the default is the plain loop.
+  /// the loop. The sketch-backed models override it with the shared
+  /// sketch/read_path.h kernels; the default is the plain loop.
   virtual void PredictBatch(std::span<const Example> batch, double* out) const {
     for (size_t e = 0; e < batch.size(); ++e) out[e] = PredictMargin(batch[e].x);
   }
@@ -53,8 +52,7 @@ class ReadModel {
   virtual float Estimate(uint32_t feature) const = 0;
 
   /// Batched point estimates: out[i] = Estimate(features[i]), bit-identical
-  /// to the loop; sketch-backed overrides hash all keys once and run one
-  /// wide signed gather.
+  /// to the loop; sketch-backed overrides use sketch/read_path.h.
   virtual void EstimateBatch(std::span<const uint32_t> features, float* out) const {
     for (size_t i = 0; i < features.size(); ++i) out[i] = Estimate(features[i]);
   }

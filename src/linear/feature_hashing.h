@@ -40,12 +40,11 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
 
   /// Plan-driven (depth-1 plan): one hash per feature per call.
   double PredictMargin(const SparseVector& x) const override;
-  /// Batched margins through the plan arena (whole batch hashed once,
-  /// cross-example prefetch) — bit-identical to the loop.
+  /// Batched margins: the fused per-example loop.
   void PredictBatch(std::span<const Example> batch, double* margins) const override;
-  /// Batched point estimates via one wide signed gather.
+  /// Batched point estimates: the fused per-key loop.
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override;
-  /// Frozen table-backed read model with the batched SIMD read paths.
+  /// Frozen read model over the published table pages.
   std::unique_ptr<const ReadModel> MakeReadModel() const override;
   double Update(const SparseVector& x, int8_t y) override;
   /// Devirtualized batch ingest (bit-identical to a loop of Update): the

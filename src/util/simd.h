@@ -36,102 +36,65 @@ void SetEnabled(bool on);
 const char* ActiveKernel();
 
 /// Per-kernel dispatch thresholds: the minimum problem size (in the units of
-/// each kernel's size argument) at which the AVX2 variant is dispatched even
-/// when Enabled(). One global on/off switch turned out to be too coarse —
-/// vpgatherdps and the cvt-heavy scatter prologue have real fixed costs, so
-/// below these sizes the scalar kernel wins and the AVX2 path *regressed*
-/// read-side throughput (see BENCH_hot_path.json history). Thresholds bucket
-/// by the size the kernel actually sees (entries = nnz·depth for gathers,
-/// nnz for scatters, elements for table sweeps, depth for medians), which is
-/// how width/depth shape differences reach the dispatcher. Defaults come
-/// from crossover measurements on the development container; SetThresholds
-/// exists for per-machine tuning experiments, not for production code.
+/// each kernel's size argument) at which the AVX2 variant is dispatched when
+/// Enabled(). Below these sizes the cvt-heavy scatter prologue and the sweep
+/// setup cost more than they save (see BENCH_hot_path.json history).
+/// Thresholds bucket by the size the kernel actually sees (nnz for scatters,
+/// elements for table sweeps, depth for medians). The routes are fixed at
+/// compile time.
+///
+/// Table reads have no vector route: the three gather fields read
+/// UINT32_MAX ("never"). On a 4-vCPU AVX-512 KVM guest the plan-based read
+/// routes that would use a hardware gather failed to beat the fused scalar
+/// loops by 20% in all 50 timed processes, and the gather+median route's
+/// batched WM heap-offer update measured slower than the per-feature loop
+/// (93k–97k against 111k–124k updates/s at WM 2^18×5, heap 1024); README,
+/// Performance, has the measurements.
 struct KernelThresholds {
-  /// GatherSigned / the PlanMargin gather: minimum entry count (nnz·depth).
-  uint32_t gather_min_entries = 16;
-  /// GatherSignedPaged / the paged read-plan gathers: minimum entry count.
-  /// Separate from gather_min_entries because the page-pointer walk adds two
-  /// dependent gathers per four lanes — the crossover sits elsewhere, and the
-  /// calibration measures the two shapes independently.
-  uint32_t paged_gather_min_entries = 16;
-  /// GatherMedianFused / GatherMedianFusedPaged: minimum key count at which
-  /// the register-resident median networks beat the gather-to-scratch
-  /// round-trip (the kernels transpose 8 keys at a time, so tiny batches run
-  /// mostly in the scalar tail anyway).
-  uint32_t fused_median_min_keys = 16;
+  /// Flat-table gathers (GatherSigned, PlanMargin): UINT32_MAX.
+  uint32_t gather_min_entries;
+  /// Paged-table gathers (frozen snapshots): UINT32_MAX.
+  uint32_t paged_gather_min_entries;
+  /// Gather-and-median of batched point estimates: UINT32_MAX.
+  uint32_t fused_median_min_keys;
   /// PlanScatter's vectorized per-feature step products: minimum nnz.
-  uint32_t scatter_min_nnz = 8;
+  uint32_t scatter_min_nnz;
   /// MergeScaledTable / ScaleTable / L2NormSquared: minimum element count.
-  uint32_t sweep_min_elems = 32;
+  uint32_t sweep_min_elems;
   /// MedianLarge rank-selection: minimum depth (never consulted below 8 —
   /// depths 1–7 always take the branchless sorting networks in util/math.h).
-  uint32_t median_min_depth = 8;
+  uint32_t median_min_depth;
 };
 
-/// The thresholds the dispatcher currently applies.
-KernelThresholds Thresholds();
+/// The thresholds the dispatcher applies.
+inline constexpr KernelThresholds kKernelThresholds{
+    .gather_min_entries = UINT32_MAX,
+    .paged_gather_min_entries = UINT32_MAX,
+    .fused_median_min_keys = UINT32_MAX,
+    .scatter_min_nnz = 8,
+    .sweep_min_elems = 32,
+    .median_min_depth = 8,
+};
 
-/// Replaces the dispatch thresholds (benchmark/tuning use; thread-safe).
-void SetThresholds(const KernelThresholds& t);
+// The declarations below are constants. They report the fixed routes to
+// perfbench's RecordFacts (its `kernel_routes` fact) and to the kernel tests
+// that pin them; nothing in the library consults them.
 
-/// True when GatherSigned would dispatch to the AVX2 gather for a problem
-/// of `entries` elements.
-bool GatherDispatched(size_t entries);
+/// kKernelThresholds.
+constexpr KernelThresholds Thresholds() { return kKernelThresholds; }
 
-/// True when a *read-only* batch of `entries` (feature, row) pairs should
-/// materialize a hash plan and run the wide-gather path instead of the
-/// fused hash-and-accumulate loop. Reads differ from updates: an update's
-/// plan is consumed by three stages (margin, scatter, heap offers), so
-/// materializing it is free amortization, but a read consumes its hashes
-/// once — the plan's SoA store + reload + second pass only pays off when
-/// the hardware gather beats scalar table reads by more than that overhead.
-/// Decided by the startup calibration (measured, not assumed: vpgatherdps
-/// speed varies wildly across parts); false whenever gathers are off.
-bool ReadPlanDispatched(size_t entries);
+/// Whether a read-only batch materializes a hash plan for a wide gather:
+/// never. Every batched read runs the fused hash-and-read loop.
+constexpr bool ReadPlanDispatched(size_t /*entries*/) { return false; }
 
-/// Forces the read-plan decision (tests/benches: the plan branches of the
-/// batched read paths must be exercisable — and their bit-identity against
-/// the fused loops assertable — even on machines where the calibration
-/// would route reads fused). Settles the calibration like SetThresholds, so
-/// the explicit choice stands. The gather size threshold still applies.
-void SetReadPlanDispatched(bool on);
+/// ReadPlanDispatched for paged frozen snapshots: never.
+constexpr bool PagedReadPlanDispatched(size_t /*entries*/) { return false; }
 
-/// ReadPlanDispatched for *paged* frozen snapshots: true when a read-only
-/// batch of `entries` (feature, row) pairs against a PagedView-backed table
-/// should materialize a plan and run the i64 page-pointer-walk gather
-/// (GatherSignedPaged) instead of the fused per-cell page-walk loops. The
-/// paged gather pays two dependent gathers per four lanes (page pointers,
-/// then cells), so it is calibrated separately from the flat route and is
-/// conservatively off until the measurement says otherwise.
-bool PagedReadPlanDispatched(size_t entries);
+/// Whether batched medians run an in-register gather+median kernel: never.
+constexpr bool FusedMedianDispatched(size_t /*keys*/) { return false; }
 
-/// Forces the paged read-plan decision (the paged analogue of
-/// SetReadPlanDispatched, with the same settle-the-calibration semantics).
-/// The paged gather size threshold still applies.
-void SetPagedReadPlanDispatched(bool on);
-
-/// True when a batched estimate of `keys` point queries should run the
-/// fused gather+median kernel (GatherMedianFused / GatherMedianFusedPaged,
-/// depth ≤ 7 only) instead of gathering into scratch and running the
-/// per-key sorting networks from memory. Calibrated; both routes are
-/// bit-identical, so this is pure routing.
-bool FusedMedianDispatched(size_t keys);
-
-/// One-shot calibration: times the AVX2 gather (flat and paged) and the
-/// fused gather+median kernel against their scalar loops on representative
-/// problems and disables each dispatch (its threshold = UINT32_MAX) when it
-/// does not measurably win —
-/// vpgatherdps is fast on some parts and microcode-crippled or
-/// emulation-slow on others, and no compile-time signal distinguishes them.
-/// Runs automatically before the first SIMD-*eligible* gather dispatch (a
-/// call that would dispatch under the current thresholds; ≈1 ms, once per
-/// process) — short-lived binaries whose gathers never reach an eligible
-/// size never pay it. Calling SetThresholds first suppresses it, so
-/// explicit thresholds always stand, and setting the WMS_SKIP_CALIBRATION
-/// environment variable skips the measurement entirely (dispatch then uses
-/// the static defaults; both paths are bit-identical, so this only affects
-/// routing). No-op without AVX2.
-void CalibrateGather();
+/// No-op: the routes are fixed at compile time, there is nothing to time.
+inline void CalibrateGather() {}
 
 /// Lower-middle order statistic of v[0..n) for n >= 8 — the median path for
 /// sketch depths beyond the util/math.h sorting networks. The AVX2 variant
@@ -141,66 +104,14 @@ void CalibrateGather();
 /// bit-identical; only the scalar path reorders `v`.
 float MedianLarge(float* v, size_t n);
 
-/// out[e] = signs[e] · table[offsets[e]]. The AVX2 path uses vpgatherdps;
-/// because signs are exactly ±1, the products are exact and both paths are
-/// bit-identical.
+/// out[e] = signs[e] · table[offsets[e]], one scalar read per entry (signs
+/// are ±1, so the products are exact).
 void GatherSigned(const float* table, const uint32_t* offsets, const float* signs,
                   size_t n, float* out);
 
-/// GatherSigned against a paged table: out[e] = signs[e] ·
-/// pages[offsets[e] >> shift][offsets[e] & mask]. The raw (pages, shift,
-/// mask) triple is a PagedView<float> unpacked so this header stays free of
-/// util/paged_table.h; callers pass view.pages / view.shift / view.mask. The
-/// AVX2 path walks the page-pointer indirection in registers: vpgatherqq
-/// fetches four 64-bit page pointers, the in-page offsets are shifted to
-/// byte distances and added, and vpgatherqps reads the cells through the
-/// resulting absolute addresses. Pure loads and ±1 sign products — both
-/// paths bit-identical.
-void GatherSignedPaged(const float* const* pages, uint32_t shift, uint32_t mask,
-                       const uint32_t* offsets, const float* signs, size_t n,
-                       float* out);
-
-/// PlanMargin against a paged table: the same gather-then-accumulate with
-/// GatherSignedPaged feeding the seed-order double accumulation, so the
-/// result is bit-identical to FusedMarginPaged over the same pairs (and to
-/// the flat PlanMargin on a flat copy of the cells). `scratch` must hold
-/// plan.entries() floats.
-double PlanMarginPaged(const float* const* pages, uint32_t shift, uint32_t mask,
-                       const PlanView& plan, const float* values, float* scratch);
-
-/// Fused gather+median for batched point estimates, depth in [1, 7]:
-/// out[k] = float(factor · double(median_j(signs[k·d+j] ·
-/// table[offsets[k·d+j]]))) with the lower-middle median convention. The
-/// AVX2 path transposes 8 keys at a time (strided vpgatherdd on the plan
-/// itself), keeps the d gathered lanes in registers, and runs the
-/// util/math.h sorting networks there with compare+blend swaps that
-/// reproduce std::min/std::max exactly (vminps/vmaxps differ on ±0 ties, and
-/// these medians feed serialized state downstream) — no scratch round-trip.
-/// Bit-identical to the per-key gather + MedianInPlace loop.
-void GatherMedianFused(const float* table, const uint32_t* offsets, const float* signs,
-                       size_t keys, uint32_t depth, double factor, float* out);
-
-/// GatherMedianFused against a paged table (cells resolved through the
-/// page-pointer walk of GatherSignedPaged). Bit-identical to the scalar
-/// per-key paged loop.
-void GatherMedianFusedPaged(const float* const* pages, uint32_t shift, uint32_t mask,
-                            const uint32_t* offsets, const float* signs, size_t keys,
-                            uint32_t depth, double factor, float* out);
-
-/// The heap-offer prefilter sweep: abs_out[i] = |v[i]| and above_out[i] =
-/// !(|v[i]| <= floor) ? 1 : 0 — the exact complement of the rejection test a
-/// full TopKHeap applies to an offered weight (fabs(w) <= floor), precomputed
-/// for a whole plan so the scalar heap is only entered for survivors. The
-/// NLE form (not >) keeps NaN weights on the "offer" side, as the heap
-/// itself would. |·| is a sign-bit clear and the comparison is the same on
-/// both paths, so the sweep is bit-identical.
-void AbsAboveFloor(const float* v, size_t n, float floor, float* abs_out,
-                   uint8_t* above_out);
-
 /// The plan-driven margin accumulation Σᵢ xᵢ · Σⱼ signs[i·d+j] ·
 /// table[offsets[i·d+j]], with the per-feature inner sums and the outer
-/// accumulation in double, in exactly the seed evaluation order — so scalar
-/// and AVX2 (which only vectorizes the gather) agree bit-for-bit.
+/// accumulation in double, in exactly the seed evaluation order.
 /// `scratch` must hold plan.entries() floats.
 double PlanMargin(const float* table, const PlanView& plan, const float* values,
                   float* scratch);

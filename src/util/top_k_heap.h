@@ -100,14 +100,6 @@ class TopKHeap {
     return FeatureWeight{min.key, min.value};
   }
 
-  /// The admission floor: the stored priority (|weight|) of the minimum
-  /// entry — the exact value Offer() compares a candidate's magnitude
-  /// against when full. Exposed for the vectorized offer prefilter, which
-  /// must reproduce that comparison bit-for-bit (recomputing fabs(value)
-  /// would match today, but the stored priority is the contract). Requires
-  /// non-empty.
-  float MinPriority() const { return heap_.Min().priority; }
-
   /// Removes and returns the minimum-magnitude entry. Requires non-empty.
   FeatureWeight PopMin() {
     const IndexedMinHeap::Entry e = heap_.PopMin();

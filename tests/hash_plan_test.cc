@@ -60,24 +60,17 @@ std::string Serialized(const Learner& learner) {
   return out.str();
 }
 
-// Restores the ambient kernel selection, dispatch thresholds, and read-plan
-// choice after a test that toggles them — including when the test bails out
-// early on a failed ASSERT, so one regression cannot leak forced dispatch
-// state into every later test in the binary.
+// Restores the ambient kernel selection after a test that toggles it —
+// including when the test bails out early on a failed ASSERT, so one
+// regression cannot leak a forced kernel path into every later test in the
+// binary.
 class SimdStateGuard {
  public:
-  SimdStateGuard() : was_(simd::Enabled()), thresholds_(simd::Thresholds()) {}
-  ~SimdStateGuard() {
-    simd::SetEnabled(was_);
-    simd::SetThresholds(thresholds_);
-    // Only ever forced on by tests; the ambient (calibrated) default is off.
-    simd::SetReadPlanDispatched(false);
-    simd::SetPagedReadPlanDispatched(false);
-  }
+  SimdStateGuard() : was_(simd::Enabled()) {}
+  ~SimdStateGuard() { simd::SetEnabled(was_); }
 
  private:
   bool was_;
-  simd::KernelThresholds thresholds_;
 };
 
 // ------------------------------------------------------------- hash plan
@@ -120,28 +113,6 @@ TEST(HashPlanTest, ArenaViewsMatchPerExamplePlans) {
     for (size_t k = 0; k < v.entries(); ++k) {
       EXPECT_EQ(v.offsets[k], single.View().offsets[k]);
       EXPECT_EQ(v.signs[k], single.View().signs[k]);
-    }
-  }
-}
-
-TEST(HashPlanTest, BuildKeysMatchesDirectBucketAndSign) {
-  const uint32_t depth = 4, width = 512;
-  const std::vector<SignedBucketHash> rows = MakeRows(depth, width, 77);
-  SplitMix64 ids(19);
-  std::vector<uint32_t> keys;
-  for (int i = 0; i < 300; ++i) keys.push_back(static_cast<uint32_t>(ids.Next() % (1 << 18)));
-  HashPlan plan;
-  plan.BuildKeys(rows, keys);
-  ASSERT_EQ(plan.nnz(), keys.size());
-  ASSERT_EQ(plan.depth(), depth);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_TRUE(plan.has(i));
-    for (uint32_t j = 0; j < depth; ++j) {
-      uint32_t bucket;
-      float sign;
-      rows[j].BucketAndSign(keys[i], &bucket, &sign);
-      EXPECT_EQ(plan.offsets(i)[j], j * width + bucket);
-      EXPECT_EQ(plan.signs(i)[j], sign);
     }
   }
 }
@@ -209,18 +180,13 @@ TEST(HashPlanBatchTest, BatchStateBitIdenticalToPerExampleLoop) {
 // exercises it.
 // wms-lint: simd-kernel-table begin
 constexpr const char* const kAvx2KernelBitIdentityCoverage[] = {
-    "GatherSignedAvx2",      // Avx2MatchesScalarOnAllKernels (exact equality)
     "StepDeltasAvx2",        // via PlanScatter in Avx2MatchesScalarOnAllKernels
     "MergeScaledTableAvx2",  // Avx2MatchesScalarOnAllKernels (exact equality)
     "ScaleTableAvx2",        // Avx2MatchesScalarOnAllKernels (exact equality)
     "L2NormSquaredAvx2",     // Avx2MatchesScalarOnAllKernels (1e-5 rel: 4-lane reduction reorders)
     "MedianLargeAvx2",       // MedianLargeBitIdenticalAcrossKernelPaths
-    "GatherSignedPagedAvx2",      // PagedAndFusedKernelsBitIdenticalToScalar (exact)
-    "GatherMedianFusedAvx2",      // PagedAndFusedKernelsBitIdenticalToScalar (exact, depths 1–7)
-    "GatherMedianFusedPagedAvx2", // PagedAndFusedKernelsBitIdenticalToScalar (exact, depths 1–7)
-    "AbsAboveFloorAvx2",          // PagedAndFusedKernelsBitIdenticalToScalar (exact, NaN + ±0 + ties)
-    "PlanScatterAvx512",          // PagedAndFusedKernelsBitIdenticalToScalar (exact, duplicate offsets)
-    "Crc32cSse42",                // Crc32cHardwareMatchesScalar (util_test.cc, exact equality)
+    "PlanScatterAvx512",     // PlanScatterBitIdenticalOnDuplicateOffsets (exact)
+    "Crc32cSse42",           // Crc32cHardwareMatchesScalar (util_test.cc, exact equality)
 };
 // wms-lint: simd-kernel-table end
 
@@ -244,10 +210,36 @@ TEST(SimdKernelTest, ReportsCompileAndCpuState) {
   }
 }
 
-// The gather, margin, scatter, merge, and scale kernels are documented
-// bit-identical between the scalar and AVX2 paths (signs are ±1 and all
-// element-wise rounding matches); the ISSUE tolerance of 1e-5 is therefore
-// met with exact equality. L2 reorders its reduction and gets the tolerance.
+// The kernel routes are compile-time constants: the gather, read-plan and
+// fused-median routes report "never", the size thresholds their fixed
+// values, and CalibrateGather() changes none of it. perfbench's
+// `kernel_routes` fact prints these, so it must read the same in every
+// process.
+TEST(SimdKernelTest, RoutesAreFixedConstants) {
+  const auto expect_fixed = [](const char* when) {
+    SCOPED_TRACE(when);
+    const simd::KernelThresholds t = simd::Thresholds();
+    EXPECT_EQ(t.gather_min_entries, UINT32_MAX);
+    EXPECT_EQ(t.paged_gather_min_entries, UINT32_MAX);
+    EXPECT_EQ(t.fused_median_min_keys, UINT32_MAX);
+    EXPECT_EQ(t.scatter_min_nnz, 8u);
+    EXPECT_EQ(t.sweep_min_elems, 32u);
+    EXPECT_EQ(t.median_min_depth, 8u);
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{1024}, SIZE_MAX}) {
+      EXPECT_FALSE(simd::ReadPlanDispatched(n)) << n;
+      EXPECT_FALSE(simd::PagedReadPlanDispatched(n)) << n;
+      EXPECT_FALSE(simd::FusedMedianDispatched(n)) << n;
+    }
+  };
+  expect_fixed("before CalibrateGather");
+  simd::CalibrateGather();
+  expect_fixed("after CalibrateGather");
+}
+
+// The scatter, merge, and scale kernels are documented bit-identical between
+// the scalar and AVX2 paths (signs are ±1 and all element-wise rounding
+// matches), so they are held to exact equality. L2 reorders its reduction
+// and gets a 1e-5 relative tolerance.
 TEST(SimdKernelTest, Avx2MatchesScalarOnAllKernels) {
   if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
   SimdStateGuard guard;
@@ -263,24 +255,6 @@ TEST(SimdKernelTest, Avx2MatchesScalarOnAllKernels) {
   HashPlan plan;
   plan.Build(rows, x);
   const simd::PlanView view = plan.View();
-  const size_t n = view.entries();
-
-  // GatherSigned.
-  std::vector<float> got_scalar(n), got_avx2(n);
-  simd::SetEnabled(false);
-  simd::GatherSigned(table.data(), view.offsets, view.signs, n, got_scalar.data());
-  simd::SetEnabled(true);
-  simd::GatherSigned(table.data(), view.offsets, view.signs, n, got_avx2.data());
-  for (size_t k = 0; k < n; ++k) EXPECT_EQ(got_scalar[k], got_avx2[k]) << k;
-
-  // PlanMargin.
-  simd::SetEnabled(false);
-  const double margin_scalar =
-      simd::PlanMargin(table.data(), view, x.values().data(), plan.scratch());
-  simd::SetEnabled(true);
-  const double margin_avx2 =
-      simd::PlanMargin(table.data(), view, x.values().data(), plan.scratch());
-  EXPECT_EQ(margin_scalar, margin_avx2);
 
   // PlanScatter.
   std::vector<float> table_a = table, table_b = table;
@@ -313,228 +287,33 @@ TEST(SimdKernelTest, Avx2MatchesScalarOnAllKernels) {
   EXPECT_NEAR(l2_avx2, l2_scalar, 1e-5 * std::fabs(l2_scalar));
 }
 
-// SIMD wave 2 kernels: the paged page-pointer-walk gather, the fused
-// gather+median (flat and paged, every networked depth), the heap-offer
-// prefilter sweep, and the conflict-serialized AVX-512 scatter. All are
-// documented bit-identical; the inputs deliberately include ±0 cells (where
-// vminps/vmaxps would diverge from std::min/std::max), NaN weights, values
-// exactly at the prefilter floor, and duplicate scatter offsets (where an
-// unserialized scatter would reorder rounding).
-TEST(SimdKernelTest, PagedAndFusedKernelsBitIdenticalToScalar) {
+// The conflict-serialized AVX-512 scatter on a deliberately tiny offset
+// range: many duplicate offsets per 16-lane block, so the serialization (on
+// parts that have AVX-512F+CD) must reproduce the scalar store order
+// exactly, where an unserialized scatter would reorder rounding.
+TEST(SimdKernelTest, PlanScatterBitIdenticalOnDuplicateOffsets) {
   if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
   SimdStateGuard guard;
-  simd::KernelThresholds force;
-  force.gather_min_entries = 1;
-  force.paged_gather_min_entries = 1;
-  force.fused_median_min_keys = 1;
-  force.scatter_min_nnz = 1;
-  force.sweep_min_elems = 1;
-  simd::SetThresholds(force);
-
   std::mt19937 rng(101);
   std::uniform_real_distribution<float> cell(-3.0f, 3.0f);
-  constexpr size_t kCells = 1u << 13;
-  std::vector<float> table(kCells);
-  for (float& c : table) c = cell(rng);
-  for (size_t i = 0; i < kCells; i += 61) table[i] = (i % 2) ? 0.0f : -0.0f;
-
-  // Page the same cells: 512-cell pages, so plans straddle page boundaries.
-  constexpr uint32_t kShift = 9, kMask = (1u << kShift) - 1;
-  std::vector<const float*> pages(kCells >> kShift);
-  for (size_t p = 0; p < pages.size(); ++p) pages[p] = table.data() + (p << kShift);
-
-  for (uint32_t depth = 1; depth <= 7; ++depth) {
-    for (const size_t keys : {1ul, 7ul, 8ul, 40ul, 333ul}) {
-      const size_t n = keys * depth;
-      std::vector<uint32_t> off(n);
-      std::vector<float> sg(n);
-      for (size_t e = 0; e < n; ++e) {
-        off[e] = rng() & (kCells - 1);
-        sg[e] = (rng() & 1) ? 1.0f : -1.0f;
-      }
-      // Scalar references with the kernels forced off the AVX2 path.
-      simd::SetEnabled(false);
-      std::vector<float> flat_ref(n), paged_scalar(n);
-      simd::GatherSigned(table.data(), off.data(), sg.data(), n, flat_ref.data());
-      simd::GatherSignedPaged(pages.data(), kShift, kMask, off.data(), sg.data(), n,
-                              paged_scalar.data());
-      const double factor = 2.2360679774997896;  // √5: an irrational factor rounds
-      std::vector<float> med_ref(keys);
-      simd::GatherMedianFused(table.data(), off.data(), sg.data(), keys, depth, factor,
-                              med_ref.data());
-      // Cross-check the scalar fused median against first principles.
-      for (size_t k = 0; k < keys; ++k) {
-        float est[7];
-        for (uint32_t j = 0; j < depth; ++j) est[j] = flat_ref[k * depth + j];
-        ASSERT_EQ(med_ref[k],
-                  static_cast<float>(factor * static_cast<double>(MedianInPlace(est, depth))))
-            << "depth=" << depth << " k=" << k;
-      }
-      simd::SetEnabled(true);
-      std::vector<float> paged_avx2(n), med_avx2(keys), med_paged(keys);
-      simd::GatherSignedPaged(pages.data(), kShift, kMask, off.data(), sg.data(), n,
-                              paged_avx2.data());
-      simd::GatherMedianFused(table.data(), off.data(), sg.data(), keys, depth, factor,
-                              med_avx2.data());
-      simd::GatherMedianFusedPaged(pages.data(), kShift, kMask, off.data(), sg.data(),
-                                   keys, depth, factor, med_paged.data());
-      ASSERT_EQ(paged_scalar, flat_ref) << "paged view must read the same cells";
-      ASSERT_EQ(paged_avx2, flat_ref) << "depth=" << depth << " keys=" << keys;
-      ASSERT_EQ(med_avx2, med_ref) << "depth=" << depth << " keys=" << keys;
-      ASSERT_EQ(med_paged, med_ref) << "depth=" << depth << " keys=" << keys;
-    }
+  const uint32_t d = 3;
+  const size_t nnz = 64;
+  std::vector<uint32_t> off(nnz * d);
+  std::vector<float> sg(nnz * d), vals(nnz), scratch(nnz);
+  for (size_t e = 0; e < nnz * d; ++e) {
+    off[e] = rng() & 31;
+    sg[e] = (rng() & 1) ? 1.0f : -1.0f;
   }
-
-  // AbsAboveFloor: NaN, ±0, and exact-floor ties must all match scalar.
-  {
-    std::vector<float> v(257);
-    for (float& x : v) x = cell(rng);
-    v[0] = std::nanf("");
-    v[1] = 0.0f;
-    v[2] = -0.0f;
-    const float floor = 1.25f;
-    v[3] = floor;
-    v[4] = -floor;
-    std::vector<float> abs_a(v.size()), abs_b(v.size());
-    std::vector<uint8_t> abv_a(v.size()), abv_b(v.size());
-    simd::SetEnabled(false);
-    simd::AbsAboveFloor(v.data(), v.size(), floor, abs_a.data(), abv_a.data());
-    simd::SetEnabled(true);
-    simd::AbsAboveFloor(v.data(), v.size(), floor, abs_b.data(), abv_b.data());
-    for (size_t i = 0; i < v.size(); ++i) {
-      ASSERT_EQ(std::memcmp(&abs_a[i], &abs_b[i], sizeof(float)), 0) << i;  // NaN-safe
-      ASSERT_EQ(abv_a[i], abv_b[i]) << i;
-    }
-    EXPECT_EQ(abv_a[0], 1u);  // NaN is never rejected by the floor test
-    EXPECT_EQ(abv_a[3], 0u);  // exactly at the floor: rejected, like Offer
-  }
-
-  // PlanScatter on a deliberately tiny offset range: many duplicate offsets
-  // per 16-lane block, so the AVX-512 conflict-serialization (on parts that
-  // have it) must reproduce the scalar store order exactly.
-  {
-    const uint32_t d = 3;
-    const size_t nnz = 64;
-    std::vector<uint32_t> off(nnz * d);
-    std::vector<float> sg(nnz * d), vals(nnz), scratch(nnz);
-    for (size_t e = 0; e < nnz * d; ++e) {
-      off[e] = rng() & 31;
-      sg[e] = (rng() & 1) ? 1.0f : -1.0f;
-    }
-    for (float& x : vals) x = cell(rng);
-    std::vector<float> t_scalar(table.begin(), table.begin() + 32);
-    std::vector<float> t_simd = t_scalar;
-    const simd::PlanView plan{off.data(), sg.data(), nnz, d};
-    simd::SetEnabled(false);
-    simd::PlanScatter(t_scalar.data(), plan, vals.data(), 0.0317, scratch.data());
-    simd::SetEnabled(true);
-    simd::PlanScatter(t_simd.data(), plan, vals.data(), 0.0317, scratch.data());
-    EXPECT_EQ(t_scalar, t_simd);
-  }
-}
-
-// The paged-plan branches of the frozen read models (MarginBatchPaged /
-// EstimateBatchPaged through GatherSignedPaged and the fused paged median)
-// dispatch only where the paged calibration approves — force them on and
-// assert bit-identity against the per-call fused paged loops, for both the
-// fused-median and the gather-to-scratch estimate routes.
-TEST(SimdKernelTest, ForcedPagedReadPlanBranchesMatchFusedReads) {
-  if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  SimdStateGuard guard;
+  for (float& x : vals) x = cell(rng);
+  std::vector<float> t_scalar(32);
+  for (float& c : t_scalar) c = cell(rng);
+  std::vector<float> t_simd = t_scalar;
+  const simd::PlanView plan{off.data(), sg.data(), nnz, d};
+  simd::SetEnabled(false);
+  simd::PlanScatter(t_scalar.data(), plan, vals.data(), 0.0317, scratch.data());
   simd::SetEnabled(true);
-  simd::SetPagedReadPlanDispatched(true);
-
-  const std::vector<Example> stream = MakeStream(1500, 53);
-  SplitMix64 idgen(9);
-  std::vector<uint32_t> ids;
-  for (int i = 0; i < 3000; ++i) {
-    ids.push_back(static_cast<uint32_t>(idgen.Next() % (1 << 14)));
-  }
-  // Round 0 forces the fused gather+median estimate route; round 1 disables
-  // it (fused_median_min_keys = UINT32_MAX) so the paged gather-to-scratch +
-  // sorting-network route runs instead. Both must equal the fused per-call
-  // answers exactly.
-  for (const int round : {0, 1}) {
-    simd::KernelThresholds t;
-    t.gather_min_entries = 1;
-    t.paged_gather_min_entries = 1;
-    t.fused_median_min_keys = round == 0 ? 1 : 0xffffffffu;
-    simd::SetThresholds(t);
-    simd::SetPagedReadPlanDispatched(true);  // SetThresholds settled it; re-force
-    for (const Method m :
-         {Method::kWmSketch, Method::kAwmSketch, Method::kFeatureHashing}) {
-      LearnerBuilder b;
-      b.SetMethod(m).SetSeed(29);
-      if (m == Method::kFeatureHashing) {
-        b.SetWidth(512);
-      } else {
-        b.SetWidth(128).SetDepth(m == Method::kAwmSketch ? 2 : 5).SetHeapCapacity(32);
-      }
-      Learner model = std::move(b.Build()).value();
-      model.UpdateBatch(std::span<const Example>(stream.data(), 1200));
-      const std::unique_ptr<const ReadModel> frozen = model.impl().MakeReadModel();
-
-      std::vector<double> batched(300);
-      frozen->PredictBatch(std::span<const Example>(stream.data() + 1200, 300),
-                           batched.data());
-      for (size_t e = 0; e < 300; ++e) {
-        ASSERT_EQ(batched[e], frozen->PredictMargin(stream[1200 + e].x))
-            << MethodName(m) << " round=" << round << " @" << e;
-      }
-      std::vector<float> estimates(ids.size());
-      frozen->EstimateBatch(ids, estimates.data());
-      for (size_t i = 0; i < ids.size(); ++i) {
-        ASSERT_EQ(estimates[i], frozen->Estimate(ids[i]))
-            << MethodName(m) << " round=" << round << " @" << i;
-      }
-    }
-  }
-}
-
-// The batched heap-offer route (full-plan scatter + fused medians + the
-// AbsAboveFloor prefilter, taken when an example's offsets are pairwise
-// distinct) must leave the WM model byte-identical to the per-feature
-// scatter/offer interleave. Width 4096 × depth 3 passes the birthday guard
-// for SmallTest's nnz ≤ 25, so the batched route genuinely runs here (the
-// occasional colliding example falls back per-feature — also part of the
-// contract under test).
-TEST(SimdKernelTest, BatchedHeapOffersBitIdenticalToInterleaved) {
-  if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  SimdStateGuard guard;
-  simd::KernelThresholds force;
-  force.gather_min_entries = 1;
-  force.paged_gather_min_entries = 1;
-  force.fused_median_min_keys = 1;
-  force.scatter_min_nnz = 1;
-  force.sweep_min_elems = 1;
-  simd::SetThresholds(force);
-
-  const std::vector<Example> stream = MakeStream(2500, 59);
-  LearnerBuilder b;
-  b.SetMethod(Method::kWmSketch).SetSeed(41).SetWidth(4096).SetDepth(3).SetHeapCapacity(24);
-  Learner interleaved = std::move(b.Build()).value();
-  Learner batched = std::move(b.Build()).value();
-
-  simd::SetEnabled(false);  // FusedMedianDispatched == false: per-feature loop
-  std::vector<double> margins_a;
-  interleaved.UpdateBatch(stream, &margins_a);
-  simd::SetEnabled(true);  // distinct-offset examples take the batched route
-  std::vector<double> margins_b;
-  batched.UpdateBatch(stream, &margins_b);
-
-  ASSERT_EQ(margins_a.size(), margins_b.size());
-  for (size_t i = 0; i < margins_a.size(); ++i) {
-    ASSERT_EQ(margins_a[i], margins_b[i]) << "@" << i;
-  }
-  EXPECT_EQ(Serialized(interleaved), Serialized(batched));
-  // The heaps must agree too (Serialized covers the table; TopK pins the
-  // tracked set and its stored weights).
-  const LearnerSnapshot snap_a = interleaved.Snapshot();
-  const LearnerSnapshot snap_b = batched.Snapshot();
-  ASSERT_EQ(snap_a.top_k().size(), snap_b.top_k().size());
-  for (size_t i = 0; i < snap_a.top_k().size(); ++i) {
-    EXPECT_EQ(snap_a.top_k()[i], snap_b.top_k()[i]) << i;
-  }
+  simd::PlanScatter(t_simd.data(), plan, vals.data(), 0.0317, scratch.data());
+  EXPECT_EQ(t_scalar, t_simd);
 }
 
 // End-to-end: a WM/AWM/hash model trained with the AVX2 kernels produces
@@ -569,53 +348,6 @@ TEST(SimdKernelTest, TrainingIsBitIdenticalAcrossKernelPaths) {
     }
     EXPECT_EQ(Serialized(scalar_model), Serialized(simd_model)) << MethodName(m);
   }
-}
-
-// The wide-gather (plan) branches of the batched read paths dispatch only
-// where the calibration measured hardware gathers profitable — which may be
-// nowhere on a given machine. Force them on and assert bit-identity against
-// the per-call loops, so a latent plan-branch bug cannot ship green just
-// because the recording machine routes reads fused.
-TEST(SimdKernelTest, ForcedReadPlanBranchesMatchFusedReads) {
-  if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  SimdStateGuard guard;
-  simd::KernelThresholds t;  // defaults; gather threshold low enough for chunks
-  t.gather_min_entries = 1;
-  simd::SetThresholds(t);
-  simd::SetEnabled(true);
-  simd::SetReadPlanDispatched(true);
-
-  const std::vector<Example> stream = MakeStream(1500, 47);
-  SplitMix64 idgen(3);
-  std::vector<uint32_t> ids;
-  for (int i = 0; i < 3000; ++i) {
-    ids.push_back(static_cast<uint32_t>(idgen.Next() % (1 << 14)));
-  }
-  for (const Method m :
-       {Method::kWmSketch, Method::kAwmSketch, Method::kFeatureHashing}) {
-    LearnerBuilder b;
-    b.SetMethod(m).SetSeed(29);
-    if (m == Method::kFeatureHashing) {
-      b.SetWidth(512);
-    } else {
-      b.SetWidth(128).SetDepth(m == Method::kAwmSketch ? 2 : 5).SetHeapCapacity(32);
-    }
-    Learner model = std::move(b.Build()).value();
-    model.UpdateBatch(std::span<const Example>(stream.data(), 1200));
-
-    std::vector<double> batched;
-    model.PredictBatch(std::span<const Example>(stream.data() + 1200, 300), &batched);
-    for (size_t e = 0; e < 300; ++e) {
-      ASSERT_EQ(batched[e], model.PredictMargin(stream[1200 + e].x))
-          << MethodName(m) << " @" << e;
-    }
-    std::vector<float> estimates;
-    model.EstimateBatch(ids, &estimates);
-    for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(estimates[i], model.WeightEstimate(ids[i])) << MethodName(m) << " @" << i;
-    }
-  }
-  // SimdStateGuard restores thresholds/read-plan/enabled, assert or not.
 }
 
 // ------------------------------------------------------- median networks
@@ -683,36 +415,6 @@ TEST(MedianNetworkTest, MedianLargeBitIdenticalAcrossKernelPaths) {
     ASSERT_EQ(scalar, v[mid]) << "n=" << n;
     ASSERT_EQ(avx2, v[mid]) << "n=" << n;
   }
-}
-
-// Dispatch thresholds are runtime-tunable and never change results: the
-// same gather dispatches scalar below the threshold and AVX2 above it,
-// bit-identically.
-TEST(SimdKernelTest, ThresholdsGateDispatchWithoutChangingResults) {
-  const simd::KernelThresholds before = simd::Thresholds();
-  simd::KernelThresholds t = before;
-  t.gather_min_entries = 1u << 30;  // force scalar
-  simd::SetThresholds(t);
-  EXPECT_EQ(simd::Thresholds().gather_min_entries, 1u << 30);
-
-  const std::vector<SignedBucketHash> rows = MakeRows(5, 256, 3);
-  std::mt19937 rng(7);
-  std::uniform_real_distribution<float> cell(-3.0f, 3.0f);
-  std::vector<float> table(5 * 256);
-  for (float& c : table) c = cell(rng);
-  const SparseVector x = RandomVector(rng, 40, 1 << 14);
-  HashPlan plan;
-  plan.Build(rows, x);
-  const simd::PlanView view = plan.View();
-  std::vector<float> scalar_out(view.entries()), avx2_out(view.entries());
-  simd::GatherSigned(table.data(), view.offsets, view.signs, view.entries(),
-                     scalar_out.data());
-  t.gather_min_entries = 1;  // force AVX2 (when available/enabled)
-  simd::SetThresholds(t);
-  simd::GatherSigned(table.data(), view.offsets, view.signs, view.entries(),
-                     avx2_out.data());
-  simd::SetThresholds(before);
-  EXPECT_EQ(scalar_out, avx2_out);
 }
 
 // ------------------------------------------- single-hash combined ops

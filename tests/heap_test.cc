@@ -464,7 +464,7 @@ TEST(TopKHeapTest, SlotApiMatchesKeyApi) {
     } else if (!by_key.full()) {
       by_key.Set(feature, delta);
       by_slot.Insert(feature, delta);
-    } else if (std::fabs(delta) > by_key.MinPriority()) {
+    } else if (std::fabs(delta) > std::fabs(by_key.Min().weight)) {
       ASSERT_EQ(by_key.PopMin(), by_slot.PopMin());
       by_key.Set(feature, delta);
       by_slot.Insert(feature, delta);

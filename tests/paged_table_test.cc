@@ -5,13 +5,16 @@
 
 #include "util/paged_table.h"
 
-#include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/math.h"
+#include "hash/tabulation.h"
+#include "sketch/read_path.h"
+#include "stream/sparse_vector.h"
+#include "util/random.h"
 #include "util/simd.h"
 
 namespace wmsketch {
@@ -208,14 +211,18 @@ TEST(PagedTableTest, DoubleTableWorksTheSameWay) {
   EXPECT_EQ(s.view().At(299), 2.25);
 }
 
-// Randomized read equivalence: every paged read kernel must see exactly the
-// cells a flat copy of the table holds, bit for bit, for plans that straddle
-// page boundaries — the offsets where the page-pointer walk (pages[off >>
-// shift] + (off & mask)) is easiest to get wrong by one. Runs on both the
-// scalar and (where the CPU has them) AVX2 paths.
+// Randomized read equivalence: the batched paged reads a frozen model serves
+// from (readpath::MarginBatchPaged / EstimateBatchPaged) must answer exactly
+// what the batched flat reads (PlanMarginBatch / GatherMedianBatch) answer
+// on the same cells, bit for bit. Three in four keys hash, in some row, to
+// one of the two cells on either side of a page boundary — the offsets where
+// the page walk (pages[off >> shift] + (off & mask)) is easiest to get wrong
+// by one. ±0 cells make the median networks' min/max choice on signed-zero
+// ties visible. Depths 1–7 take the sorting networks, depth 9 the
+// simd::MedianLarge path. Width 32 puts two rows on a page and leaves the
+// last page partly padded; width 256 splits each row over four pages. Runs
+// on both the scalar and (where the CPU has them) AVX2 paths.
 TEST(PagedTableTest, RandomizedPagedReadsMatchFlatAcrossPageBoundaries) {
-  constexpr size_t kCells = 5000;  // padded tail: last page partly out of range
-  PagedTable t(kCells);
   uint64_t rng = 0x9E3779B97F4A7C15ull;
   auto next = [&rng]() {
     rng += 0x9E3779B97F4A7C15ull;
@@ -224,79 +231,67 @@ TEST(PagedTableTest, RandomizedPagedReadsMatchFlatAcrossPageBoundaries) {
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
   };
-  for (size_t i = 0; i < t.size(); ++i) {
-    // Mixed magnitudes plus ±0 cells: the fused median's compare+blend swaps
-    // must treat signed-zero ties exactly as std::min/std::max do.
-    t.data()[i] = (i % 67 == 0) ? ((i % 134 == 0) ? 0.0f : -0.0f)
-                                : (static_cast<float>(next() % 2048) - 1024.0f) * 0.03125f;
-  }
-  const PageSet<float> snap = t.SharePages();
-  const PagedView<float> view = snap.view();
-  const uint32_t pc = static_cast<uint32_t>(t.page_cells());
-  ASSERT_GE(t.num_pages(), 2u);
-
+  struct Shape {
+    uint32_t width;
+    uint32_t depth;
+  };
   const bool had_simd = simd::Enabled();
-  for (const bool simd_on : {false, true}) {
-    simd::SetEnabled(simd_on);
-    if (simd_on && !simd::Enabled()) continue;  // no AVX2 on this machine
-    for (const uint32_t depth : {1u, 3u, 5u, 7u}) {
-      for (const size_t keys : {size_t{1}, size_t{9}, size_t{64}, size_t{257}}) {
-        const size_t entries = keys * depth;
-        std::vector<uint32_t> offsets(entries);
-        std::vector<float> signs(entries);
-        for (size_t e = 0; e < entries; ++e) {
-          // Three in four entries hug a page boundary (pc-2 .. pc+1 within
-          // some page); the rest land anywhere in the table.
-          if (e % 4 != 0) {
-            const uint32_t page = static_cast<uint32_t>(next() % (t.num_pages() - 1));
-            const uint32_t near = static_cast<uint32_t>(next() % 4);
-            offsets[e] = std::min<uint32_t>(page * pc + (pc - 2) + near,
-                                            static_cast<uint32_t>(kCells - 1));
-          } else {
-            offsets[e] = static_cast<uint32_t>(next() % kCells);
-          }
-          signs[e] = (next() & 1) ? 1.0f : -1.0f;
-        }
+  for (const Shape shape : {Shape{256, 1}, Shape{256, 3}, Shape{256, 5}, Shape{256, 7},
+                            Shape{256, 9}, Shape{32, 3}, Shape{32, 9}}) {
+    SplitMix64 seeds(shape.width * 16 + shape.depth);
+    std::vector<SignedBucketHash> rows;
+    for (uint32_t j = 0; j < shape.depth; ++j) rows.emplace_back(seeds.Next(), shape.width);
+    PagedTable t(static_cast<size_t>(shape.width) * shape.depth);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t.data()[i] = (i % 67 == 0)
+                        ? ((i % 134 == 0) ? 0.0f : -0.0f)
+                        : (static_cast<float>(next() % 2048) - 1024.0f) * 0.03125f;
+    }
+    const PageSet<float> snap = t.SharePages();
+    const PagedView<float> view = snap.view();
+    ASSERT_GE(t.num_pages(), 2u);
 
-        // GatherSignedPaged vs GatherSigned over the flat backing array.
-        std::vector<float> flat(entries), paged(entries);
-        simd::GatherSigned(t.data(), offsets.data(), signs.data(), entries, flat.data());
-        simd::GatherSignedPaged(view.pages, view.shift, view.mask, offsets.data(),
-                                signs.data(), entries, paged.data());
-        ASSERT_EQ(0, std::memcmp(flat.data(), paged.data(), entries * sizeof(float)))
-            << "simd=" << simd_on << " depth=" << depth << " keys=" << keys;
-
-        // Fused paged median vs flat fused median vs first principles.
-        const double factor = 1.0 / 3.0;
-        std::vector<float> med_flat(keys), med_paged(keys);
-        simd::GatherMedianFused(t.data(), offsets.data(), signs.data(), keys, depth,
-                                factor, med_flat.data());
-        simd::GatherMedianFusedPaged(view.pages, view.shift, view.mask, offsets.data(),
-                                     signs.data(), keys, depth, factor, med_paged.data());
-        ASSERT_EQ(0, std::memcmp(med_flat.data(), med_paged.data(), keys * sizeof(float)))
-            << "simd=" << simd_on << " depth=" << depth << " keys=" << keys;
-        for (size_t k = 0; k < keys; ++k) {
-          float lanes[7];
-          for (uint32_t j = 0; j < depth; ++j) lanes[j] = paged[k * depth + j];
-          const float want =
-              static_cast<float>(factor * static_cast<double>(MedianInPlace(lanes, depth)));
-          ASSERT_EQ(0, std::memcmp(&want, &med_paged[k], sizeof(float)))
-              << "simd=" << simd_on << " depth=" << depth << " key=" << k;
-        }
-
-        // PlanMarginPaged vs PlanMargin over the flat backing array.
-        std::vector<float> values(keys), scratch(entries);
-        for (size_t k = 0; k < keys; ++k) {
-          values[k] = (static_cast<float>(next() % 512) - 256.0f) * 0.0625f;
-        }
-        simd::PlanView plan{offsets.data(), signs.data(), keys, depth};
-        const double m_flat =
-            simd::PlanMargin(t.data(), plan, values.data(), scratch.data());
-        const double m_paged = simd::PlanMarginPaged(
-            view.pages, view.shift, view.mask, plan, values.data(), scratch.data());
-        ASSERT_EQ(0, std::memcmp(&m_flat, &m_paged, sizeof(double)))
-            << "simd=" << simd_on << " depth=" << depth << " keys=" << keys;
+    const auto near_boundary = [&](uint32_t key) {
+      for (uint32_t j = 0; j < shape.depth; ++j) {
+        uint32_t bucket;
+        float sign;
+        rows[j].BucketAndSign(key, &bucket, &sign);
+        const uint32_t off = j * shape.width + bucket;
+        const uint32_t in_page = off & view.mask;
+        if (in_page + 2 > view.mask || (in_page < 2 && off >= 2)) return true;
       }
+      return false;
+    };
+    std::vector<uint32_t> keys;
+    while (keys.size() < 257) {
+      const uint32_t key = static_cast<uint32_t>(next() % (1u << 20));
+      if (keys.size() % 4 == 0 || near_boundary(key)) keys.push_back(key);
+    }
+    std::vector<Example> batch;
+    for (size_t k = 0; k < keys.size();) {
+      const size_t nnz = 1 + next() % 12;
+      std::vector<std::pair<uint32_t, float>> pairs;
+      for (; pairs.size() < nnz && k < keys.size(); ++k) {
+        pairs.emplace_back(keys[k], (static_cast<float>(next() % 512) - 256.0f) * 0.0625f);
+      }
+      batch.push_back(Example{std::move(SparseVector::FromUnsorted(pairs)).value(), 1});
+    }
+
+    const double factor = 1.0 / 3.0;
+    for (const bool simd_on : {false, true}) {
+      simd::SetEnabled(simd_on);
+      if (simd_on && !simd::Enabled()) continue;  // no AVX2 on this machine
+      SCOPED_TRACE(::testing::Message() << "width=" << shape.width << " depth="
+                                        << shape.depth << " simd=" << simd_on);
+      std::vector<float> est_flat(keys.size()), est_paged(keys.size());
+      readpath::GatherMedianBatch(t.data(), rows, keys, factor, est_flat.data());
+      readpath::EstimateBatchPaged(view, rows, keys, factor, est_paged.data());
+      ASSERT_EQ(0, std::memcmp(est_flat.data(), est_paged.data(),
+                               keys.size() * sizeof(float)));
+      std::vector<double> m_flat(batch.size()), m_paged(batch.size());
+      readpath::PlanMarginBatch(t.data(), rows, batch, factor, m_flat.data());
+      readpath::MarginBatchPaged(view, rows, batch, factor, m_paged.data());
+      ASSERT_EQ(0, std::memcmp(m_flat.data(), m_paged.data(), batch.size() * sizeof(double)));
     }
   }
   simd::SetEnabled(had_simd);

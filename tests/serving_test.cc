@@ -106,15 +106,24 @@ TEST(BatchReadTest, BatchCallsAppend) {
 // ------------------------------------------------------- frozen ReadModel
 
 // A frozen read model must answer exactly what the live model answered at
-// capture time — and keep answering it after further training.
+// capture time — and keep answering it after further training. WM at depth
+// 9 reads its frozen pages through the rank-selection median
+// (simd::MedianLarge), the other shapes through the sorting networks.
 TEST(ReadModelTest, FrozenAnswersMatchCaptureMoment) {
   const ClassificationProfile profile = ClassificationProfile::SmallTest();
   const std::vector<Example> stream = MakeStream(3000, 11);
   const std::vector<uint32_t> ids = RandomFeatureIds(512, profile.dimension, 6);
-  for (const Method m :
-       {Method::kWmSketch, Method::kAwmSketch, Method::kFeatureHashing}) {
-    Learner model = std::move(ShapeBuilder(m, m == Method::kAwmSketch ? 1 : 3).Build())
-                        .value();
+  struct Case {
+    Method method;
+    uint32_t depth;
+  };
+  const Case cases[] = {{Method::kWmSketch, 3},
+                        {Method::kWmSketch, 9},
+                        {Method::kAwmSketch, 1},
+                        {Method::kFeatureHashing, 0}};
+  for (const Case& c : cases) {
+    Learner model = std::move(ShapeBuilder(c.method, c.depth).Build()).value();
+    SCOPED_TRACE(model.Name() + " d" + std::to_string(c.depth));
     model.UpdateBatch(std::span<const Example>(stream.data(), 1500));
     const std::unique_ptr<const ReadModel> frozen = model.impl().MakeReadModel();
 
