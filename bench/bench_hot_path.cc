@@ -1,6 +1,6 @@
 // Hot-path microbenchmark: single-threaded updates/sec and queries/sec for
 // the WM-Sketch, AWM-Sketch, and feature hashing at the Table 2 best-config
-// shapes, with the AVX2 kernels toggled on and off at runtime so one run
+// shapes, with the AVX2 kernel toggled on and off at runtime so one run
 // reports the scalar-vs-SIMD speedup on this machine.
 //
 //   ./bench_hot_path [--json BENCH_hot_path.json] [--reps N]
@@ -49,11 +49,15 @@ struct HotConfig {
 
 // The Table 2 shape families: WM keeps width at 128–256 and grows depth;
 // AWM pairs a depth-1 sketch with an active set of half the budget; feature
-// hashing spends the whole budget on one row of weights.
+// hashing spends the whole budget on one row of weights. wm_w128_d14 is the
+// budget planner's 8 KB WM shape and the only row whose avx2 and scalar
+// paths run different code: its heap offers take the depth >= 8 median,
+// the one kernel with a vector variant.
 constexpr HotConfig kConfigs[] = {
     {"wm_w256_d3", Method::kWmSketch, 256, 3, 128},
     {"wm_w256_d5", Method::kWmSketch, 256, 5, 128},
     {"wm_w128_d7", Method::kWmSketch, 128, 7, 128},
+    {"wm_w128_d14", Method::kWmSketch, 128, 14, 128},
     {"awm_w256_s256", Method::kAwmSketch, 256, 1, 256},
     {"awm_w512_s512", Method::kAwmSketch, 512, 1, 512},
     {"hash_w4096", Method::kFeatureHashing, 4096, 0, 0},

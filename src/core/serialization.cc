@@ -1,11 +1,7 @@
 #include "core/serialization.h"
 
-#include <algorithm>
-#include <cstring>
-#include <istream>
 #include <ostream>
 #include <span>
-#include <sstream>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -21,24 +17,16 @@ using snapshot::SnapshotReader;
 using snapshot::WriteBytes;
 using snapshot::WriteRaw;
 
-// Version-1 magics: the original flat-table layout (table written as one
-// u64-count + raw-cell array). Still accepted by the loaders.
-constexpr uint32_t kWmMagic = 0x314d5357;    // "WSM1"
-constexpr uint32_t kAwmMagic = 0x314d5741;   // "AWM1"
+// Per-method payload magics. The baselines without a paged table are at
+// version 1; the paged-table methods are at version 2, whose table section
+// carries the writer's page size (see WritePagedTable).
 constexpr uint32_t kTrunMagic = 0x314e5254;  // "TRN1"
 constexpr uint32_t kPtrnMagic = 0x31525450;  // "PTR1"
 constexpr uint32_t kSsfMagic = 0x31465353;   // "SSF1"
 constexpr uint32_t kCmfMagic = 0x31464d43;   // "CMF1"
-constexpr uint32_t kFhsMagic = 0x31534846;   // "FHS1"
-// Version-2 magics for the paged-table methods: the table section gains the
-// writer's page size (u32, diagnostics/forward-compat for page-delta
-// shipping) and is streamed page by page. Cell bytes and order are identical
-// to v1, and restore is layout-independent (any reader page size works), so
-// v2 of a given model state differs from its v1 stream by exactly that one
-// field. Savers emit v2; loaders accept both.
-constexpr uint32_t kWmMagic2 = 0x324d5357;   // "WSM2"
-constexpr uint32_t kAwmMagic2 = 0x324d5741;  // "AWM2"
-constexpr uint32_t kFhsMagic2 = 0x32534846;  // "FHS2"
+constexpr uint32_t kWmMagic = 0x324d5357;    // "WSM2"
+constexpr uint32_t kAwmMagic = 0x324d5741;   // "AWM2"
+constexpr uint32_t kFhsMagic = 0x32534846;   // "FHS2"
 
 // On-wire entry sizes, for bounding declared counts against the stream.
 constexpr size_t kHeapEntryBytes = sizeof(uint32_t) + sizeof(float);
@@ -66,31 +54,27 @@ Status ReadArrayExact(SnapshotReader& in, std::vector<T>* values, size_t expecte
   return Status::OK();
 }
 
-// The v2 table section: logical cell count, the saver's page size, then the
+// The table section: logical cell count, the saver's page size, then the
 // cells in page order. Pages are contiguous slices of the live arena, so
-// page-ordered iteration IS the flat arena order — one write emits exactly
-// the v1 cell bytes, and the recorded page size is what a future
-// page-delta format needs to address them.
+// page-ordered iteration IS the flat arena order — one write emits every
+// cell.
 void WritePagedTable(std::ostream& out, const PagedTable& table) {
   WriteRaw(out, static_cast<uint64_t>(table.size()));
   WriteRaw(out, static_cast<uint32_t>(table.page_cells()));
   WriteBytes(out, table.data(), table.size() * sizeof(float));
 }
 
-// Restores a table section written by WritePagedTable (`paged_layout` true)
-// or by the v1 flat writer (false). Restore is layout-independent: the
-// saver's page size is validated but the cells land in whatever pages the
-// live table uses.
-Status ReadTableInto(SnapshotReader& in, PagedTable* table, bool paged_layout) {
+// Restores a table section written by WritePagedTable. Restore is
+// layout-independent: the saver's page size is validated but the cells land
+// in whatever pages the live table uses.
+Status ReadTableInto(SnapshotReader& in, PagedTable* table) {
   uint64_t cells = 0;
   if (!in.ReadRaw(&cells)) return Status::Corruption("truncated table header");
   if (cells != table->size()) return Status::Corruption("table size mismatch");
-  if (paged_layout) {
-    uint32_t page_cells = 0;
-    if (!in.ReadRaw(&page_cells)) return Status::Corruption("truncated page header");
-    if (page_cells == 0 || (page_cells & (page_cells - 1)) != 0) {
-      return Status::Corruption("invalid page size");
-    }
+  uint32_t page_cells = 0;
+  if (!in.ReadRaw(&page_cells)) return Status::Corruption("truncated page header");
+  if (page_cells == 0 || (page_cells & (page_cells - 1)) != 0) {
+    return Status::Corruption("invalid page size");
   }
   if (!in.CanRead(cells, sizeof(float))) {
     return Status::Corruption("table exceeds stream size");
@@ -108,13 +92,6 @@ Status ReadTableInto(SnapshotReader& in, PagedTable* table, bool paged_layout) {
 // absolute sanity cap before the allocation happens.
 bool CapacityPlausible(uint64_t capacity) {
   return capacity <= snapshot::kMaxDeclaredCapacity;
-}
-
-// Wraps a serialized payload in the checksummed envelope.
-Status SaveEnveloped(Status payload_status, std::ostringstream&& payload,
-                     std::ostream& out) {
-  WMS_RETURN_NOT_OK(payload_status);
-  return snapshot::WriteEnveloped(out, std::move(payload).str());
 }
 
 }  // namespace
@@ -149,7 +126,7 @@ Status ReadHeapEntries(SnapshotReader& in, size_t capacity,
 // ------------------------------------------------------------ WM-Sketch
 
 Status SaveWmSketchPayload(const WmSketch& sketch, std::ostream& out) {
-  WriteRaw(out, kWmMagic2);
+  WriteRaw(out, kWmMagic);
   WriteRaw(out, sketch.config_.width);
   WriteRaw(out, sketch.config_.depth);
   WriteRaw(out, static_cast<uint64_t>(sketch.config_.heap_capacity));
@@ -168,9 +145,7 @@ Status SaveWmSketchPayload(const WmSketch& sketch, std::ostream& out) {
 Result<WmSketch> LoadWmSketchPayload(SnapshotReader& in, const LearnerOptions& opts) {
   uint32_t magic;
   if (!in.ReadRaw(&magic)) return Status::Corruption("truncated header");
-  if (magic != kWmMagic && magic != kWmMagic2) {
-    return Status::Corruption("not a WM-Sketch snapshot");
-  }
+  if (magic != kWmMagic) return Status::Corruption("not a WM-Sketch snapshot");
   WmSketchConfig config;
   uint64_t heap_capacity;
   LearnerOptions restored = opts;
@@ -194,7 +169,7 @@ Result<WmSketch> LoadWmSketchPayload(SnapshotReader& in, const LearnerOptions& o
   if (!in.ReadRaw(&sketch.t_) || !in.ReadRaw(&sketch.scale_)) {
     return Status::Corruption("truncated state");
   }
-  WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_, magic == kWmMagic2));
+  WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_));
   std::vector<FeatureWeight> heap;
   WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.heap_.capacity(), &heap));
   sketch.heap_.Assign(heap);
@@ -204,7 +179,7 @@ Result<WmSketch> LoadWmSketchPayload(SnapshotReader& in, const LearnerOptions& o
 // ----------------------------------------------------------- AWM-Sketch
 
 Status SaveAwmSketchPayload(const AwmSketch& sketch, std::ostream& out) {
-  WriteRaw(out, kAwmMagic2);
+  WriteRaw(out, kAwmMagic);
   WriteRaw(out, sketch.config_.width);
   WriteRaw(out, sketch.config_.depth);
   WriteRaw(out, static_cast<uint64_t>(sketch.config_.heap_capacity));
@@ -224,9 +199,7 @@ Status SaveAwmSketchPayload(const AwmSketch& sketch, std::ostream& out) {
 Result<AwmSketch> LoadAwmSketchPayload(SnapshotReader& in, const LearnerOptions& opts) {
   uint32_t magic;
   if (!in.ReadRaw(&magic)) return Status::Corruption("truncated header");
-  if (magic != kAwmMagic && magic != kAwmMagic2) {
-    return Status::Corruption("not an AWM-Sketch snapshot");
-  }
+  if (magic != kAwmMagic) return Status::Corruption("not an AWM-Sketch snapshot");
   AwmSketchConfig config;
   uint64_t heap_capacity;
   LearnerOptions restored = opts;
@@ -249,7 +222,7 @@ Result<AwmSketch> LoadAwmSketchPayload(SnapshotReader& in, const LearnerOptions&
       !in.ReadRaw(&sketch.heap_scale_)) {
     return Status::Corruption("truncated state");
   }
-  WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_, magic == kAwmMagic2));
+  WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_));
   std::vector<FeatureWeight> heap;
   WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.heap_.capacity(), &heap));
   sketch.heap_.Assign(heap);
@@ -510,7 +483,7 @@ Result<CountMinFrequent> LoadCountMinFrequentPayload(SnapshotReader& in,
 }
 
 Status SaveFeatureHashingPayload(const FeatureHashingClassifier& model, std::ostream& out) {
-  WriteRaw(out, kFhsMagic2);
+  WriteRaw(out, kFhsMagic);
   WriteRaw(out, model.buckets());
   WriteRaw(out, model.opts_.lambda);
   WriteRaw(out, model.opts_.seed);
@@ -526,9 +499,7 @@ Result<FeatureHashingClassifier> LoadFeatureHashingPayload(SnapshotReader& in,
                                                            const LearnerOptions& opts) {
   uint32_t magic;
   if (!in.ReadRaw(&magic)) return Status::Corruption("truncated header");
-  if (magic != kFhsMagic && magic != kFhsMagic2) {
-    return Status::Corruption("not a feature-hashing snapshot");
-  }
+  if (magic != kFhsMagic) return Status::Corruption("not a feature-hashing snapshot");
   uint32_t buckets;
   LearnerOptions restored = opts;
   if (!in.ReadRaw(&buckets) || !in.ReadRaw(&restored.lambda) ||
@@ -543,99 +514,10 @@ Result<FeatureHashingClassifier> LoadFeatureHashingPayload(SnapshotReader& in,
   if (!in.ReadRaw(&model.t_) || !in.ReadRaw(&model.scale_)) {
     return Status::Corruption("truncated state");
   }
-  WMS_RETURN_NOT_OK(ReadTableInto(in, &model.table_, magic == kFhsMagic2));
+  WMS_RETURN_NOT_OK(ReadTableInto(in, &model.table_));
   return model;
 }
 
 }  // namespace detail
-
-// ---------------------------------------------------- enveloped wrappers
-
-Status SaveWmSketch(const WmSketch& sketch, std::ostream& out) {
-  std::ostringstream payload(std::ios::binary);
-  return SaveEnveloped(detail::SaveWmSketchPayload(sketch, payload),
-                       std::move(payload), out);
-}
-
-Result<WmSketch> LoadWmSketch(std::istream& in, const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
-  return detail::LoadWmSketchPayload(reader, opts);
-}
-
-Status SaveAwmSketch(const AwmSketch& sketch, std::ostream& out) {
-  std::ostringstream payload(std::ios::binary);
-  return SaveEnveloped(detail::SaveAwmSketchPayload(sketch, payload),
-                       std::move(payload), out);
-}
-
-Result<AwmSketch> LoadAwmSketch(std::istream& in, const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
-  return detail::LoadAwmSketchPayload(reader, opts);
-}
-
-Status SaveSimpleTruncation(const SimpleTruncation& model, std::ostream& out) {
-  std::ostringstream payload(std::ios::binary);
-  return SaveEnveloped(detail::SaveSimpleTruncationPayload(model, payload),
-                       std::move(payload), out);
-}
-
-Result<SimpleTruncation> LoadSimpleTruncation(std::istream& in, const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
-  return detail::LoadSimpleTruncationPayload(reader, opts);
-}
-
-Status SaveProbabilisticTruncation(const ProbabilisticTruncation& model, std::ostream& out) {
-  std::ostringstream payload(std::ios::binary);
-  return SaveEnveloped(detail::SaveProbabilisticTruncationPayload(model, payload),
-                       std::move(payload), out);
-}
-
-Result<ProbabilisticTruncation> LoadProbabilisticTruncation(std::istream& in,
-                                                            const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
-  return detail::LoadProbabilisticTruncationPayload(reader, opts);
-}
-
-Status SaveSpaceSavingFrequent(const SpaceSavingFrequent& model, std::ostream& out) {
-  std::ostringstream payload(std::ios::binary);
-  return SaveEnveloped(detail::SaveSpaceSavingFrequentPayload(model, payload),
-                       std::move(payload), out);
-}
-
-Result<SpaceSavingFrequent> LoadSpaceSavingFrequent(std::istream& in,
-                                                    const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
-  return detail::LoadSpaceSavingFrequentPayload(reader, opts);
-}
-
-Status SaveCountMinFrequent(const CountMinFrequent& model, std::ostream& out) {
-  std::ostringstream payload(std::ios::binary);
-  return SaveEnveloped(detail::SaveCountMinFrequentPayload(model, payload),
-                       std::move(payload), out);
-}
-
-Result<CountMinFrequent> LoadCountMinFrequent(std::istream& in, const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
-  return detail::LoadCountMinFrequentPayload(reader, opts);
-}
-
-Status SaveFeatureHashing(const FeatureHashingClassifier& model, std::ostream& out) {
-  std::ostringstream payload(std::ios::binary);
-  return SaveEnveloped(detail::SaveFeatureHashingPayload(model, payload),
-                       std::move(payload), out);
-}
-
-Result<FeatureHashingClassifier> LoadFeatureHashing(std::istream& in,
-                                                    const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
-  return detail::LoadFeatureHashingPayload(reader, opts);
-}
 
 }  // namespace wmsketch

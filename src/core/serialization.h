@@ -12,78 +12,38 @@
 
 namespace wmsketch {
 
-/// Binary snapshot serialization for the sketched classifiers.
+/// Binary snapshot payloads for every method.
 ///
 /// A deployed sketch must survive process restarts and be shippable from an
-/// edge device to an aggregation point, so both sketches support compact
-/// binary snapshots. Hash functions are derived deterministically from the
-/// stored seed, so a snapshot is just: header, configuration, learner
-/// scalars (λ, schedule, seed, step count), the raw table(s) with their lazy
-/// scales, and the active-set/heap entries.
+/// edge device to an aggregation point. Hash functions are derived
+/// deterministically from the stored seed, so a payload is just: method
+/// magic, configuration, learner scalars (λ, seed, step count), the raw
+/// table(s) with their lazy scales, and the active-set/heap entries.
 ///
-/// Every Save* stream is wrapped in the checksummed envelope of
+/// The payloads have one public format: SaveLearner/SaveClassifier and
+/// LoadLearner (src/api/learner.h) put a facade header with the method tag
+/// in front of a payload and wrap both in the checksummed envelope of
 /// core/snapshot_io.h (magic, version, payload length, CRC32C), so a
 /// truncated or bit-flipped snapshot is detected before any state is
-/// parsed. Load* sniffs the leading magic and still accepts the v1/v2
-/// unwrapped streams written before the envelope existed; either way every
-/// declared size is validated against the remaining stream bytes *before*
-/// the corresponding allocation.
+/// parsed. Every declared size is still validated against the remaining
+/// payload bytes *before* the corresponding allocation.
 ///
 /// The loss function is *not* serialized (it may be an arbitrary user type);
 /// the caller supplies LearnerOptions whose loss/rate are used for the
 /// restored model, while λ and seed are restored from the snapshot and
 /// override the passed values. Snapshots are independent of host endianness
 /// only across same-endian machines (little-endian assumed, as on all
-/// supported targets).
-
-/// Writes a snapshot of `sketch` to `out`. Returns IOError on stream failure.
-Status SaveWmSketch(const WmSketch& sketch, std::ostream& out);
-
-/// Restores a WM-Sketch from `in`. `opts.loss` and `opts.rate` are adopted;
-/// λ, seed, and all state come from the snapshot. Returns Corruption for
-/// malformed input.
-Result<WmSketch> LoadWmSketch(std::istream& in, const LearnerOptions& opts);
-
-/// Writes a snapshot of `sketch` to `out`.
-Status SaveAwmSketch(const AwmSketch& sketch, std::ostream& out);
-
-/// Restores an AWM-Sketch from `in` (conventions as LoadWmSketch).
-Result<AwmSketch> LoadAwmSketch(std::istream& in, const LearnerOptions& opts);
-
-/// Snapshots for the Sec. 7 baseline classifiers, with the same conventions
-/// as the sketches: λ and seed are restored from the snapshot; loss and
-/// learning-rate schedule come from the caller's options. These exist so the
-/// facade-level SaveLearner/LoadLearner (src/api/learner.h) covers *every*
-/// Method, not just the sketches.
-
-Status SaveSimpleTruncation(const SimpleTruncation& model, std::ostream& out);
-Result<SimpleTruncation> LoadSimpleTruncation(std::istream& in, const LearnerOptions& opts);
-
-/// Note: the reservoir RNG is re-derived from the restored seed rather than
-/// resumed mid-sequence, so post-restore *evictions* draw a fresh random
-/// stream; all weights, keys, and predictions round-trip exactly.
-Status SaveProbabilisticTruncation(const ProbabilisticTruncation& model, std::ostream& out);
-Result<ProbabilisticTruncation> LoadProbabilisticTruncation(std::istream& in,
-                                                            const LearnerOptions& opts);
-
-Status SaveSpaceSavingFrequent(const SpaceSavingFrequent& model, std::ostream& out);
-Result<SpaceSavingFrequent> LoadSpaceSavingFrequent(std::istream& in,
-                                                    const LearnerOptions& opts);
-
-Status SaveCountMinFrequent(const CountMinFrequent& model, std::ostream& out);
-Result<CountMinFrequent> LoadCountMinFrequent(std::istream& in, const LearnerOptions& opts);
-
-Status SaveFeatureHashing(const FeatureHashingClassifier& model, std::ostream& out);
-Result<FeatureHashingClassifier> LoadFeatureHashing(std::istream& in,
-                                                    const LearnerOptions& opts);
+/// supported targets). ProbabilisticTruncation's reservoir RNG is re-derived
+/// from the restored seed rather than resumed mid-sequence, so post-restore
+/// *evictions* draw a fresh random stream; all weights, keys, and
+/// predictions round-trip exactly.
 
 namespace detail {
 
 /// Payload-level savers/loaders: the raw per-method stream (method magic
-/// included) with no envelope. SaveLearner composes these under a single
+/// included) with no envelope. SaveClassifier composes these under a single
 /// facade header + envelope so the checksum covers the whole stream exactly
-/// once; the public per-method Save*/Load* wrap/unwrap the same payloads.
-/// Loaders accept both the v1 flat and v2 paged table layouts.
+/// once.
 
 Status SaveWmSketchPayload(const WmSketch& sketch, std::ostream& out);
 Result<WmSketch> LoadWmSketchPayload(snapshot::SnapshotReader& in,

@@ -76,56 +76,27 @@ Status SectionGuard(std::ostream& out, const char* snapshot_kind, const char* se
   return Status::OK();
 }
 
-SnapshotReader::SnapshotReader(std::string_view bytes)
-    : mem_(bytes), remaining_known_(true), remaining_(bytes.size()) {}
-
-SnapshotReader::SnapshotReader(std::istream& in, std::string_view pushback)
-    : in_(&in), pushback_(pushback) {
-  if (const std::optional<uint64_t> left = ProbeRemaining(in)) {
-    remaining_known_ = true;
-    remaining_ = *left + pushback_.size();
-  }
-}
+SnapshotReader::SnapshotReader(std::string_view bytes) : mem_(bytes) {}
 
 bool SnapshotReader::ReadExactRaw(char* dst, size_t n) {
-  if (in_ == nullptr) {
-    if (mem_.size() - mem_pos_ < n) {
-      mem_pos_ = mem_.size();
-      remaining_ = 0;
-      return false;
-    }
-    // An empty section (a heap of 0 entries) may pass a null `dst`, and
-    // memcpy with a null pointer is undefined even for 0 bytes.
-    if (n > 0) std::memcpy(dst, mem_.data() + mem_pos_, n);
-    mem_pos_ += n;
-    remaining_ -= n;
-    return true;
+  if (remaining() < n) {
+    pos_ = mem_.size();
+    return false;
   }
-  size_t served = 0;
-  while (served < n && pushback_pos_ < pushback_.size()) {
-    dst[served++] = pushback_[pushback_pos_++];
-  }
-  if (served < n) {
-    in_->read(dst + served, static_cast<std::streamsize>(n - served));
-    if (!*in_) {
-      remaining_ = 0;
-      return false;
-    }
-  }
-  if (remaining_known_) remaining_ -= std::min<uint64_t>(remaining_, n);
+  // An empty section (a heap of 0 entries) may pass a null `dst`, and
+  // memcpy with a null pointer is undefined even for 0 bytes.
+  if (n > 0) std::memcpy(dst, mem_.data() + pos_, n);
+  pos_ += n;
   return true;
 }
 
 bool SnapshotReader::ReadView(size_t n, std::string_view* view) {
-  if (in_ != nullptr) return false;
-  if (mem_.size() - mem_pos_ < n) {
-    mem_pos_ = mem_.size();
-    remaining_ = 0;
+  if (remaining() < n) {
+    pos_ = mem_.size();
     return false;
   }
-  *view = mem_.substr(mem_pos_, n);
-  mem_pos_ += n;
-  remaining_ -= n;
+  *view = mem_.substr(pos_, n);
+  pos_ += n;
   return true;
 }
 
@@ -135,10 +106,7 @@ Result<SnapshotReader> OpenSnapshot(std::istream& in, std::string* payload_stora
   if (!in) return Status::Corruption("truncated snapshot header");
   uint32_t magic;
   std::memcpy(&magic, head, sizeof(magic));
-  if (magic != kEnvelopeMagic) {
-    // v1/v2 unwrapped snapshot: hand the sniffed magic back to the loader.
-    return SnapshotReader(in, std::string_view(head, sizeof(head)));
-  }
+  if (magic != kEnvelopeMagic) return Status::Corruption("not an enveloped snapshot");
 
   char header[16];
   std::memcpy(header, head, sizeof(head));

@@ -20,13 +20,12 @@ namespace wmsketch::snapshot {
 ///        4     4  envelope version (3)
 ///        8     8  payload length in bytes
 ///       16     4  CRC32C over header[0..16) + payload
-///       20     -  payload: the v1/v2 snapshot stream (method or facade
-///                 header included), unchanged
+///       20     -  payload: the facade header and the method payload
 ///
-/// Loaders sniff the leading magic: enveloped streams get their declared
-/// length validated against the *actual* stream size and their checksum
-/// verified before any model state is parsed; v1/v2 unwrapped streams (the
-/// pre-envelope formats) parse directly, so old snapshots keep loading.
+/// The envelope is the only snapshot format loaders accept: its declared
+/// length is validated against the *actual* stream size and its checksum
+/// verified before any model state is parsed, so every loader check runs on
+/// bytes the writer produced or a CRC-valid forgery of them.
 ///
 /// All raw stream I/O in the serialization paths lives here — the
 /// `checked-io` lint rule (tools/lint/wms_lint.py) forbids naked
@@ -44,12 +43,6 @@ inline constexpr size_t kEnvelopeHeaderBytes = 20;
 /// from turning into a multi-gigabyte allocation. 2^24 entries is orders of
 /// magnitude beyond any budgeted configuration (budgets are KBs to MBs).
 inline constexpr uint64_t kMaxDeclaredCapacity = uint64_t{1} << 24;
-
-/// Fallback bound for stream-backed data when the stream cannot report its
-/// size (unseekable legacy input): a declared array larger than this is
-/// rejected rather than allocated. Enveloped snapshots never hit this —
-/// their payload is fully length- and CRC-validated in memory.
-inline constexpr uint64_t kUnseekableStreamBound = uint64_t{1} << 31;
 
 /// Writes `value`'s object representation to `out`.
 template <typename T>
@@ -87,22 +80,14 @@ Status WriteEnveloped(std::ostream& out, std::string_view payload);
 /// site "save:section" forces the failure.
 Status SectionGuard(std::ostream& out, const char* snapshot_kind, const char* section);
 
-/// The single parsing surface for snapshot loaders: serves bytes either
-/// from a verified in-memory envelope payload (remaining() exact) or from a
-/// legacy stream (remaining() probed via seek when the stream supports it),
-/// and answers CanRead() so loaders bound declared sizes *before*
+/// The single parsing surface for snapshot and frame loaders: serves bytes
+/// from an in-memory buffer (a verified envelope payload or a received
+/// frame) and answers CanRead() so loaders bound declared sizes *before*
 /// allocating.
 class SnapshotReader {
  public:
-  /// Memory-backed reader over a verified envelope payload.
+  /// Reader over `bytes`, which must outlive it.
   explicit SnapshotReader(std::string_view bytes);
-
-  /// Stream-backed reader for legacy unwrapped snapshots. `pushback` (the
-  /// sniffed magic) is re-served before stream bytes.
-  SnapshotReader(std::istream& in, std::string_view pushback);
-
-  SnapshotReader(SnapshotReader&&) noexcept = default;
-  SnapshotReader& operator=(SnapshotReader&&) noexcept = default;
 
   /// Reads sizeof(T) bytes into `*value`; false on truncation.
   template <typename T>
@@ -114,42 +99,31 @@ class SnapshotReader {
   bool ReadExactRaw(char* dst, size_t n);
 
   /// Consumes the next `n` bytes and points `*view` at them in place, with
-  /// no copy. Memory-backed readers only: false on truncation and always
-  /// for a stream-backed reader.
+  /// no copy; false on truncation.
   bool ReadView(size_t n, std::string_view* view);
 
-  /// True when the byte count left in the source is known exactly.
-  bool remaining_known() const { return remaining_known_; }
-  /// Bytes left (meaningful only when remaining_known()).
-  uint64_t remaining() const { return remaining_; }
+  /// Bytes left.
+  uint64_t remaining() const { return mem_.size() - pos_; }
 
-  /// True when `count` elements of `elem_size` bytes may still follow:
-  /// bounded by remaining() when known, by kUnseekableStreamBound
-  /// otherwise. The pre-allocation guard every loader must pass before
-  /// resizing to a declared size.
+  /// True when `count` elements of `elem_size` bytes may still follow. The
+  /// pre-allocation guard every loader must pass before resizing to a
+  /// declared size.
   bool CanRead(uint64_t count, size_t elem_size) const {
-    const uint64_t bound = remaining_known_ ? remaining_ : kUnseekableStreamBound;
-    return elem_size == 0 || count <= bound / elem_size;
+    return elem_size == 0 || count <= remaining() / elem_size;
   }
 
  private:
-  std::istream* in_ = nullptr;
-  std::string pushback_;
-  size_t pushback_pos_ = 0;
   std::string_view mem_;
-  size_t mem_pos_ = 0;
-  bool remaining_known_ = false;
-  uint64_t remaining_ = 0;
+  size_t pos_ = 0;
 };
 
-/// Sniffs `in` and returns a reader over the snapshot bytes. Enveloped
-/// input: validates version, bounds the declared payload length against the
-/// actual stream size before allocating (a header claiming 2^60 bytes is
-/// Corruption, not OOM), reads the payload into `*payload_storage` in
-/// bounded chunks, and verifies the CRC32C — the returned reader serves the
-/// verified payload, which must not outlive `*payload_storage`. Legacy
-/// v1/v2 input: returns a stream-backed reader with the sniffed magic
-/// pushed back.
+/// Reads one enveloped snapshot from `in` and returns a reader over its
+/// payload: validates magic and version, bounds the declared payload length
+/// against the actual stream size before allocating (a header claiming
+/// 2^60 bytes is Corruption, not OOM), reads the payload into
+/// `*payload_storage` in bounded chunks, and verifies the CRC32C. The
+/// returned reader must not outlive `*payload_storage`. Input that does not
+/// start with the envelope magic is Corruption.
 Result<SnapshotReader> OpenSnapshot(std::istream& in, std::string* payload_storage);
 
 }  // namespace wmsketch::snapshot

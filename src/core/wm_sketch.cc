@@ -107,10 +107,8 @@ std::unique_ptr<const ReadModel> WmSketch::MakeReadModel() const {
                                        sqrt_depth_ * scale_);
 }
 
-double WmSketch::MarginFromPlan(const simd::PlanView& plan, const SparseVector& x,
-                                float* scratch) const {
-  return scale_ / sqrt_depth_ *
-         simd::PlanMargin(table_.data(), plan, x.values().data(), scratch);
+double WmSketch::MarginFromPlan(const simd::PlanView& plan, const SparseVector& x) const {
+  return scale_ / sqrt_depth_ * simd::PlanMargin(table_.data(), plan, x.values().data());
 }
 
 double WmSketch::Update(const SparseVector& x, int8_t y) {
@@ -118,12 +116,12 @@ double WmSketch::Update(const SparseVector& x, int8_t y) {
   // margin, the gradient scatter, and the heap offers below.
   HashPlan& plan = TlsPlan();
   plan.Build(rows_, x);
-  return UpdateWithPlan(x, y, plan.View(), plan.scratch());
+  return UpdateWithPlan(x, y, plan.View());
 }
 
 double WmSketch::UpdateWithPlan(const SparseVector& x, int8_t y,
-                                const simd::PlanView& plan, float* scratch) {
-  const double margin = MarginFromPlan(plan, x, scratch);
+                                const simd::PlanView& plan) {
+  const double margin = MarginFromPlan(plan, x);
   ++t_;
   const double eta = opts_.rate.Rate(t_);
   const double g = opts_.loss->Derivative(static_cast<double>(y) * margin);
@@ -156,7 +154,7 @@ double WmSketch::UpdateWithPlan(const SparseVector& x, int8_t y,
       heap_.Offer(x.index(i), RawMedianFromPlan(plan, i));
     }
   } else {
-    simd::PlanScatter(table_.data(), plan, x.values().data(), step, scratch);
+    simd::PlanScatter(table_.data(), plan, x.values().data(), step);
   }
   MaybeRescale();
   return margin;
@@ -171,8 +169,7 @@ void WmSketch::UpdateBatch(std::span<const Example> batch, std::vector<double>* 
   arena.Build(rows_, batch);
   for (size_t e = 0; e < batch.size(); ++e) {
     if (e + 1 < batch.size()) arena.PrefetchTable(table_.data(), e + 1);
-    const double margin =
-        UpdateWithPlan(batch[e].x, batch[e].y, arena.View(e), arena.scratch());
+    const double margin = UpdateWithPlan(batch[e].x, batch[e].y, arena.View(e));
     if (margins != nullptr) margins->push_back(margin);
   }
 }

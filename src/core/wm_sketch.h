@@ -131,12 +131,10 @@ class WmSketch final : public BudgetedClassifier {
   float RawMedian(uint32_t feature) const;
   /// RawMedian for feature slot `i` of a plan (no re-hash).
   float RawMedianFromPlan(const simd::PlanView& plan, size_t i) const;
-  /// The margin τ from a prebuilt plan; `scratch` holds plan.entries() floats.
-  double MarginFromPlan(const simd::PlanView& plan, const SparseVector& x,
-                        float* scratch) const;
+  /// The margin τ from a prebuilt plan.
+  double MarginFromPlan(const simd::PlanView& plan, const SparseVector& x) const;
   /// The Update body once the plan exists (shared by Update and UpdateBatch).
-  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan,
-                        float* scratch);
+  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan);
   void MaybeRescale();
 
   float* Row(uint32_t j) { return table_.data() + static_cast<size_t>(j) * config_.width; }

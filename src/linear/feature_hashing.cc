@@ -96,21 +96,19 @@ std::unique_ptr<const ReadModel> FeatureHashingClassifier::MakeReadModel() const
 double FeatureHashingClassifier::Update(const SparseVector& x, int8_t y) {
   HashPlan& plan = TlsPlan();
   plan.Build(std::span<const SignedBucketHash>(&hash_, 1), x);
-  return UpdateWithPlan(x, y, plan.View(), plan.scratch());
+  return UpdateWithPlan(x, y, plan.View());
 }
 
 double FeatureHashingClassifier::UpdateWithPlan(const SparseVector& x, int8_t y,
-                                                const simd::PlanView& plan,
-                                                float* scratch) {
-  const double margin =
-      scale_ * simd::PlanMargin(table_.data(), plan, x.values().data(), scratch);
+                                                const simd::PlanView& plan) {
+  const double margin = scale_ * simd::PlanMargin(table_.data(), plan, x.values().data());
   ++t_;
   const double eta = opts_.rate.Rate(t_);
   const double g = opts_.loss->Derivative(static_cast<double>(y) * margin);
   if (opts_.lambda > 0.0) scale_ *= (1.0 - eta * opts_.lambda);
   const double step = eta * static_cast<double>(y) * g / scale_;
   table_.MarkPlanDirty(plan.offsets, plan.entries());
-  simd::PlanScatter(table_.data(), plan, x.values().data(), step, scratch);
+  simd::PlanScatter(table_.data(), plan, x.values().data(), step);
   MaybeRescale();
   return margin;
 }
@@ -122,8 +120,7 @@ void FeatureHashingClassifier::UpdateBatch(std::span<const Example> batch, std::
   arena.Build(std::span<const SignedBucketHash>(&hash_, 1), batch);
   for (size_t e = 0; e < batch.size(); ++e) {
     if (e + 1 < batch.size()) arena.PrefetchTable(table_.data(), e + 1);
-    const double margin =
-        UpdateWithPlan(batch[e].x, batch[e].y, arena.View(e), arena.scratch());
+    const double margin = UpdateWithPlan(batch[e].x, batch[e].y, arena.View(e));
     if (margins != nullptr) margins->push_back(margin);
   }
 }

@@ -75,8 +75,7 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
       snapshot::SnapshotReader&, const LearnerOptions&);
 
   /// The Update body once the plan exists (shared by Update and UpdateBatch).
-  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan,
-                        float* scratch);
+  double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan);
   void MaybeRescale();
 
   LearnerOptions opts_;

@@ -2,17 +2,6 @@
 
 namespace wmsketch {
 
-float* HashPlan::scratch() const {
-  const size_t need = nnz_ * depth_;
-  if (scratch_.size() < need) scratch_.resize(need);
-  return scratch_.data();
-}
-
-float* HashPlanArena::scratch() const {
-  if (scratch_.size() < max_entries_) scratch_.resize(max_entries_);
-  return scratch_.data();
-}
-
 HashPlan& TlsPlan() {
   static thread_local HashPlan plan;
   return plan;

@@ -124,15 +124,10 @@ class HashPlan {
   size_t nnz() const { return nnz_; }
   uint32_t depth() const { return depth_; }
 
-  /// Kernel scratch of nnz·depth floats, grown on demand (mutable: scratch
-  /// never carries state across calls).
-  float* scratch() const;
-
  private:
   std::vector<uint32_t> offsets_;
   std::vector<float> signs_;
   std::vector<uint8_t> active_;  // lazy plans: one MarkActive flag per slot
-  mutable std::vector<float> scratch_;
   size_t nnz_ = 0;
   uint32_t depth_ = 1;
 };
@@ -150,7 +145,6 @@ class HashPlanArena {
     signs_.clear();
     starts_.clear();
     starts_.reserve(batch.size() + 1);
-    max_entries_ = 0;
     size_t total = 0;
     for (const Example& ex : batch) total += ex.x.nnz() * depth_;
     offsets_.reserve(total);
@@ -158,8 +152,6 @@ class HashPlanArena {
     for (const Example& ex : batch) {
       starts_.push_back(offsets_.size());
       detail::AppendPlanEntries(rows, ex.x, offsets_, signs_);
-      const size_t entries = offsets_.size() - starts_.back();
-      if (entries > max_entries_) max_entries_ = entries;
     }
     starts_.push_back(offsets_.size());
   }
@@ -184,15 +176,10 @@ class HashPlanArena {
     }
   }
 
-  /// Kernel scratch sized for the largest example in the arena.
-  float* scratch() const;
-
  private:
   std::vector<uint32_t> offsets_;
   std::vector<float> signs_;
   std::vector<size_t> starts_;
-  mutable std::vector<float> scratch_;
-  size_t max_entries_ = 0;
   uint32_t depth_ = 1;
 };
 

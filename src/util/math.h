@@ -49,12 +49,11 @@ inline void CSwap(float& a, float& b) {
 }  // namespace detail
 
 /// Median of a small fixed buffer (the per-query path for depth-s sketches);
-/// `n` must be >= 1 and the buffer is reordered. Depths 1–7 — every depth
-/// the paper's configurations use — run an optimal sorting network instead
-/// of std::nth_element: the per-feature heap offer in the update loop calls
-/// this once per nonzero, and the nth_element call overhead dominated the
-/// work at these sizes. Returns the same order statistic (lower-middle
-/// element) on every path.
+/// `n` must be >= 1 and the buffer is reordered. Depths 1–7 run an optimal
+/// sorting network instead of std::nth_element: the per-feature heap offer
+/// in the update loop calls this once per nonzero, and the nth_element call
+/// overhead dominated the work at these sizes. Returns the same order
+/// statistic (lower-middle element) on every path.
 inline float MedianInPlace(float* v, size_t n) {
   using detail::CSwap;
   switch (n) {
@@ -114,9 +113,10 @@ inline float MedianInPlace(float* v, size_t n) {
       CSwap(v[2], v[3]);
       return v[3];
     default:
-      // Depth >= 8: rank-counting AVX2 selection when dispatched, with an
-      // nth_element scalar fallback — bit-identical order statistic either
-      // way (util/simd.cc).
+      // Depth >= 8, which includes the WM budget planner's own shapes (depth
+      // 14 at 8 KB, 30 at 16 KB): simd::MedianLarge, the one kernel with a
+      // vector variant (AVX2 rank counting, nth_element fallback; the same
+      // order statistic either way).
       return simd::MedianLarge(v, n);
   }
 }
@@ -129,19 +129,6 @@ constexpr uint64_t NextPowerOfTwo(uint64_t x) {
   uint64_t p = 1;
   while (p < x) p <<= 1;
   return p;
-}
-
-/// Euclidean (L2) norm of a vector (AVX2 table sweep when available; the
-/// vector reduction reorders the sum, so compare with tolerance).
-inline double L2Norm(const std::vector<float>& v) {
-  return std::sqrt(simd::L2NormSquared(v.data(), v.size()));
-}
-
-/// L1 norm of a vector.
-inline double L1Norm(const std::vector<float>& v) {
-  double s = 0.0;
-  for (float x : v) s += std::fabs(static_cast<double>(x));
-  return s;
 }
 
 }  // namespace wmsketch

@@ -8,10 +8,10 @@
 //
 // Layout contract (what keeps the hot paths bit-identical and fast):
 //
-//   * The LIVE data is one contiguous arena. Every existing kernel —
-//     absolute-offset HashPlan scatters, simd::PlanMargin gathers, row-major
-//     Row(j) access — keeps operating on `data()` exactly as it did on the
-//     flat vector. Pages never fragment the writer's view.
+//   * The LIVE data is one contiguous arena. Every kernel — the
+//     absolute-offset plan passes (simd::PlanMargin, simd::PlanScatter), the
+//     whole-table sweeps, row-major Row(j) access — operates on `data()` as
+//     it would on a flat vector. Pages never fragment the writer's view.
 //   * Pages are power-of-two slices of that arena (page size a power of two,
 //     so with power-of-two row widths a page never straddles a row boundary:
 //     pages subdivide rows evenly or contain whole rows). A published page is

@@ -18,11 +18,11 @@ struct PlanView {
   size_t entries() const { return nnz * depth; }
 };
 
-/// True when the CPU supports the AVX2+FMA kernels (and they were compiled
-/// in, i.e. the build had WMS_SIMD on and targets x86-64).
+/// True when the CPU supports AVX2+FMA and the vector kernel (MedianLarge's)
+/// was compiled in, i.e. the build had WMS_SIMD on and targets x86-64.
 bool Available();
 
-/// True when the AVX2 kernels are actually dispatched to: Available(), not
+/// True when the AVX2 kernel is actually dispatched to: Available(), not
 /// killed by the WMS_SIMD_DISABLE environment variable, and not turned off
 /// via SetEnabled(false).
 bool Enabled();
@@ -35,21 +35,19 @@ void SetEnabled(bool on);
 /// "avx2" or "scalar" — the path Enabled() currently selects.
 const char* ActiveKernel();
 
-/// Per-kernel dispatch thresholds: the minimum problem size (in the units of
-/// each kernel's size argument) at which the AVX2 variant is dispatched when
-/// Enabled(). Below these sizes the cvt-heavy scatter prologue and the sweep
-/// setup cost more than they save (see BENCH_hot_path.json history).
-/// Thresholds bucket by the size the kernel actually sees (nnz for scatters,
-/// elements for table sweeps, depth for medians). The routes are fixed at
-/// compile time.
+/// The kernel routes, reported as minimum problem sizes (in the units of
+/// each kernel's size argument) at which a vector variant would run when
+/// Enabled(). The routes are fixed at compile time, and every field but
+/// median_min_depth reads UINT32_MAX ("never").
 ///
-/// Table reads have no vector route: the three gather fields read
-/// UINT32_MAX ("never"). On a 4-vCPU AVX-512 KVM guest the plan-based read
-/// routes that would use a hardware gather failed to beat the fused scalar
-/// loops by 20% in all 50 timed processes, and the gather+median route's
-/// batched WM heap-offer update measured slower than the per-feature loop
-/// (93k–97k against 111k–124k updates/s at WM 2^18×5, heap 1024); README,
-/// Performance, has the measurements.
+/// Table reads have no vector route: on a 4-vCPU AVX-512 KVM guest the
+/// plan-based read routes that would use a hardware gather failed to beat
+/// the fused scalar loops by 20% in all 50 timed processes, and the
+/// gather+median route's batched WM heap-offer update measured slower than
+/// the per-feature loop (93k–97k against 111k–124k updates/s at WM 2^18×5,
+/// heap 1024). The gradient scatter has none either: at feature hashing
+/// w4096 the scalar loop beat the AVX2/AVX-512 scatter in 9 of 10 paired
+/// runs. README, Performance, has the measurements.
 struct KernelThresholds {
   /// Flat-table gathers (GatherSigned, PlanMargin): UINT32_MAX.
   uint32_t gather_min_entries;
@@ -57,10 +55,8 @@ struct KernelThresholds {
   uint32_t paged_gather_min_entries;
   /// Gather-and-median of batched point estimates: UINT32_MAX.
   uint32_t fused_median_min_keys;
-  /// PlanScatter's vectorized per-feature step products: minimum nnz.
+  /// PlanScatter's gradient scatter: UINT32_MAX.
   uint32_t scatter_min_nnz;
-  /// MergeScaledTable / ScaleTable / L2NormSquared: minimum element count.
-  uint32_t sweep_min_elems;
   /// MedianLarge rank-selection: minimum depth (never consulted below 8 —
   /// depths 1–7 always take the branchless sorting networks in util/math.h).
   uint32_t median_min_depth;
@@ -71,8 +67,7 @@ inline constexpr KernelThresholds kKernelThresholds{
     .gather_min_entries = UINT32_MAX,
     .paged_gather_min_entries = UINT32_MAX,
     .fused_median_min_keys = UINT32_MAX,
-    .scatter_min_nnz = 8,
-    .sweep_min_elems = 32,
+    .scatter_min_nnz = UINT32_MAX,
     .median_min_depth = 8,
 };
 
@@ -110,36 +105,24 @@ void GatherSigned(const float* table, const uint32_t* offsets, const float* sign
                   size_t n, float* out);
 
 /// The plan-driven margin accumulation Σᵢ xᵢ · Σⱼ signs[i·d+j] ·
-/// table[offsets[i·d+j]], with the per-feature inner sums and the outer
-/// accumulation in double, in exactly the seed evaluation order.
-/// `scratch` must hold plan.entries() floats.
-double PlanMargin(const float* table, const PlanView& plan, const float* values,
-                  float* scratch);
+/// table[offsets[i·d+j]], in one pass, with the per-feature inner sums and
+/// the outer accumulation in double, in exactly the seed evaluation order.
+double PlanMargin(const float* table, const PlanView& plan, const float* values);
 
-/// The signed gradient scatter table[offsets[i·d+j]] -= float(step·values[i])
-/// · signs[i·d+j] over the whole plan. Only valid when no other read is
-/// interleaved per feature (no tracking heap); the heap-tracking sketches
-/// scatter per-feature instead. `scratch` must hold plan.nnz floats.
-/// Bit-identical across paths: the AVX2 side vectorizes only the per-feature
-/// step·valueᵢ products (sign application and stores are exact), and on
-/// AVX-512F+CD parts the stores themselves run as masked vpscatterdps rounds
-/// with vpconflictd serializing duplicate offsets in lane order, so even
-/// colliding entries see the exact scalar store sequence. The AVX-512 route
-/// rides under the same Enabled()/ActiveKernel() "avx2" tag — it is a wider
-/// implementation of the same dispatch decision, not a third result path.
-void PlanScatter(float* table, const PlanView& plan, const float* values, double step,
-                 float* scratch);
+/// The signed gradient scatter table[offsets[i·d+j]] -= float(step·values[i]
+/// · signs[i·d+j]) over the whole plan, in plan order. Only valid when no
+/// other read is interleaved per feature (no tracking heap); the
+/// heap-tracking sketches scatter per-feature instead.
+void PlanScatter(float* table, const PlanView& plan, const float* values, double step);
 
-/// dst[i] += float(ratio · src[i]) — the MergeScaled table sweep. The double
-/// product is rounded to float before the add in both paths (bit-identical).
+/// dst[i] += float(ratio · src[i]) — the MergeScaled table sweep (the double
+/// product is rounded to float before the add).
 void MergeScaledTable(float* dst, const float* src, size_t n, double ratio);
 
-/// t[i] *= f — the lazy-rescale table sweep (bit-identical across paths).
+/// t[i] *= f — the lazy-rescale table sweep.
 void ScaleTable(float* t, size_t n, float f);
 
-/// Σ t[i]² accumulated in double. The AVX2 path uses a 4-lane reduction, so
-/// unlike the kernels above its rounding can differ from the scalar
-/// left-to-right sum (callers of table norms are tolerance-based).
+/// Σ t[i]² accumulated in double, left to right.
 double L2NormSquared(const float* t, size_t n);
 
 }  // namespace wmsketch::simd

@@ -356,11 +356,10 @@ TEST(SparsityProfileTest, MeasureRoundTripsThroughReplay) {
 }
 
 TEST(SparsityProfileTest, CommittedRcv1ProfileLoadsAndValidates) {
-  auto r = LoadSparsityProfile("bench/profiles/rcv1_sparsity.json");
-  if (!r.ok()) {
-    // ctest runs from the build tree; fall back to the source-relative path.
-    r = LoadSparsityProfile("../bench/profiles/rcv1_sparsity.json");
-  }
+  // WMS_SOURCE_DIR (set by CMakeLists.txt) makes the path independent of
+  // the directory ctest runs in.
+  auto r = LoadSparsityProfile(std::string(WMS_SOURCE_DIR) +
+                               "/bench/profiles/rcv1_sparsity.json");
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().dimension, 47236u);
   ASSERT_TRUE(r.value().Validate().ok());

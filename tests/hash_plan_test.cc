@@ -1,11 +1,11 @@
-// Tests for the single-pass hot path: the per-example hash plan, the SIMD
-// table kernels and their scalar fallbacks, the sorting-network median, and
-// the batched (plan-arena) ingest path's bitwise equivalence.
+// Tests for the single-pass hot path: the per-example hash plan, the one
+// vector kernel (the depth >= 8 median) against its scalar fallback, the
+// sorting-network median, and the batched (plan-arena) ingest path's bitwise
+// equivalence.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -172,21 +172,17 @@ TEST(HashPlanBatchTest, BatchStateBitIdenticalToPerExampleLoop) {
 // ---------------------------------------------------------- SIMD kernels
 
 // Machine-checked coverage registry: tools/lint/wms_lint.py (rule
-// simd-paired) extracts every __attribute__((target("avx2..."))) and
-// __attribute__((target("avx512...")))  kernel from src/util/simd.cc and
-// fails CI unless its name appears between these markers — so no vector
-// kernel can ship without its scalar twin being asserted (bit-)equal in
-// this binary. Keep each entry's comment pointing at the test that
-// exercises it.
+// simd-paired) extracts every target("avx2..."), target("avx512...") and
+// target("sse4.2") kernel from src/util/simd.cc and src/util/crc32c.cc and
+// fails CI unless its name appears between these markers (and flags any
+// entry no source defines) — so no vector kernel can ship without its
+// scalar twin being asserted (bit-)equal in a test. Keep each entry's
+// comment pointing at the test that exercises it.
 // wms-lint: simd-kernel-table begin
 constexpr const char* const kAvx2KernelBitIdentityCoverage[] = {
-    "StepDeltasAvx2",        // via PlanScatter in Avx2MatchesScalarOnAllKernels
-    "MergeScaledTableAvx2",  // Avx2MatchesScalarOnAllKernels (exact equality)
-    "ScaleTableAvx2",        // Avx2MatchesScalarOnAllKernels (exact equality)
-    "L2NormSquaredAvx2",     // Avx2MatchesScalarOnAllKernels (1e-5 rel: 4-lane reduction reorders)
-    "MedianLargeAvx2",       // MedianLargeBitIdenticalAcrossKernelPaths
-    "PlanScatterAvx512",     // PlanScatterBitIdenticalOnDuplicateOffsets (exact)
-    "Crc32cSse42",           // Crc32cHardwareMatchesScalar (util_test.cc, exact equality)
+    "MedianLargeAvx2",  // MedianLargeBitIdenticalAcrossKernelPaths, and end to
+                        // end in TrainingIsBitIdenticalAcrossKernelPaths
+    "Crc32cSse42",      // Crc32cHardwareMatchesScalar (util_test.cc, exact equality)
 };
 // wms-lint: simd-kernel-table end
 
@@ -210,9 +206,9 @@ TEST(SimdKernelTest, ReportsCompileAndCpuState) {
   }
 }
 
-// The kernel routes are compile-time constants: the gather, read-plan and
-// fused-median routes report "never", the size thresholds their fixed
-// values, and CalibrateGather() changes none of it. perfbench's
+// The kernel routes are compile-time constants: the gather, scatter,
+// read-plan and fused-median routes report "never", the median its fixed
+// depth, and CalibrateGather() changes none of it. perfbench's
 // `kernel_routes` fact prints these, so it must read the same in every
 // process.
 TEST(SimdKernelTest, RoutesAreFixedConstants) {
@@ -222,8 +218,7 @@ TEST(SimdKernelTest, RoutesAreFixedConstants) {
     EXPECT_EQ(t.gather_min_entries, UINT32_MAX);
     EXPECT_EQ(t.paged_gather_min_entries, UINT32_MAX);
     EXPECT_EQ(t.fused_median_min_keys, UINT32_MAX);
-    EXPECT_EQ(t.scatter_min_nnz, 8u);
-    EXPECT_EQ(t.sweep_min_elems, 32u);
+    EXPECT_EQ(t.scatter_min_nnz, UINT32_MAX);
     EXPECT_EQ(t.median_min_depth, 8u);
     for (const size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{1024}, SIZE_MAX}) {
       EXPECT_FALSE(simd::ReadPlanDispatched(n)) << n;
@@ -236,101 +231,22 @@ TEST(SimdKernelTest, RoutesAreFixedConstants) {
   expect_fixed("after CalibrateGather");
 }
 
-// The scatter, merge, and scale kernels are documented bit-identical between
-// the scalar and AVX2 paths (signs are ±1 and all element-wise rounding
-// matches), so they are held to exact equality. L2 reorders its reduction
-// and gets a 1e-5 relative tolerance.
-TEST(SimdKernelTest, Avx2MatchesScalarOnAllKernels) {
-  if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  SimdStateGuard guard;
-
-  const uint32_t depth = 5, width = 512;
-  const std::vector<SignedBucketHash> rows = MakeRows(depth, width, 31);
-  std::mt19937 rng(13);
-  std::uniform_real_distribution<float> cell(-3.0f, 3.0f);
-  std::vector<float> table(static_cast<size_t>(width) * depth);
-  for (float& c : table) c = cell(rng);
-
-  const SparseVector x = RandomVector(rng, 37, 1 << 14);
-  HashPlan plan;
-  plan.Build(rows, x);
-  const simd::PlanView view = plan.View();
-
-  // PlanScatter.
-  std::vector<float> table_a = table, table_b = table;
-  std::vector<float> scatter_scratch(x.nnz());
-  simd::SetEnabled(false);
-  simd::PlanScatter(table_a.data(), view, x.values().data(), 0.0375,
-                    scatter_scratch.data());
-  simd::SetEnabled(true);
-  simd::PlanScatter(table_b.data(), view, x.values().data(), 0.0375,
-                    scatter_scratch.data());
-  EXPECT_EQ(table_a, table_b);
-
-  // MergeScaledTable / ScaleTable.
-  std::vector<float> src(table.size());
-  for (float& c : src) c = cell(rng);
-  std::vector<float> dst_a = table, dst_b = table;
-  simd::SetEnabled(false);
-  simd::MergeScaledTable(dst_a.data(), src.data(), src.size(), -0.731);
-  simd::ScaleTable(dst_a.data(), dst_a.size(), 0.25f);
-  simd::SetEnabled(true);
-  simd::MergeScaledTable(dst_b.data(), src.data(), src.size(), -0.731);
-  simd::ScaleTable(dst_b.data(), dst_b.size(), 0.25f);
-  EXPECT_EQ(dst_a, dst_b);
-
-  // L2NormSquared: reduction order differs; 1e-5 relative tolerance.
-  simd::SetEnabled(false);
-  const double l2_scalar = simd::L2NormSquared(table.data(), table.size());
-  simd::SetEnabled(true);
-  const double l2_avx2 = simd::L2NormSquared(table.data(), table.size());
-  EXPECT_NEAR(l2_avx2, l2_scalar, 1e-5 * std::fabs(l2_scalar));
-}
-
-// The conflict-serialized AVX-512 scatter on a deliberately tiny offset
-// range: many duplicate offsets per 16-lane block, so the serialization (on
-// parts that have AVX-512F+CD) must reproduce the scalar store order
-// exactly, where an unserialized scatter would reorder rounding.
-TEST(SimdKernelTest, PlanScatterBitIdenticalOnDuplicateOffsets) {
-  if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  SimdStateGuard guard;
-  std::mt19937 rng(101);
-  std::uniform_real_distribution<float> cell(-3.0f, 3.0f);
-  const uint32_t d = 3;
-  const size_t nnz = 64;
-  std::vector<uint32_t> off(nnz * d);
-  std::vector<float> sg(nnz * d), vals(nnz), scratch(nnz);
-  for (size_t e = 0; e < nnz * d; ++e) {
-    off[e] = rng() & 31;
-    sg[e] = (rng() & 1) ? 1.0f : -1.0f;
-  }
-  for (float& x : vals) x = cell(rng);
-  std::vector<float> t_scalar(32);
-  for (float& c : t_scalar) c = cell(rng);
-  std::vector<float> t_simd = t_scalar;
-  const simd::PlanView plan{off.data(), sg.data(), nnz, d};
-  simd::SetEnabled(false);
-  simd::PlanScatter(t_scalar.data(), plan, vals.data(), 0.0317, scratch.data());
-  simd::SetEnabled(true);
-  simd::PlanScatter(t_simd.data(), plan, vals.data(), 0.0317, scratch.data());
-  EXPECT_EQ(t_scalar, t_simd);
-}
-
-// End-to-end: a WM/AWM/hash model trained with the AVX2 kernels produces
-// margins and state bit-identical to the scalar fallback — which the margin
-// dump against the pre-plan seed showed equals WMS_SIMD=OFF behavior.
+// End-to-end: a model trained with the AVX2 median produces margins and
+// state bit-identical to the scalar fallback. Both shapes run every median
+// through simd::MedianLarge (depth >= 8): WM at the budget planner's 8 KB
+// shape (width 128, depth 14, heap offers) and AWM at depth 9 (tail
+// estimates). Below depth 8 the two paths run the same code.
 TEST(SimdKernelTest, TrainingIsBitIdenticalAcrossKernelPaths) {
   if (!simd::Available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
   SimdStateGuard guard;
   const std::vector<Example> stream = MakeStream(1500, 33);
-  for (const Method m :
-       {Method::kWmSketch, Method::kAwmSketch, Method::kFeatureHashing}) {
+  for (const Method m : {Method::kWmSketch, Method::kAwmSketch}) {
     LearnerBuilder b;
     b.SetMethod(m).SetSeed(17);
-    if (m == Method::kFeatureHashing) {
-      b.SetWidth(1024);
+    if (m == Method::kWmSketch) {
+      b.SetWidth(128).SetDepth(14).SetHeapCapacity(128);
     } else {
-      b.SetWidth(256).SetDepth(m == Method::kAwmSketch ? 1 : 3).SetHeapCapacity(64);
+      b.SetWidth(256).SetDepth(9).SetHeapCapacity(64);
     }
     Learner scalar_model = std::move(b.Build()).value();
     Learner simd_model = std::move(b.Build()).value();

@@ -129,7 +129,7 @@ TEST(LearnerSerializationTest, MalformedStreamsAreRejected) {
     std::stringstream cut_stream(bytes.substr(0, cut));
     EXPECT_FALSE(LoadLearner(cut_stream, Opts()).ok()) << "cut " << cut;
   }
-  // Wrong magic (no longer an envelope; the legacy path rejects it too).
+  // Wrong magic: no longer an envelope, so not a snapshot.
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
   std::stringstream bad_magic_stream(bad_magic);

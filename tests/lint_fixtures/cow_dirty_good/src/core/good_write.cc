@@ -1,6 +1,6 @@
 #include <cstddef>
 namespace simd {
-void PlanScatter(float*, const void*, const float*, double, float*);
+void PlanScatter(float*, const void*, const float*, double);
 void ScaleTable(float*, std::size_t, float);
 }  // namespace simd
 struct Table {
@@ -14,9 +14,9 @@ struct Table {
 struct Model {
   Table table_;
   float* Row(unsigned j);
-  void ScatterWithMark(const void* plan, const float* values, float* scratch) {
+  void ScatterWithMark(const void* plan, const float* values) {
     table_.MarkPlanDirty(nullptr, 0);
-    simd::PlanScatter(table_.data(), plan, values, 0.5, scratch);
+    simd::PlanScatter(table_.data(), plan, values, 0.5);
   }
   void PointWriteWithMark(unsigned j, unsigned bucket, float delta) {
     table_.MarkDirtyOffset(bucket);

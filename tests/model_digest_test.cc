@@ -99,6 +99,24 @@ TEST(ModelDigestTest, WmDepth5) {
             "0xad1ed85e");
 }
 
+// WM at the budget planner's 8 KB shape: depth 14 takes simd::MedianLarge for
+// every heap offer, the one median route with a vector kernel.
+TEST(ModelDigestTest, WmAt8KiBShapeDepth14) {
+  EXPECT_EQ(TrainedDigest(Base()
+                              .SetMethod(Method::kWmSketch)
+                              .SetWidth(128)
+                              .SetDepth(14)
+                              .SetHeapCapacity(128)),
+            "0x7b216b7a");
+}
+
+// Feature hashing trains through the plan-driven simd::PlanMargin and
+// simd::PlanScatter with no heap between them.
+TEST(ModelDigestTest, FeatureHashingWidth4096) {
+  EXPECT_EQ(TrainedDigest(Base().SetMethod(Method::kFeatureHashing).SetWidth(4096)),
+            "0x0ef1abd3");
+}
+
 // Simple truncation keeps every weight in the same heap the AWM uses.
 TEST(ModelDigestTest, SimpleTruncation) {
   EXPECT_EQ(TrainedDigest(Base().SetMethod(Method::kSimpleTruncation).SetBudgetBytes(KiB(4))),

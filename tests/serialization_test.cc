@@ -1,12 +1,20 @@
-// Tests for binary snapshot serialization of the WM- and AWM-Sketches:
-// round-trip fidelity (estimates, predictions, and continued training agree
-// exactly), plus corruption/failure injection.
+// Tests for binary snapshot serialization of the WM- and AWM-Sketches
+// through the one snapshot format (SaveClassifier / LoadLearner): round-trip
+// fidelity (estimates, predictions, and continued training agree exactly),
+// plus corruption/failure injection that reaches the payload loaders' own
+// validation behind a valid checksum.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 
+#include "api/learner.h"
 #include "core/serialization.h"
+#include "core/snapshot_io.h"
 #include "util/random.h"
 
 namespace wmsketch {
@@ -29,13 +37,64 @@ void Train(Sketch& sketch, uint64_t stream_seed, int n) {
   }
 }
 
+// The snapshot SaveClassifier writes for `model` under `method`'s tag.
+std::string Save(Method method, const BudgetedClassifier& model) {
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(SaveClassifier(method, model, out).ok());
+  return std::move(out).str();
+}
+
+// Loads `bytes` through LoadLearner and returns a copy of the restored model.
+template <typename Model>
+Result<Model> Load(const std::string& bytes, const LearnerOptions& opts) {
+  std::istringstream in(bytes, std::ios::binary);
+  WMS_ASSIGN_OR_RETURN(Learner learner, LoadLearner(in, opts));
+  const auto* model = dynamic_cast<const Model*>(&learner.impl());
+  if (model == nullptr) return Status::Corruption("restored a different method");
+  return *model;
+}
+
+// The Corruption message LoadLearner gives for `bytes`, or "" when it loads.
+std::string CorruptionMessage(const std::string& bytes) {
+  std::istringstream in(bytes, std::ios::binary);
+  const Result<Learner> r = LoadLearner(in, Opts());
+  if (r.ok()) return "";
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << r.status().ToString();
+  return r.status().message();
+}
+
+template <typename Model>
+Result<Model> RoundTrip(Method method, const Model& model, const LearnerOptions& opts) {
+  return Load<Model>(Save(method, model), opts);
+}
+
+// The facade header in front of every method payload: magic(4) version(4)
+// tag(1).
+constexpr size_t kFacadeHeaderBytes = 9;
+
+// The payload of an enveloped snapshot: the facade header and the method
+// payload, with no envelope.
+std::string Unwrap(const std::string& enveloped) {
+  EXPECT_GE(enveloped.size(), snapshot::kEnvelopeHeaderBytes);
+  uint32_t magic;
+  std::memcpy(&magic, enveloped.data(), sizeof(magic));
+  EXPECT_EQ(magic, snapshot::kEnvelopeMagic);
+  return enveloped.substr(snapshot::kEnvelopeHeaderBytes);
+}
+
+// Seals a (mutated) payload in a fresh envelope with a valid checksum, so
+// the mutation reaches the payload loader's own validation.
+std::string Reseal(std::string_view payload) {
+  std::ostringstream out(std::ios::binary);
+  EXPECT_TRUE(snapshot::WriteEnveloped(out, payload).ok());
+  return std::move(out).str();
+}
+
 TEST(SerializationTest, WmRoundTripPreservesEstimates) {
   WmSketch original(WmSketchConfig{256, 3, 32}, Opts());
   Train(original, 7, 3000);
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveWmSketch(original, buffer).ok());
-  Result<WmSketch> restored = LoadWmSketch(buffer, Opts());
+  Result<WmSketch> restored = RoundTrip(Method::kWmSketch, original, Opts());
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   for (uint32_t f = 0; f < 2048; ++f) {
@@ -60,10 +119,8 @@ TEST(SerializationTest, WmContinuedTrainingAgreesExactly) {
     const uint32_t f = static_cast<uint32_t>(rng.Bounded(2048));
     first_half.Update(SparseVector::OneHot(f), (f % 3 == 0) ? 1 : -1);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveWmSketch(first_half, buffer).ok());
-  Result<WmSketch> resumed = LoadWmSketch(buffer, Opts(9));
-  ASSERT_TRUE(resumed.ok());
+  Result<WmSketch> resumed = RoundTrip(Method::kWmSketch, first_half, Opts(9));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   for (int i = 1000; i < 2000; ++i) {
     const uint32_t f = static_cast<uint32_t>(rng.Bounded(2048));
     resumed.value().Update(SparseVector::OneHot(f), (f % 3 == 0) ? 1 : -1);
@@ -77,9 +134,7 @@ TEST(SerializationTest, AwmRoundTripPreservesEverything) {
   AwmSketch original(AwmSketchConfig{256, 1, 64}, Opts(13));
   Train(original, 15, 4000);
 
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveAwmSketch(original, buffer).ok());
-  Result<AwmSketch> restored = LoadAwmSketch(buffer, Opts(13));
+  Result<AwmSketch> restored = RoundTrip(Method::kAwmSketch, original, Opts(13));
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   EXPECT_EQ(restored.value().active_set_size(), original.active_set_size());
@@ -105,10 +160,8 @@ TEST(SerializationTest, AwmContinuedTrainingAgreesExactly) {
     const uint32_t f = static_cast<uint32_t>(rng.Bounded(2048));
     first_half.Update(SparseVector::OneHot(f), (f % 3 == 0) ? 1 : -1);
   }
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveAwmSketch(first_half, buffer).ok());
-  Result<AwmSketch> resumed = LoadAwmSketch(buffer, Opts(19));
-  ASSERT_TRUE(resumed.ok());
+  Result<AwmSketch> resumed = RoundTrip(Method::kAwmSketch, first_half, Opts(19));
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   for (int i = 1000; i < 2000; ++i) {
     const uint32_t f = static_cast<uint32_t>(rng.Bounded(2048));
     resumed.value().Update(SparseVector::OneHot(f), (f % 3 == 0) ? 1 : -1);
@@ -118,127 +171,51 @@ TEST(SerializationTest, AwmContinuedTrainingAgreesExactly) {
   }
 }
 
-// Strips the checksummed envelope from a Save* stream, returning the raw
-// payload — i.e. exactly the legacy (pre-envelope) wire bytes.
-std::string Unwrap(const std::string& enveloped) {
-  EXPECT_GE(enveloped.size(), snapshot::kEnvelopeHeaderBytes);
-  uint32_t magic;
-  std::memcpy(&magic, enveloped.data(), sizeof(magic));
-  EXPECT_EQ(magic, snapshot::kEnvelopeMagic);
-  return enveloped.substr(snapshot::kEnvelopeHeaderBytes);
-}
-
 TEST(SerializationTest, CorruptionRejected) {
   AwmSketch original(AwmSketchConfig{64, 1, 8}, Opts(23));
   Train(original, 25, 200);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveAwmSketch(original, buffer).ok());
-  const std::string bytes = buffer.str();
+  const std::string bytes = Save(Method::kAwmSketch, original);
 
   // Truncations at every prefix boundary must fail cleanly, never crash.
   for (const size_t cut : {0ul, 3ul, 10ul, bytes.size() / 2, bytes.size() - 1}) {
-    std::stringstream cut_stream(bytes.substr(0, cut));
-    EXPECT_FALSE(LoadAwmSketch(cut_stream, Opts(23)).ok()) << "cut " << cut;
+    EXPECT_FALSE(Load<AwmSketch>(bytes.substr(0, cut), Opts(23)).ok()) << "cut " << cut;
   }
-  // Wrong magic (a WM load of an AWM snapshot and vice versa).
-  std::stringstream as_wm(bytes);
-  EXPECT_EQ(LoadWmSketch(as_wm, Opts(23)).status().code(), StatusCode::kCorruption);
+  // Wrong magic: the facade tag names WM, the payload is an AWM's.
+  std::string as_wm = Unwrap(bytes);
+  as_wm[kFacadeHeaderBytes - 1] = static_cast<char>(Method::kWmSketch);
+  EXPECT_EQ(CorruptionMessage(Reseal(as_wm)), "not a WM-Sketch snapshot");
 
   // Any flipped payload byte fails the envelope checksum.
   std::string flipped = bytes;
   flipped[snapshot::kEnvelopeHeaderBytes + 9] ^= 0x40;
-  std::stringstream flipped_stream(flipped);
-  EXPECT_EQ(LoadAwmSketch(flipped_stream, Opts(23)).status().code(),
-            StatusCode::kCorruption);
+  EXPECT_EQ(Load<AwmSketch>(flipped, Opts(23)).status().code(), StatusCode::kCorruption);
 
-  // Corrupted shape field (width -> non-power-of-two) on the unwrapped legacy
-  // bytes, where no checksum shields the loader's own validation.
+  // Corrupted shape field (width -> non-power-of-two) behind a valid
+  // checksum: the loader's own shape validation rejects it.
   std::string bad = Unwrap(bytes);
-  bad[4] = 0x03;
-  std::stringstream bad_stream(bad);
-  EXPECT_FALSE(LoadAwmSketch(bad_stream, Opts(23)).ok());
+  bad[kFacadeHeaderBytes + 4] = 0x03;
+  EXPECT_EQ(CorruptionMessage(Reseal(bad)), "invalid sketch shape");
 }
 
 TEST(SerializationTest, SnapshotSizeIsCompact) {
   // Snapshot ≈ table bytes + heap entries + small header; no bloat.
   AwmSketch sketch(AwmSketchConfig{1024, 1, 128}, Opts(27));
   Train(sketch, 29, 2000);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveAwmSketch(sketch, buffer).ok());
-  const size_t size = buffer.str().size();
+  const size_t size = Save(Method::kAwmSketch, sketch).size();
   EXPECT_LT(size, 1024 * 4 + 128 * 8 + 128);
   EXPECT_GT(size, 1024 * 4);
-}
-
-// ----------------------------------------------------- v1 back-compat
-//
-// The v2 (paged) payload of a given model differs from its legacy v1 (flat)
-// stream by exactly the magic and the u32 page-size field after the cell
-// count, so a v1 stream can be synthesized from the unwrapped v2 payload:
-// swap the magic back and cut those 4 bytes. Loaders must accept both the
-// enveloped layout and the bare legacy layouts, restoring identical state.
-
-std::string SynthesizeV1(std::string v2, uint32_t v1_magic, size_t cells_offset) {
-  std::memcpy(v2.data(), &v1_magic, sizeof(v1_magic));
-  v2.erase(cells_offset + sizeof(uint64_t), sizeof(uint32_t));
-  return v2;
-}
-
-TEST(SerializationTest, WmFlatV1LayoutStillLoads) {
-  WmSketch original(WmSketchConfig{256, 3, 32}, Opts());
-  Train(original, 7, 1500);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveWmSketch(original, buffer).ok());
-  // WM header: magic(4) width(4) depth(4) heap(8) lambda(8) seed(8) t(8)
-  // scale(8) = 52 bytes before the cell count.
-  std::stringstream v1(SynthesizeV1(Unwrap(buffer.str()), 0x314d5357u, 52));
-  Result<WmSketch> restored = LoadWmSketch(v1, Opts());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  for (uint32_t f = 0; f < 2048; ++f) {
-    EXPECT_EQ(restored.value().WeightEstimate(f), original.WeightEstimate(f)) << f;
-  }
-  EXPECT_EQ(restored.value().steps(), original.steps());
-}
-
-TEST(SerializationTest, AwmFlatV1LayoutStillLoads) {
-  AwmSketch original(AwmSketchConfig{256, 1, 64}, Opts(23));
-  Train(original, 13, 1500);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveAwmSketch(original, buffer).ok());
-  // AWM header: magic(4) width(4) depth(4) heap(8) lambda(8) seed(8) t(8)
-  // sketch_scale(8) heap_scale(8) = 60 bytes before the cell count.
-  std::stringstream v1(SynthesizeV1(Unwrap(buffer.str()), 0x314d5741u, 60));
-  Result<AwmSketch> restored = LoadAwmSketch(v1, Opts(23));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  for (uint32_t f = 0; f < 2048; ++f) {
-    EXPECT_EQ(restored.value().WeightEstimate(f), original.WeightEstimate(f)) << f;
-  }
-}
-
-TEST(SerializationTest, HashFlatV1LayoutStillLoads) {
-  FeatureHashingClassifier original(1024, Opts(31));
-  Train(original, 17, 1500);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveFeatureHashing(original, buffer).ok());
-  // FHS header: magic(4) buckets(4) lambda(8) seed(8) t(8) scale(8) = 40.
-  std::stringstream v1(SynthesizeV1(Unwrap(buffer.str()), 0x31534846u, 40));
-  Result<FeatureHashingClassifier> restored = LoadFeatureHashing(v1, Opts(31));
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  for (uint32_t f = 0; f < 2048; ++f) {
-    EXPECT_EQ(restored.value().WeightEstimate(f), original.WeightEstimate(f)) << f;
-  }
 }
 
 TEST(SerializationTest, InvalidPageSizeRejected) {
   WmSketch original(WmSketchConfig{128, 2, 16}, Opts());
   Train(original, 5, 200);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveWmSketch(original, buffer).ok());
-  std::string bytes = Unwrap(buffer.str());
+  std::string payload = Unwrap(Save(Method::kWmSketch, original));
+  // WM payload: magic(4) width(4) depth(4) heap(8) lambda(8) seed(8) t(8)
+  // scale(8) = 52 bytes, then the u64 cell count and the u32 page size.
   const uint32_t bad_page = 3;  // not a power of two
-  std::memcpy(bytes.data() + 52 + sizeof(uint64_t), &bad_page, sizeof(bad_page));
-  std::stringstream in(bytes);
-  EXPECT_EQ(LoadWmSketch(in, Opts()).status().code(), StatusCode::kCorruption);
+  std::memcpy(payload.data() + kFacadeHeaderBytes + 52 + sizeof(uint64_t), &bad_page,
+              sizeof(bad_page));
+  EXPECT_EQ(CorruptionMessage(Reseal(payload)), "invalid page size");
 }
 
 }  // namespace
