@@ -241,7 +241,10 @@ inline std::vector<BenchStreamSpec> ResolveBenchStreams(int argc, char** argv,
       std::exit(1);
     }
     BenchStreamSpec spec;
-    spec.suffix = "_" + DatasetStem(libsvm_path);
+    // Appended, not "_" + DatasetStem(...): gcc 12 reports a false
+    // -Wrestrict overlap inside that operator+.
+    spec.suffix = "_";
+    spec.suffix += DatasetStem(libsvm_path);
     for (const Example& ex : r.value()) {
       spec.dimension = std::max<uint32_t>(
           spec.dimension, ex.x.empty() ? 1 : ex.x.index(ex.x.nnz() - 1) + 1);

@@ -3,9 +3,8 @@
 // replica per worker current via written-cell deltas (full-snapshot fallback),
 // and serves the exact merge of all replicas to any client that asks.
 //
-//   $ ./dist_aggregator --socket=/tmp/wms.sock \
-//         [--method=awm] [--budget-kb=8] [--seed=42] \
-//         [--checkpoint-dir=DIR] [--keep-last=3]
+//   $ ./dist_aggregator --socket=/tmp/wms.sock [--method=awm] [--budget-kb=8]
+//         [--seed=42] [--checkpoint-dir=DIR] [--keep-last=3]
 //
 // With --checkpoint-dir the newest valid checkpoint is recovered at startup
 // and served as the merged baseline until workers resync; corrupt or torn

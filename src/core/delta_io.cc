@@ -1,8 +1,8 @@
 #include "core/delta_io.h"
 
+#include <bit>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "core/awm_sketch.h"
 #include "core/serialization.h"
@@ -15,7 +15,6 @@ namespace wmsketch {
 namespace {
 
 using snapshot::SnapshotReader;
-using snapshot::WriteBytes;
 using snapshot::WriteRaw;
 
 // Delta payload magic; the payload rides inside a v3 envelope like every
@@ -37,31 +36,29 @@ std::string TagName(uint8_t tag) {
 // written since the table's delta window opened, in strictly increasing
 // offset order. Raw bits — no float arithmetic on either end — so applying
 // onto a replica that matches the sender as of the window reproduces the
-// sender byte-for-byte. One walk writes the records; the count is patched
-// in after it.
+// sender byte-for-byte. One walk over the written words writes the records,
+// a chunk at a time; the count is patched in after it.
 void WriteWrittenCells(std::string* out, const PagedTable& table, DeltaStats* stats) {
   WriteRaw(*out, static_cast<uint64_t>(table.size()));
   const size_t count_at = out->size();
   WriteRaw(*out, uint64_t{0});
-  const size_t page_cells = table.page_cells();
-  uint64_t count = 0, pages = 0;
-  size_t last_page = table.num_pages();
-  table.ForEachWrittenCell([&](size_t off, const float* cell) {
-    char record[kCellRecordBytes];
-    const uint32_t offset = static_cast<uint32_t>(off);
-    std::memcpy(record, &offset, sizeof(offset));
-    std::memcpy(record + sizeof(offset), cell, sizeof(float));
-    WriteBytes(*out, record, sizeof(record));
-    ++count;
-    if (off / page_cells != last_page) {
-      last_page = off / page_cells;
-      ++pages;
+  const float* cells = table.data();
+  snapshot::PairWriter<std::string> records(*out);
+  static_assert(snapshot::PairWriter<std::string>::kBurst >= 64, "a word holds 64 cells");
+  table.ForEachWrittenWord([&](size_t w, uint64_t bits) {
+    const uint32_t base = static_cast<uint32_t>(w * 64);
+    for (; bits != 0; bits &= bits - 1) {
+      const uint32_t off = base + static_cast<uint32_t>(std::countr_zero(bits));
+      records.Put(off, cells[off]);
     }
+    records.Drain();
   });
+  records.Flush();
+  const uint64_t count = (out->size() - count_at - sizeof(uint64_t)) / kCellRecordBytes;
   std::memcpy(out->data() + count_at, &count, sizeof(count));
   if (stats != nullptr) {
     stats->pages_total = table.num_pages();
-    stats->pages_shipped = pages;
+    stats->pages_shipped = table.WrittenPages();
     stats->cells_shipped = count;
   }
 }
@@ -80,14 +77,14 @@ struct CellRecords {
   std::string_view bytes;
   uint64_t count = 0;
 
-  uint32_t offset(uint64_t i) const {
-    uint32_t off = 0;
-    std::memcpy(&off, bytes.data() + i * kCellRecordBytes, sizeof(off));
-    return off;
+  // Record i as one little-endian word: the offset in the low half, the
+  // cell's bits in the high half.
+  uint64_t record(uint64_t i) const {
+    uint64_t r = 0;
+    std::memcpy(&r, bytes.data() + i * kCellRecordBytes, sizeof(r));
+    return r;
   }
-  const char* cell(uint64_t i) const {
-    return bytes.data() + i * kCellRecordBytes + sizeof(uint32_t);
-  }
+  uint32_t offset(uint64_t i) const { return static_cast<uint32_t>(record(i)); }
 };
 
 // Validates a table section against the receiver's live table without
@@ -105,12 +102,13 @@ Status ReadCellRecords(SnapshotReader& in, const PagedTable& table, CellRecords*
     return Status::Corruption("delta cells exceed stream size");
   }
   cells->count = count;
-  for (uint64_t i = 0; i < count; ++i) {
-    const uint32_t off = cells->offset(i);
-    if (off >= total) return Status::Corruption("delta cell offset out of range");
-    if (i > 0 && off <= cells->offset(i - 1)) {
-      return Status::Corruption("delta cell offsets not strictly increasing");
-    }
+  // Strictly increasing offsets are in range when the last one is, so one
+  // branch-free pass checks the order and one comparison the range.
+  uint64_t descents = 0;
+  for (uint64_t i = 1; i < count; ++i) descents += cells->offset(i) <= cells->offset(i - 1);
+  if (descents != 0) return Status::Corruption("delta cell offsets not strictly increasing");
+  if (count > 0 && cells->offset(count - 1) >= total) {
+    return Status::Corruption("delta cell offset out of range");
   }
   if (in.remaining() != 0) return Status::Corruption("trailing bytes after delta");
   return Status::OK();
@@ -118,9 +116,11 @@ Status ReadCellRecords(SnapshotReader& in, const PagedTable& table, CellRecords*
 
 // Copies validated records straight from the payload into the live arena.
 void CommitCellRecords(const CellRecords& cells, PagedTable* table) {
+  float* const data = table->data();
   for (uint64_t i = 0; i < cells.count; ++i) {
-    const size_t off = cells.offset(i);
-    std::memcpy(table->data() + off, cells.cell(i), sizeof(float));
+    const uint64_t record = cells.record(i);
+    const uint32_t off = static_cast<uint32_t>(record);
+    data[off] = std::bit_cast<float>(static_cast<uint32_t>(record >> 32));
     table->MarkDirtyOffset(off);
   }
 }
@@ -293,14 +293,15 @@ Status ApplyWmSketchDelta(WmSketch& sketch, SnapshotReader& in) {
     return Status::Corruption("truncated delta state");
   }
   // Validate everything before touching the sketch: a Corruption anywhere
-  // below leaves it byte-identical to its pre-call state.
-  std::vector<FeatureWeight> heap;
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.config_.heap_capacity, &heap));
+  // below leaves it byte-identical to its pre-call state. The heap section's
+  // repeated-feature check is the last, made as it commits.
+  HeapSection heap;
+  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.config_.heap_capacity, &heap));
   CellRecords cells;
   WMS_RETURN_NOT_OK(ReadCellRecords(in, sketch.table_, &cells));
+  WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
   sketch.t_ = t;
   sketch.scale_ = scale;
-  sketch.heap_.Assign(heap);
   CommitCellRecords(cells, &sketch.table_);
   return Status::OK();
 }
@@ -328,14 +329,14 @@ Status ApplyAwmSketchDelta(AwmSketch& sketch, SnapshotReader& in) {
   if (!in.ReadRaw(&t) || !in.ReadRaw(&sketch_scale) || !in.ReadRaw(&heap_scale)) {
     return Status::Corruption("truncated delta state");
   }
-  std::vector<FeatureWeight> heap;
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.config_.heap_capacity, &heap));
+  HeapSection heap;
+  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.config_.heap_capacity, &heap));
   CellRecords cells;
   WMS_RETURN_NOT_OK(ReadCellRecords(in, sketch.table_, &cells));
+  WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
   sketch.t_ = t;
   sketch.sketch_scale_ = sketch_scale;
   sketch.heap_scale_ = heap_scale;
-  sketch.heap_.Assign(heap);
   CommitCellRecords(cells, &sketch.table_);
   return Status::OK();
 }

@@ -91,7 +91,8 @@ Status BeginDeltaWindow(Method method, BudgetedClassifier& impl);
 /// Appends the WMD2 delta payload of `impl` to `*out`: scalars + heap in
 /// full, and the table cells written since the last BeginDeltaWindow as raw
 /// bits. Appending lets the sync client write the payload once, straight
-/// into the frame it sends. `stats` (optional) receives the page and cell
+/// into the frame it sends; the walk visits only the record words the
+/// window wrote, and nothing is allocated when `*out` has the capacity. `stats` (optional) receives the page and cell
 /// counters. FailedPrecondition, with nothing appended, when no window was
 /// ever opened on `impl`.
 Status SaveDelta(Method method, const BudgetedClassifier& impl, std::string* out,
@@ -100,12 +101,14 @@ Status SaveDelta(Method method, const BudgetedClassifier& impl, std::string* out
 /// Applies a delta payload to `impl` in place; `impl` must match the
 /// sender's state as of the delta's window opening (the caller's sync
 /// protocol guarantees this; see src/dist/). Validates the whole payload
-/// before it writes anything: header and method tag, scalars, heap count
-/// and duplicates, the cell count against `impl`, the record count against
-/// the cell count and the payload, strictly increasing in-range offsets,
-/// and no trailing bytes. A malformed payload therefore returns Corruption
-/// with `impl` untouched. Cells are then copied straight from `payload`
-/// into the live table.
+/// before it writes anything: header and method tag, scalars, heap count,
+/// the cell count against `impl`, the record count against the cell count
+/// and the payload, strictly increasing in-range offsets, no trailing
+/// bytes, and last no repeated heap feature. A malformed payload therefore
+/// returns Corruption with `impl` untouched. Heap entries and cells are then
+/// copied straight from `payload` into the live heap and table, touching
+/// the heap's index only where a slot's feature changed. Once `impl`'s heap
+/// has held as many entries as the delta's, nothing is allocated.
 Status ApplyDelta(Method method, BudgetedClassifier& impl, std::string_view payload);
 
 namespace detail {

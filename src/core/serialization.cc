@@ -98,27 +98,22 @@ bool CapacityPlausible(uint64_t capacity) {
 
 namespace detail {
 
-Status ReadHeapEntries(SnapshotReader& in, size_t capacity,
-                       std::vector<FeatureWeight>* entries) {
+Status ReadHeapSection(SnapshotReader& in, size_t capacity, HeapSection* section) {
   static_assert(sizeof(FeatureWeight) == kHeapEntryBytes &&
                     std::is_trivially_copyable_v<FeatureWeight>,
                 "a FeatureWeight is read as its (u32 feature, f32 weight) wire pair");
   uint64_t n = 0;
   if (!in.ReadRaw(&n)) return Status::Corruption("truncated heap header");
   if (n > capacity) return Status::Corruption("heap entries exceed capacity");
-  if (!in.CanRead(n, kHeapEntryBytes)) {
+  if (!in.CanRead(n, kHeapEntryBytes) || !in.ReadView(n * kHeapEntryBytes, &section->entries)) {
     return Status::Corruption("heap entries exceed stream size");
   }
-  entries->resize(n);
-  if (!in.ReadExactRaw(reinterpret_cast<char*>(entries->data()), n * kHeapEntryBytes)) {
-    return Status::Corruption("truncated heap entry");
-  }
-  KeySlotIndex seen;
-  seen.Reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!seen.Insert((*entries)[i].feature, i)) {
-      return Status::Corruption("duplicate heap feature");
-    }
+  return Status::OK();
+}
+
+Status AssignHeapSection(const HeapSection& section, TopKHeap& heap) {
+  if (!heap.TryAssign(section.size(), section)) {
+    return Status::Corruption("duplicate heap feature");
   }
   return Status::OK();
 }
@@ -170,9 +165,9 @@ Result<WmSketch> LoadWmSketchPayload(SnapshotReader& in, const LearnerOptions& o
     return Status::Corruption("truncated state");
   }
   WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_));
-  std::vector<FeatureWeight> heap;
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.heap_.capacity(), &heap));
-  sketch.heap_.Assign(heap);
+  HeapSection heap;
+  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.heap_.capacity(), &heap));
+  WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
   return sketch;
 }
 
@@ -223,9 +218,9 @@ Result<AwmSketch> LoadAwmSketchPayload(SnapshotReader& in, const LearnerOptions&
     return Status::Corruption("truncated state");
   }
   WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_));
-  std::vector<FeatureWeight> heap;
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, sketch.heap_.capacity(), &heap));
-  sketch.heap_.Assign(heap);
+  HeapSection heap;
+  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.heap_.capacity(), &heap));
+  WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
   return sketch;
 }
 
@@ -263,9 +258,9 @@ Result<SimpleTruncation> LoadSimpleTruncationPayload(SnapshotReader& in,
   if (!in.ReadRaw(&model.t_) || !in.ReadRaw(&model.scale_)) {
     return Status::Corruption("truncated state");
   }
-  std::vector<FeatureWeight> heap;
-  WMS_RETURN_NOT_OK(ReadHeapEntries(in, model.heap_.capacity(), &heap));
-  model.heap_.Assign(heap);
+  HeapSection heap;
+  WMS_RETURN_NOT_OK(ReadHeapSection(in, model.heap_.capacity(), &heap));
+  WMS_RETURN_NOT_OK(AssignHeapSection(heap, model.heap_));
   return model;
 }
 

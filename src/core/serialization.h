@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstring>
 #include <iosfwd>
+#include <string_view>
 
 #include "core/awm_sketch.h"
 #include "core/frequent_features.h"
@@ -80,18 +82,36 @@ Result<FeatureHashingClassifier> LoadFeatureHashingPayload(snapshot::SnapshotRea
 template <typename Sink>
 void WriteHeapEntries(Sink& out, const TopKHeap& heap) {
   snapshot::WriteRaw(out, static_cast<uint64_t>(heap.size()));
-  heap.ForEachEntry([&out](uint32_t feature, float weight) {
-    snapshot::WriteRaw(out, feature);
-    snapshot::WriteRaw(out, weight);
+  snapshot::PairWriter<Sink> pairs(out);
+  heap.ForEachEntry([&pairs](uint32_t feature, float weight) {
+    pairs.Put(feature, weight);
+    pairs.Drain();
   });
+  pairs.Flush();
 }
 
-/// Reads a heap section into `*entries`, in stream order, and validates it
-/// without touching any heap: Corruption when it is truncated, holds more
-/// than `capacity` entries, or names a feature twice. TopKHeap::Assign then
-/// commits it, reproducing the writer's heap array.
-Status ReadHeapEntries(snapshot::SnapshotReader& in, size_t capacity,
-                       std::vector<FeatureWeight>* entries);
+/// A heap section whose count has been checked, its entries left in place
+/// in the stream they were read from.
+struct HeapSection {
+  std::string_view entries;  ///< the (u32 feature, f32 weight) pairs
+
+  size_t size() const { return entries.size() / sizeof(FeatureWeight); }
+  FeatureWeight operator[](size_t i) const {
+    FeatureWeight fw;
+    std::memcpy(&fw, entries.data() + i * sizeof(FeatureWeight), sizeof(fw));
+    return fw;
+  }
+};
+
+/// Reads a heap section's count and points `*section` at its entries, with
+/// no copy: Corruption when it is truncated or holds more than `capacity`
+/// entries.
+Status ReadHeapSection(snapshot::SnapshotReader& in, size_t capacity, HeapSection* section);
+
+/// Commits a section read by ReadHeapSection to `heap` (whose capacity bound
+/// the read), reproducing the writer's heap array. Corruption, with `heap`
+/// untouched, when the section names a feature twice.
+Status AssignHeapSection(const HeapSection& section, TopKHeap& heap);
 
 }  // namespace detail
 

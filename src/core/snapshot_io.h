@@ -1,5 +1,6 @@
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
@@ -68,6 +69,45 @@ inline void WriteRaw(std::string& out, const T& value) {
 inline void WriteBytes(std::string& out, const void* data, size_t n) {
   out.append(static_cast<const char*>(data), n);
 }
+
+/// Writes a run of 8-byte (u32, f32) records, the shape of both the heap
+/// section's (feature, weight) pairs and a delta's (offset, cell bits)
+/// pairs, through a stack buffer: `out` gets one write per chunk of records
+/// instead of two per record, and the same (little-endian) bytes. Put()
+/// itself never writes to `out`: Drain() does, once a chunk is full, and
+/// must be called at least every kBurst Put()s; Flush() after the last.
+template <typename Sink>
+class PairWriter {
+ public:
+  static constexpr uint32_t kBurst = 64;
+
+  explicit PairWriter(Sink& out) : out_(out) {}
+
+  /// Appends (first, the bits of second).
+  void Put(uint32_t first, float second) {
+    buf_[used_++] = (uint64_t{std::bit_cast<uint32_t>(second)} << 32) | first;
+  }
+
+  /// Hands a full chunk to the sink.
+  void Drain() {
+    if (used_ >= kChunkPairs) Flush();
+  }
+
+  /// Hands every buffered record to the sink.
+  void Flush() {
+    if (used_ != 0) WriteBytes(out_, buf_, used_ * sizeof(uint64_t));
+    used_ = 0;
+  }
+
+ private:
+  static constexpr uint32_t kChunkPairs = 256;
+
+  Sink& out_;
+  uint64_t buf_[kChunkPairs + kBurst];
+  // Not a size_t: a uint64_t store into buf_ cannot alias a uint32_t, so
+  // the count stays in a register across Put()s.
+  uint32_t used_ = 0;
+};
 
 /// Wraps a fully serialized snapshot payload in the checksummed envelope
 /// and writes it to `out`. Failpoint site "envelope:write" can force an

@@ -79,6 +79,8 @@ Aggregator& Aggregator::operator=(Aggregator&& other) noexcept {
   shutdown_ = other.shutdown_;
   conns_ = std::move(other.conns_);
   other.conns_.clear();
+  pollfds_ = std::move(other.pollfds_);
+  ack_frame_ = std::move(other.ack_frame_);
   workers_ = std::move(other.workers_);
   baseline_ = std::move(other.baseline_);
   checkpointer_ = std::move(other.checkpointer_);
@@ -148,8 +150,8 @@ Status Aggregator::AcceptPending() {
 
 Status Aggregator::PollOnce(int timeout_ms) {
   if (listen_fd_ < 0) return Status::FailedPrecondition("aggregator not bound");
-  std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 1);
+  std::vector<pollfd>& fds = pollfds_;
+  fds.clear();
   fds.push_back(pollfd{listen_fd_, POLLIN, 0});
   for (const Connection& conn : conns_) fds.push_back(pollfd{conn.fd, POLLIN, 0});
   const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
@@ -210,7 +212,7 @@ Status Aggregator::ServeConnection(Connection& conn, bool* close_conn) {
     case FrameType::kShutdown:
       shutdown_ = true;
       *close_conn = true;
-      return SendFrame(conn.fd, FrameType::kAck, EncodeAck(AckPayload{0}));
+      return SendAck(conn.fd, 0);
     default:
       *close_conn = true;
       return SendError(conn.fd,
@@ -317,7 +319,14 @@ Status Aggregator::HandleSync(Connection& conn, bool* close_conn) {
     ws.needs_full = false;
   }
   ws.acked_seq = header.sync_seq;
-  return SendFrame(conn.fd, FrameType::kAck, EncodeAck(AckPayload{header.sync_seq}));
+  return SendAck(conn.fd, header.sync_seq);
+}
+
+Status Aggregator::SendAck(int fd, uint64_t sync_seq) {
+  net::BeginFrame(&ack_frame_, static_cast<uint8_t>(FrameType::kAck));
+  EncodeAck(AckPayload{sync_seq}, &ack_frame_);
+  net::SealFrame(&ack_frame_);
+  return SendEncodedFrame(fd, ack_frame_);
 }
 
 Result<std::unique_ptr<BudgetedClassifier>> Aggregator::MergedImpl() const {

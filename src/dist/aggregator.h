@@ -1,5 +1,7 @@
 #pragma once
 
+#include <poll.h>
+
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -122,6 +124,7 @@ class Aggregator {
   Status HandleSync(Connection& conn, bool* close_conn);
   Result<std::unique_ptr<BudgetedClassifier>> MergedImpl() const;
   Status SendError(int fd, const Status& status);
+  Status SendAck(int fd, uint64_t sync_seq);
 
   AggregatorOptions options_;
   MergeIdentity identity_;
@@ -130,6 +133,10 @@ class Aggregator {
   std::string socket_path_;
   bool shutdown_ = false;
   std::vector<Connection> conns_;
+  // Kept across rounds so a served sync allocates nothing: the poll set,
+  // rebuilt in place each round, and the ack frame.
+  std::vector<pollfd> pollfds_;
+  std::string ack_frame_;
   std::map<uint64_t, WorkerState> workers_;
   std::unique_ptr<BudgetedClassifier> baseline_;
   std::optional<Checkpointer> checkpointer_;

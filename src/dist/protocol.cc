@@ -75,9 +75,11 @@ Result<SyncHeader> DecodeSyncHeader(std::string_view payload, std::string_view* 
 
 std::string EncodeAck(const AckPayload& ack) {
   std::string out;
-  WriteRaw(out, ack.sync_seq);
+  EncodeAck(ack, &out);
   return out;
 }
+
+void EncodeAck(const AckPayload& ack, std::string* out) { WriteRaw(*out, ack.sync_seq); }
 
 Result<AckPayload> DecodeAck(std::string_view payload) {
   SnapshotReader in(payload);

@@ -84,6 +84,8 @@ void EncodeSyncHeader(const SyncHeader& header, std::string* out);
 Result<SyncHeader> DecodeSyncHeader(std::string_view payload, std::string_view* body);
 
 std::string EncodeAck(const AckPayload& ack);
+/// Appends an ack payload to `*out` (the aggregator's kept ack frame).
+void EncodeAck(const AckPayload& ack, std::string* out);
 Result<AckPayload> DecodeAck(std::string_view payload);
 
 /// kError payload: the rejecting side's Status, round-tripped so the worker

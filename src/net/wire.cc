@@ -14,6 +14,28 @@
 
 namespace wmsketch::net {
 
+namespace {
+
+// One read(2) of at most `n` bytes: blocks until some arrive, then takes
+// what has arrived. `*got` is 0 only at EOF.
+Status ReadSome(int fd, char* dst, size_t n, size_t* got) {
+  for (;;) {
+    const ssize_t r = ::read(fd, dst, n);
+    if (r >= 0) {
+      *got = static_cast<size_t>(r);
+      return Status::OK();
+    }
+    if (errno == EINTR) continue;
+    *got = 0;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return Status::IOError("frame read timed out");
+    }
+    return Status::IOError(std::string("frame read failed: ") + std::strerror(errno));
+  }
+}
+
+}  // namespace
+
 Status WriteAll(int fd, const char* data, size_t n) {
   while (n > 0) {
     // MSG_NOSIGNAL: a peer that died between frames must surface as EPIPE,
@@ -32,16 +54,10 @@ Status WriteAll(int fd, const char* data, size_t n) {
 Status ReadUpTo(int fd, char* dst, size_t n, size_t* got) {
   *got = 0;
   while (*got < n) {
-    const ssize_t r = ::read(fd, dst + *got, n - *got);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        return Status::IOError("frame read timed out");
-      }
-      return Status::IOError(std::string("frame read failed: ") + std::strerror(errno));
-    }
+    size_t r = 0;
+    WMS_RETURN_NOT_OK(ReadSome(fd, dst + *got, n - *got, &r));
     if (r == 0) return Status::OK();  // EOF; caller inspects *got
-    *got += static_cast<size_t>(r);
+    *got += r;
   }
   return Status::OK();
 }
@@ -172,16 +188,22 @@ Status RecvFrame(int fd, uint8_t min_type, uint8_t max_type, const char* failpoi
   if (act == failpoint::Action::kError) {
     return Status::IOError("injected recv failure");
   }
+  // One read takes the type byte and as much of the header as has arrived,
+  // usually all of it. The type byte is checked before any wait for the
+  // rest, so a garbage connection is dropped at its first byte.
   char head[kFrameHeaderBytes];
   size_t got = 0;
-  WMS_RETURN_NOT_OK(ReadUpTo(fd, head, 1, &got));
+  WMS_RETURN_NOT_OK(ReadSome(fd, head, sizeof(head), &got));
   if (got == 0) return Status::NotFound("connection closed");
   const uint8_t raw_type = static_cast<uint8_t>(head[0]);
   if (raw_type < min_type || raw_type > max_type) {
     return Status::Corruption("unknown frame type " + std::to_string(raw_type));
   }
-  WMS_RETURN_NOT_OK(ReadUpTo(fd, head + 1, sizeof(head) - 1, &got));
-  if (got != sizeof(head) - 1) return Status::Corruption("torn frame header");
+  if (got < sizeof(head)) {
+    size_t rest = 0;
+    WMS_RETURN_NOT_OK(ReadUpTo(fd, head + got, sizeof(head) - got, &rest));
+    if (got + rest != sizeof(head)) return Status::Corruption("torn frame header");
+  }
 
   uint64_t length;
   uint32_t declared_crc;

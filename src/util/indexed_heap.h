@@ -266,8 +266,11 @@ class IndexedMinHeap {
   /// All entries in unspecified (heap) order.
   const std::vector<Entry>& entries() const { return heap_; }
 
-  /// Bytes of the key → slot index (the entry array is not included).
-  size_t IndexBytes() const { return pos_.Bytes(); }
+  /// Bytes of the key → slot index and of TryAssign's scratch (the entry
+  /// array is not included).
+  size_t IndexBytes() const {
+    return pos_.Bytes() + (moved_slots_.size() + moved_keys_.size()) * sizeof(uint32_t);
+  }
 
   /// Replaces the heap's contents with `entries`, preserving their array
   /// order exactly (snapshot-restore support). Array order matters because
@@ -292,41 +295,68 @@ class IndexedMinHeap {
     return Status::OK();
   }
 
-  /// Replaces the contents with `n` entries taken in order from
-  /// `entry_at(i)`. The array comes out exactly as after Clear() and an
-  /// Insert() of each, but the work is proportional to what changed: the
-  /// index keeps its array and the cells of keys present before and after,
-  /// and a key arriving in the slot it already held costs no index operation
-  /// at all. Requires distinct keys.
+  /// Replaces the contents with the `n` entries entry_at(0), ...,
+  /// entry_at(n - 1) and returns true, or returns false, changing nothing,
+  /// when two of them share a key. The array comes out exactly as after
+  /// Clear() and an Insert() of each, so a heap array sent whole is
+  /// reproduced. When the entries are in heap order, as such an array is,
+  /// the work is a pass over them to check their keys and one to write
+  /// them, plus, for the m keys that moved to another slot or arrived, an
+  /// index update each and a sort of the m. The two scratch arrays hold n
+  /// slots and keys and are kept, so nothing is allocated unless n exceeds
+  /// every earlier n.
   template <typename EntryAt>
-  void Assign(size_t n, EntryAt entry_at) {
-    // Slot i is overwritten in order, so when entry i arrives slots [0, i)
-    // hold the new prefix (the only slots its sift touches) and slot i
-    // still holds its old entry. Keys are distinct, so if that old entry has
-    // the same key, no earlier step remapped it and the index already says i.
-    std::vector<uint32_t> displaced;  // old keys overwritten by another key
+  bool TryAssign(size_t n, EntryAt entry_at) {
     const size_t old_size = heap_.size();
+    const size_t kept = std::min(n, old_size);
+    if (moved_slots_.size() < n) {
+      moved_slots_.resize(n);
+      moved_keys_.resize(n);
+    }
+    uint32_t* const slots = moved_slots_.data();
+    uint32_t* const keys = moved_keys_.data();
+    size_t moves = 0;
+    // Insert() leaves entry i in slot i exactly when its parent's priority
+    // is <= its own (HoleUp's test), given that the entries before it did.
+    // The scan has no data-dependent branch: which slots' keys changed is
+    // as good as random, so each slot and key is written unconditionally
+    // and kept by advancing past it.
+    size_t out_of_order = 0;
     for (size_t i = 0; i < n; ++i) {
       const Entry e = entry_at(i);
-      bool indexed_here = false;
-      if (i < old_size) {
-        indexed_here = heap_[i].key == e.key;
-        if (!indexed_here) displaced.push_back(heap_[i].key);
-      } else {
-        heap_.emplace_back();
-      }
-      const size_t j = HoleUp(i, e.priority);
-      heap_[j] = e;
-      if (j != i || !indexed_here) pos_.Set(e.key, j);
+      out_of_order += !(entry_at((i - (i != 0)) / 2).priority <= e.priority);
+      const bool moved = i >= kept || heap_[i].key != e.key;
+      slots[moves] = static_cast<uint32_t>(i);
+      keys[moves] = e.key;
+      moves += moved;
     }
-    for (size_t i = n; i < old_size; ++i) displaced.push_back(heap_[i].key);
+    // A key its slot already holds is distinct from every other such key,
+    // as the heap's own keys are. So a repeat needs a key that moved or
+    // arrived: twice, or once besides the unchanged slot that still holds it.
+    for (size_t m = 0; m < moves; ++m) {
+      const size_t slot = pos_.Find(keys[m]);
+      if (slot < kept && entry_at(slot).key == keys[m]) return false;
+    }
+    std::sort(keys, keys + moves);
+    if (std::adjacent_find(keys, keys + moves) != keys + moves) return false;
+
+    if (out_of_order != 0) {
+      AssignBySifting(n, entry_at);
+      return true;
+    }
+    // Every entry lands in its own slot, so the index changes only where a
+    // key moved. An old key the index still maps to its slot has not
+    // arrived yet: it leaves the index there and re-enters it if it arrives
+    // later, so the index never holds more than max(old size, n) keys.
+    for (size_t m = 0; m < moves; ++m) {
+      const uint32_t i = slots[m];
+      if (i < old_size && pos_.Find(heap_[i].key) == i) pos_.Erase(heap_[i].key);
+      pos_.Set(entry_at(i).key, i);
+    }
+    EraseTail(n, old_size);
     heap_.resize(n);
-    // A displaced key that did not come back still maps to its stale slot,
-    // which now holds another key or lies past the end.
-    for (const uint32_t key : displaced) {
-      const size_t i = pos_.Find(key);
-      if (i != kNoSlot && (i >= n || heap_[i].key != key)) pos_.Erase(key);
-    }
+    for (size_t i = 0; i < n; ++i) heap_[i] = entry_at(i);
+    return true;
   }
 
   /// Removes all entries.
@@ -397,8 +427,46 @@ class IndexedMinHeap {
     pos_.Set(heap_[to].key, to);
   }
 
+  // TryAssign for entries out of heap order, after its repeat check: inserts
+  // them in order, each sifting up through the new prefix. Slot i is
+  // overwritten in order, so when entry i arrives slots [0, i) hold the new
+  // prefix (the only slots its sift touches) and slot i still holds its old
+  // entry, whose key leaves the index as in TryAssign's in-order path.
+  template <typename EntryAt>
+  void AssignBySifting(size_t n, EntryAt entry_at) {
+    const size_t old_size = heap_.size();
+    for (size_t i = 0; i < n; ++i) {
+      const Entry e = entry_at(i);
+      bool indexed_here = false;
+      if (i < old_size) {
+        const uint32_t old_key = heap_[i].key;
+        indexed_here = old_key == e.key;
+        if (!indexed_here && pos_.Find(old_key) == i) pos_.Erase(old_key);
+      } else {
+        heap_.emplace_back();
+      }
+      const size_t j = HoleUp(i, e.priority);
+      heap_[j] = e;
+      if (j != i || !indexed_here) pos_.Set(e.key, j);
+    }
+    EraseTail(n, old_size);
+  }
+
+  // Unindexes the old keys of slots [n, old_size) that did not arrive in
+  // an assignment of n entries, and drops those slots.
+  void EraseTail(size_t n, size_t old_size) {
+    for (size_t i = n; i < old_size; ++i) {
+      if (pos_.Find(heap_[i].key) == i) pos_.Erase(heap_[i].key);
+    }
+    if (old_size > n) heap_.resize(n);
+  }
+
   std::vector<Entry> heap_;
   KeySlotIndex pos_;
+  // TryAssign's scratch: the slots whose key moved or arrived, and those
+  // keys.
+  std::vector<uint32_t> moved_slots_;
+  std::vector<uint32_t> moved_keys_;
 };
 
 static_assert(sizeof(IndexedMinHeap::Entry) == 16,

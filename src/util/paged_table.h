@@ -27,8 +27,10 @@
 //
 // Delta windows (the distributed sync tier, src/dist/) work at cell, not
 // page, granularity: between BeginDeltaWindow() calls every MarkDirty* call
-// also sets one bit per cell it names, so a delta ships exactly the cells
-// written since the window opened. Windows never touch the page epochs.
+// also sets one bit per cell it names, and one summary bit per 64-cell word
+// of those, so a delta ships exactly the cells written since the window
+// opened and finds them without reading the words no write touched.
+// Windows never touch the page epochs.
 //
 // Publication cost: O(#pages) refcount bumps + O(dirty pages) copies —
 // proportional to what changed, which is what a high-cadence (small
@@ -216,10 +218,8 @@ class BasicPagedTable {
     TouchWriterFence();
     if (tracking_) std::fill(page_epoch_.begin(), page_epoch_.end(), epoch_);
     if (recording_) {
-      std::fill(written_.begin(), written_.end(), ~uint64_t{0});
-      if (const size_t tail = cells_ % 64; tail != 0) {
-        written_.back() = (uint64_t{1} << tail) - 1;
-      }
+      FillBits(written_, cells_);
+      FillBits(written_words_, written_.size());
     }
   }
 
@@ -269,30 +269,57 @@ class BasicPagedTable {
 
   /// Opens a new delta window: clears the written-cell record and turns
   /// recording on, so from this call on every MarkDirty* call records the
-  /// cells it names and ForEachWrittenCell visits exactly the cells written
-  /// since. The record costs one bit per cell, allocated by the first call.
-  /// Windows leave page epochs alone; those serve publication only.
-  /// Writer-thread only, like all mutation.
+  /// cells it names and ForEachWrittenWord visits exactly the cells written
+  /// since. The record costs one bit per cell plus one summary bit per 64
+  /// cells, allocated by the first call; later calls clear only the words
+  /// the summary marks. Windows leave page epochs alone; those serve
+  /// publication only. Writer-thread only, like all mutation.
   void BeginDeltaWindow() {
     TouchWriterFence();
-    written_.assign((cells_ + 63) / 64, 0);
-    recording_ = true;
+    if (!recording_) {
+      written_.assign((cells_ + 63) / 64, 0);
+      written_words_.assign((written_.size() + 63) / 64, 0);
+      recording_ = true;
+      return;
+    }
+    ForEachWrittenWord([this](size_t w, uint64_t) { written_[w] = 0; });
+    std::fill(written_words_.begin(), written_words_.end(), uint64_t{0});
   }
 
   /// True once BeginDeltaWindow has been called.
   bool recording() const { return recording_; }
 
-  /// Visits every cell written since the last BeginDeltaWindow as
-  /// fn(offset, cell), in ascending offset order; `cell` points into the
-  /// live arena.
+  /// Visits the record of the cells written since the last BeginDeltaWindow
+  /// a 64-cell word at a time, as fn(w, bits) for each word w holding a
+  /// written cell, in ascending order: bit i of `bits` stands for cell
+  /// 64·w + i. Only the words the summary marks are read, so the walk costs
+  /// what the window wrote, not the table's size, and a caller can do its
+  /// per-step bookkeeping once a word rather than once a cell.
   template <typename Fn>
-  void ForEachWrittenCell(Fn&& fn) const {
-    for (size_t w = 0; w < written_.size(); ++w) {
-      for (uint64_t bits = written_[w]; bits != 0; bits &= bits - 1) {
-        const size_t off = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-        fn(off, arena_.data() + off);
+  void ForEachWrittenWord(Fn&& fn) const {
+    for (size_t s = 0; s < written_words_.size(); ++s) {
+      for (uint64_t words = written_words_[s]; words != 0; words &= words - 1) {
+        const size_t w = s * 64 + static_cast<size_t>(std::countr_zero(words));
+        fn(w, written_[w]);
       }
     }
+  }
+
+  /// The number of pages holding a cell written since the last
+  /// BeginDeltaWindow, read off the record's summary.
+  size_t WrittenPages() const {
+    // A page holds page_cells() / 64 whole record words (PickPageCells'
+    // floor is 64 cells), so it was written when one of its run of summary
+    // bits is set: OR each run into its first bit and count those.
+    const size_t words_per_page = page_cells() / 64;
+    const uint64_t first_bits =
+        words_per_page == 64 ? 1 : ~uint64_t{0} / ((uint64_t{1} << words_per_page) - 1);
+    size_t pages = 0;
+    for (uint64_t bits : written_words_) {
+      for (size_t k = 1; k < words_per_page; k <<= 1) bits |= bits >> k;
+      pages += static_cast<size_t>(std::popcount(bits & first_bits));
+    }
+    return pages;
   }
 
   /// Cumulative publication counters (see TablePublishStats).
@@ -300,9 +327,11 @@ class BasicPagedTable {
 
   /// Bytes of paged-storage bookkeeping beyond the raw cells: per-page
   /// mirror + epoch metadata (kBytesPerPageMeta each), plus the written-cell
-  /// record once a delta window has been opened. Mirror *data* is not
-  /// included: clean mirrors duplicate arena slices transiently and are
-  /// owned by whichever snapshots pin them (PageSet::ResidentBytes).
+  /// record's one bit per cell once a delta window has been opened. Left
+  /// out: the record's summary, 1/64 of its size (128 bytes at 64K cells),
+  /// and mirror *data*, since clean mirrors duplicate arena slices
+  /// transiently and are owned by whichever snapshots pin them
+  /// (PageSet::ResidentBytes).
   size_t MetadataBytes() const {
     return mirror_.size() * kBytesPerPageMeta + written_.size() * sizeof(uint64_t);
   }
@@ -323,11 +352,23 @@ class BasicPagedTable {
   mutable bool tracking_ = false;  // true after the first publish
   mutable TablePublishStats stats_;
   // Delta-window record: bit `off` of written_ is set when cell `off` was
-  // written since the last BeginDeltaWindow. Empty until the first window.
+  // written since the last BeginDeltaWindow, and bit `w` of written_words_
+  // when word `w` of written_ is nonzero. Empty until the first window.
   std::vector<uint64_t> written_;
+  std::vector<uint64_t> written_words_;
   bool recording_ = false;
 
-  void RecordCell(size_t off) { written_[off / 64] |= uint64_t{1} << (off % 64); }
+  void RecordCell(size_t off) {
+    const size_t w = off / 64;
+    written_[w] |= uint64_t{1} << (off % 64);
+    written_words_[w / 64] |= uint64_t{1} << (w % 64);
+  }
+
+  // Sets bits [0, n) of `bits`, which holds exactly (n + 63) / 64 words.
+  static void FillBits(std::vector<uint64_t>& bits, size_t n) {
+    std::fill(bits.begin(), bits.end(), ~uint64_t{0});
+    if (const size_t tail = n % 64; tail != 0) bits.back() = (uint64_t{1} << tail) - 1;
+  }
 
 #if defined(WMS_PAGED_TABLE_TSAN)
   // Single-writer tripwire (see file comment): plain unsynchronized stores,

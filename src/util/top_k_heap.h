@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "util/indexed_heap.h"
@@ -132,14 +131,16 @@ class TopKHeap {
     heap_.UpdateAt(slot, std::fabs(w), w);
   }
 
-  /// Replaces the tracked set with `entries`: the result is the tracker an
-  /// empty one becomes by Set() of each entry in order (so entries in
-  /// heap-array order reproduce that array exactly). Reuses the index; see
-  /// IndexedMinHeap::Assign. Requires entries.size() <= capacity() and
-  /// distinct features.
-  void Assign(std::span<const FeatureWeight> entries) {
-    heap_.Assign(entries.size(), [entries](size_t i) {
-      const FeatureWeight& fw = entries[i];
+  /// Replaces the tracked set with the n FeatureWeights at[0], ...,
+  /// at[n - 1]: the result is the tracker an empty one becomes by Set() of
+  /// each in order (so entries in heap-array order reproduce that array
+  /// exactly). Returns false, changing nothing, when a feature repeats. See
+  /// IndexedMinHeap::TryAssign for the cost, which beyond one pass over the
+  /// entries follows the slots that changed. Requires n <= capacity().
+  template <typename At>
+  bool TryAssign(size_t n, const At& at) {
+    return heap_.TryAssign(n, [&at](size_t i) {
+      const FeatureWeight fw = at[i];
       return IndexedMinHeap::Entry{
           .key = fw.feature, .value = fw.weight, .priority = std::fabs(fw.weight)};
     });
@@ -163,7 +164,8 @@ class TopKHeap {
   /// Bytes the tracker holds as stored: its entries at
   /// sizeof(IndexedMinHeap::Entry) each (a 4-byte id and weight plus an
   /// 8-byte priority, where the Sec. 7.1 cost model, HeapBytes, charges 8)
-  /// plus the feature → slot index, which that model does not charge.
+  /// plus the feature → slot index and TryAssign's scratch, which that
+  /// model does not charge.
   size_t ResidentBytes() const {
     return heap_.size() * sizeof(IndexedMinHeap::Entry) + heap_.IndexBytes();
   }

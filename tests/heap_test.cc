@@ -322,11 +322,11 @@ TEST(IndexedMinHeapTest, RestoreHeapOrderRejectsBadArraysAndKeepsTheHeap) {
   for (const uint32_t gone : {5u, 9u, 12u}) EXPECT_FALSE(heap.Contains(gone));
 }
 
-// Property: Assign leaves the array a fresh heap gets from Insert() of each
-// entry in order, and an index that agrees with it, whatever the heap held
-// before: entries that stay in their slot, move, arrive, or leave; sizes
-// that grow or shrink; and sequences that do or do not satisfy the heap
-// property (the latter sift exactly as Insert would sift them).
+// Property: TryAssign leaves the array a fresh heap gets from Insert() of
+// each entry in order, and an index that agrees with it, whatever the heap
+// held before: entries that stay in their slot, move, arrive, or leave;
+// sizes that grow or shrink; and sequences that do or do not satisfy the
+// heap property (the latter sift exactly as Insert would sift them).
 TEST(IndexedMinHeapTest, AssignMatchesInsertInOrder) {
   Rng rng(11);
   IndexedMinHeap heap;
@@ -351,7 +351,7 @@ TEST(IndexedMinHeapTest, AssignMatchesInsertInOrder) {
                       .value = static_cast<float>(i),
                       .priority = static_cast<double>(rng.Bounded(8))});
     }
-    heap.Assign(next.size(), [&next](size_t i) { return next[i]; });
+    ASSERT_TRUE(heap.TryAssign(next.size(), [&next](size_t i) { return next[i]; }));
 
     IndexedMinHeap fresh;
     for (const IndexedMinHeap::Entry& e : next) fresh.Insert(e.key, e.priority, e.value);
@@ -374,6 +374,81 @@ TEST(IndexedMinHeapTest, AssignMatchesInsertInOrder) {
       heap.Insert(min.key, min.priority, min.value);
     }
     prev = heap.entries();
+  }
+}
+
+// The same property for heap arrays, the input a sync delivers: each round
+// sends the array of a heap that evolved from the previous round's by a few
+// updates, inserts, removals and a little growth or shrinkage, so most slots
+// keep their entry and TryAssign takes the path that writes only the slots
+// that differ. Priorities tie often, and -0.0 stands in for some 0.0 values,
+// so equality is by bits.
+TEST(IndexedMinHeapTest, TryAssignOfHeapArraysMatchesTheArray) {
+  Rng rng(17);
+  IndexedMinHeap sender, receiver;
+  for (int round = 0; round < 400; ++round) {
+    const int ops = 1 + static_cast<int>(rng.Bounded(12));
+    for (int op = 0; op < ops; ++op) {
+      const uint32_t key = static_cast<uint32_t>(rng.Bounded(120));
+      const double priority = static_cast<double>(rng.Bounded(16));
+      const float value = rng.Bounded(4) == 0 ? -0.0f : static_cast<float>(op);
+      if (sender.Contains(key)) {
+        if (rng.Bounded(3) == 0) {
+          sender.Remove(key);
+        } else {
+          sender.Update(key, priority, value);
+        }
+      } else if (sender.size() < 64) {
+        sender.Insert(key, priority, value);
+      }
+    }
+    const std::vector<IndexedMinHeap::Entry>& want = sender.entries();
+    ASSERT_TRUE(receiver.TryAssign(want.size(), [&want](size_t i) { return want[i]; }));
+    ASSERT_EQ(receiver.size(), want.size()) << "round " << round;
+    for (size_t i = 0; i < want.size(); ++i) {
+      const IndexedMinHeap::Entry& got = receiver.entries()[i];
+      ASSERT_EQ(got.key, want[i].key) << "round " << round << " slot " << i;
+      ASSERT_EQ(std::signbit(got.value), std::signbit(want[i].value));
+      ASSERT_EQ(got.value, want[i].value);
+      ASSERT_EQ(got.priority, want[i].priority);
+    }
+    for (uint32_t key = 0; key < 120; ++key) {
+      ASSERT_EQ(receiver.SlotOf(key), sender.SlotOf(key)) << "round " << round << " key " << key;
+    }
+  }
+}
+
+// A repeated key is rejected before anything is written, wherever the two
+// copies sit: one kept in its slot and one arriving elsewhere, both moving,
+// both new, or one past the old size.
+TEST(IndexedMinHeapTest, TryAssignRejectsARepeatedKeyAndKeepsTheHeap) {
+  using Entry = IndexedMinHeap::Entry;
+  IndexedMinHeap heap;
+  for (uint32_t k = 1; k <= 6; ++k) heap.Insert(k * 10, static_cast<double>(k), 0.5f * k);
+  const std::vector<Entry> before = heap.entries();
+  auto with = [&before](std::vector<std::pair<size_t, uint32_t>> keys) {
+    std::vector<Entry> next = before;
+    for (const auto& [slot, key] : keys) {
+      if (slot >= next.size()) next.resize(slot + 1, {.key = 0, .value = 0.f, .priority = 9.0});
+      next[slot].key = key;
+    }
+    return next;
+  };
+  const std::vector<std::vector<Entry>> repeats = {
+      with({{4, before[1].key}}),                     // kept in slot 1, arrives in 4
+      with({{2, before[5].key}, {3, before[5].key}}),  // an old key moves twice
+      with({{1, 777}, {5, 777}}),                     // a new key twice
+      with({{6, before[0].key}}),                     // past the old size
+  };
+  for (size_t c = 0; c < repeats.size(); ++c) {
+    const std::vector<Entry>& next = repeats[c];
+    EXPECT_FALSE(heap.TryAssign(next.size(), [&next](size_t i) { return next[i]; })) << c;
+    ASSERT_EQ(heap.size(), before.size()) << c;
+    for (size_t i = 0; i < before.size(); ++i) {
+      EXPECT_EQ(heap.entries()[i].key, before[i].key) << c;
+      EXPECT_EQ(heap.SlotOf(before[i].key), i) << c;
+    }
+    EXPECT_FALSE(heap.Contains(777)) << c;
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "util/paged_table.h"
 
+#include <bit>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -150,12 +151,16 @@ TEST(PagedTableTest, FillMarksEverythingDirty) {
   EXPECT_EQ(s.view().At(1023), 3.5f);
 }
 
-// The cells a table's delta window recorded, in walk order.
+// The cells a table's delta window recorded, in walk order. The walk must
+// name only nonzero words, in ascending order.
 std::vector<size_t> WrittenCells(const PagedTable& t) {
   std::vector<size_t> cells;
-  t.ForEachWrittenCell([&](size_t off, const float* cell) {
-    EXPECT_EQ(cell, t.data() + off);
-    cells.push_back(off);
+  size_t next_word = 0;
+  t.ForEachWrittenWord([&](size_t w, uint64_t bits) {
+    EXPECT_GE(w, next_word);
+    EXPECT_NE(bits, 0u) << "word " << w;
+    next_word = w + 1;
+    for (; bits != 0; bits &= bits - 1) cells.push_back(w * 64 + std::countr_zero(bits));
   });
   return cells;
 }
@@ -183,6 +188,62 @@ TEST(PagedTableTest, DeltaWindowRecordsExactlyTheNamedCells) {
   const std::vector<size_t> all = WrittenCells(t);
   ASSERT_EQ(all.size(), t.size());
   for (size_t i = 0; i < all.size(); ++i) ASSERT_EQ(all[i], i);
+}
+
+// The record's summary (one bit per 64-cell word) must follow every marking
+// path, on tables whose word count is not a multiple of 64 and whose pages
+// span one or several words: the walk and WrittenPages() agree with a
+// reference set after random writes, after MarkAllDirty inside an open
+// window, and after a reopened window, which clears only the words the
+// summary marks.
+TEST(PagedTableTest, WrittenWordSummaryFollowsEveryMarkingPath) {
+  Rng rng(41);
+  // 131 words (a partial last summary word, a 7-cell last word); 4,688
+  // words at two words a page; 17,188 words at eight.
+  for (const size_t cells : {size_t{64 * 130 + 7}, size_t{300000}, size_t{1100000}}) {
+    PagedTable t(cells);
+    SCOPED_TRACE(::testing::Message() << cells << " cells, " << t.page_cells() << " a page");
+    auto pages_of = [&t](const std::vector<size_t>& written) {
+      std::vector<size_t> pages;
+      for (const size_t off : written) {
+        if (pages.empty() || pages.back() != off / t.page_cells()) {
+          pages.push_back(off / t.page_cells());
+        }
+      }
+      return pages.size();
+    };
+    t.BeginDeltaWindow();
+    for (int round = 0; round < 3; ++round) {
+      std::vector<bool> want(cells, false);
+      const size_t writes = round == 0 ? 40 : 2000;
+      for (size_t i = 0; i < writes; ++i) {
+        const uint32_t off = static_cast<uint32_t>(rng.Bounded(cells));
+        if (i % 2 == 0) {
+          t.MarkDirtyOffset(off);
+        } else {
+          t.MarkPlanDirty(&off, 1);
+        }
+        want[off] = true;
+      }
+      std::vector<size_t> expected;
+      for (size_t off = 0; off < cells; ++off) {
+        if (want[off]) expected.push_back(off);
+      }
+      const std::vector<size_t> got = WrittenCells(t);
+      ASSERT_EQ(got, expected) << "round " << round;
+      EXPECT_EQ(t.WrittenPages(), pages_of(expected)) << "round " << round;
+
+      t.MarkAllDirty();  // inside the open window: every logical cell
+      const std::vector<size_t> all = WrittenCells(t);
+      ASSERT_EQ(all.size(), cells) << "round " << round;
+      EXPECT_EQ(all.back(), cells - 1);
+      EXPECT_EQ(t.WrittenPages(), t.num_pages()) << "round " << round;
+
+      t.BeginDeltaWindow();
+      ASSERT_TRUE(WrittenCells(t).empty()) << "round " << round;
+      EXPECT_EQ(t.WrittenPages(), 0u);
+    }
+  }
 }
 
 TEST(PagedTableTest, DeltaWindowsLeavePublicationAlone) {
