@@ -16,16 +16,32 @@
 // and WMS_BENCH_SCALE, so CI gates delta_bytes raw against the committed
 // BENCH_dist_sync.json (rows join on config and kernel); the timings are
 // printed and written, not gated.
+//
+// A second table times the whole round trip: a SyncClient syncing 16-example
+// windows into an in-process Aggregator over a Unix socket, the aggregator
+// polled on its own thread as perfbench `sync` polls it. Columns: syncs
+// timed, SyncClient::Sync latency p50/p99 (encode, send, the aggregator's
+// apply, the ack), and acks_in_spin, the share of syncs whose ack was
+// readable within dist::kSyncSpinBudget — the property the busy-poll on
+// both ends depends on. The row (awm64k_roundtrip_win16) has no committed
+// baseline, so CI prints it and gates nothing on it.
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/delta_io.h"
+#include "dist/aggregator.h"
+#include "dist/worker.h"
 
 namespace wmsketch::bench {
 namespace {
@@ -48,6 +64,79 @@ Result<Learner> Build() {
       .SetLearningRate(LearningRate::InverseSqrt(0.1))
       .SetSeed(42)
       .Build();
+}
+
+// The round-trip table (see the header comment); 0 on success.
+int RunRoundTrip(BenchJson& json) {
+  constexpr int kWindow = 16;
+  Result<Learner> built = Build();
+  if (!built.ok()) return 1;
+  Learner learner = std::move(built).value();
+  dist::AggregatorOptions options;
+  options.config = learner.config();
+  options.opts = learner.options();
+  Result<dist::Aggregator> created = dist::Aggregator::Create(options);
+  if (!created.ok()) {
+    std::fprintf(stderr, "aggregator failed: %s\n", created.status().ToString().c_str());
+    return 1;
+  }
+  dist::Aggregator agg = std::move(created).value();
+  const std::string path = "/tmp/wms_bench_sync_" + std::to_string(::getpid());
+  if (const Status st = agg.Bind(path); !st.ok()) {
+    std::fprintf(stderr, "bind failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  std::atomic<bool> stop{false};
+  std::thread poller([&] {
+    while (!stop.load(std::memory_order_relaxed)) (void)agg.PollOnce(2);
+  });
+
+  dist::SyncClientOptions copts;
+  copts.worker_id = 1;
+  copts.socket_path = path;
+  dist::SyncClient client(learner.method(), copts);
+  SyntheticClassificationGen gen(ClassificationProfile::Rcv1Like(), 7);
+  std::vector<Example> stream;
+  for (int i = 0; i < ScaledCount(20000); ++i) stream.push_back(gen.Next());
+  learner.UpdateBatch(stream);
+  Status st = client.Connect(learner.impl());
+  if (st.ok()) st = client.Sync(learner.impl());  // the full snapshot
+
+  const int syncs = std::max(100, ScaledCount(4000));
+  const uint64_t in_spin_before = client.stats().acks_within_spin;
+  std::vector<double> sync_us;
+  for (int i = 0; i < syncs && st.ok(); ++i) {
+    stream.clear();
+    for (int j = 0; j < kWindow; ++j) stream.push_back(gen.Next());
+    learner.UpdateBatch(stream);
+    const double t0 = NowUs();
+    st = client.Sync(learner.impl());
+    sync_us.push_back(NowUs() - t0);
+  }
+  stop = true;
+  poller.join();
+  if (!st.ok()) {
+    std::fprintf(stderr, "sync failed: %s\n", st.ToString().c_str());
+    return 1;
+  }
+  const double in_spin = static_cast<double>(client.stats().acks_within_spin - in_spin_before) /
+                         static_cast<double>(syncs);
+  const double p50 = Percentile(sync_us, 50);
+  const double p99 = Percentile(sync_us, 99);
+
+  Banner("dist sync: round trip, SyncClient to in-process Aggregator (Unix socket)");
+  PrintRow({"window_examples", "syncs", "sync_us_p50", "sync_us_p99", "acks_in_spin"});
+  PrintRow({std::to_string(kWindow), std::to_string(syncs), Fmt(p50, 2), Fmt(p99, 2),
+            Fmt(in_spin, 3)});
+  json.Row()
+      .Str("config", "awm64k_roundtrip_win" + std::to_string(kWindow))
+      .Str("kernel", "wmd2")
+      .Num("window_examples", kWindow)
+      .Num("syncs", syncs)
+      .Num("sync_us_p50", p50)
+      .Num("sync_us_p99", p99)
+      .Num("acks_in_spin", in_spin);
+  return 0;
 }
 
 int Run(int argc, char** argv) {
@@ -137,6 +226,7 @@ int Run(int argc, char** argv) {
         .Num("apply_us", apply);
   }
 
+  if (RunRoundTrip(json) != 0) return 1;
   json.WriteIfRequested(argc, argv);
   return 0;
 }

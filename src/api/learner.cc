@@ -380,8 +380,24 @@ Status SaveLearner(const Learner& learner, std::ostream& out) {
 }
 
 Result<Learner> LoadLearner(std::istream& in, const LearnerOptions& opts) {
-  std::string storage;
-  WMS_ASSIGN_OR_RETURN(snapshot::SnapshotReader reader, snapshot::OpenSnapshot(in, &storage));
+  std::string bytes;
+  WMS_RETURN_NOT_OK(snapshot::ReadEnvelope(in, &bytes));
+  return LoadLearner(std::string_view(bytes), opts);
+}
+
+Result<Learner> LoadLearner(std::string_view bytes, const LearnerOptions& opts) {
+  Method method;
+  WMS_ASSIGN_OR_RETURN(std::unique_ptr<BudgetedClassifier> impl,
+                       LoadClassifier(bytes, opts, &method));
+  const BudgetConfig cfg = ConfigOf(method, *impl);
+  const LearnerOptions restored = impl->options();  // λ/seed from the snapshot
+  return Learner(cfg, restored, std::move(impl));
+}
+
+Result<std::unique_ptr<BudgetedClassifier>> LoadClassifier(std::string_view bytes,
+                                                           const LearnerOptions& opts,
+                                                           Method* method) {
+  WMS_ASSIGN_OR_RETURN(snapshot::SnapshotReader reader, snapshot::OpenSnapshot(bytes));
   uint32_t magic, version;
   uint8_t tag;
   if (!reader.ReadRaw(&magic)) return Status::Corruption("truncated facade header");
@@ -393,10 +409,10 @@ Result<Learner> LoadLearner(std::istream& in, const LearnerOptions& opts) {
   if (tag > static_cast<uint8_t>(Method::kAwmSketch)) {
     return Status::Corruption("unknown method tag");
   }
-  const Method method = static_cast<Method>(tag);
+  *method = static_cast<Method>(tag);
 
   std::unique_ptr<BudgetedClassifier> impl;
-  switch (method) {
+  switch (*method) {
     case Method::kSimpleTruncation: {
       WMS_ASSIGN_OR_RETURN(SimpleTruncation model,
                            detail::LoadSimpleTruncationPayload(reader, opts));
@@ -438,9 +454,7 @@ Result<Learner> LoadLearner(std::istream& in, const LearnerOptions& opts) {
       break;
     }
   }
-  const BudgetConfig cfg = ConfigOf(method, *impl);
-  const LearnerOptions restored = impl->options();  // λ/seed from the snapshot
-  return Learner(cfg, restored, std::move(impl));
+  return impl;
 }
 
 }  // namespace wmsketch

@@ -6,6 +6,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/budget.h"
@@ -242,7 +243,7 @@ class Learner {
  private:
   friend class LearnerBuilder;
   friend class ShardedLearner;  // Collapse() wraps the merged impl directly
-  friend Result<Learner> LoadLearner(std::istream& in, const LearnerOptions& opts);
+  friend Result<Learner> LoadLearner(std::string_view bytes, const LearnerOptions& opts);
 
   Learner(BudgetConfig config, LearnerOptions opts,
           std::unique_ptr<BudgetedClassifier> impl);
@@ -399,5 +400,17 @@ Status SaveClassifier(Method method, const BudgetedClassifier& impl, std::ostrea
 /// are adopted from the caller while λ, seed, and all learned state come
 /// from the snapshot. Returns Corruption for malformed input.
 Result<Learner> LoadLearner(std::istream& in, const LearnerOptions& opts);
+
+/// LoadLearner over snapshot bytes already in memory (a received frame): the
+/// payload is parsed where it lies, with no copy into a stream. `bytes`
+/// holds one enveloped snapshot; anything after it is not read.
+Result<Learner> LoadLearner(std::string_view bytes, const LearnerOptions& opts);
+
+/// The inverse of SaveClassifier: LoadLearner's raw SPI classifier and its
+/// method tag (`*method`), with no Learner around it — the aggregator keeps
+/// it as a worker's replica.
+Result<std::unique_ptr<BudgetedClassifier>> LoadClassifier(std::string_view bytes,
+                                                           const LearnerOptions& opts,
+                                                           Method* method);
 
 }  // namespace wmsketch

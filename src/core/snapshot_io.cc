@@ -100,28 +100,46 @@ bool SnapshotReader::ReadView(size_t n, std::string_view* view) {
   return true;
 }
 
-Result<SnapshotReader> OpenSnapshot(std::istream& in, std::string* payload_storage) {
-  char head[4];
-  in.read(head, sizeof(head));
-  if (!in) return Status::Corruption("truncated snapshot header");
+Result<SnapshotReader> OpenSnapshot(std::string_view bytes) {
+  if (bytes.size() < 4) return Status::Corruption("truncated snapshot header");
   uint32_t magic;
-  std::memcpy(&magic, head, sizeof(magic));
+  std::memcpy(&magic, bytes.data(), sizeof(magic));
   if (magic != kEnvelopeMagic) return Status::Corruption("not an enveloped snapshot");
-
-  char header[16];
-  std::memcpy(header, head, sizeof(head));
-  in.read(header + 4, sizeof(header) - 4);
-  uint32_t declared_crc = 0;
-  in.read(reinterpret_cast<char*>(&declared_crc), sizeof(declared_crc));
-  if (!in) return Status::Corruption("truncated snapshot envelope");
-
+  if (bytes.size() < kEnvelopeHeaderBytes) {
+    return Status::Corruption("truncated snapshot envelope");
+  }
   uint32_t version;
   uint64_t length;
-  std::memcpy(&version, header + 4, sizeof(version));
-  std::memcpy(&length, header + 8, sizeof(length));
+  uint32_t declared_crc;
+  std::memcpy(&version, bytes.data() + 4, sizeof(version));
+  std::memcpy(&length, bytes.data() + 8, sizeof(length));
+  std::memcpy(&declared_crc, bytes.data() + 16, sizeof(declared_crc));
   if (version != kEnvelopeVersion) {
     return Status::Corruption("unsupported snapshot envelope version");
   }
+  if (length > bytes.size() - kEnvelopeHeaderBytes) {
+    return Status::Corruption("truncated snapshot payload");
+  }
+  const std::string_view payload = bytes.substr(kEnvelopeHeaderBytes, length);
+  const uint32_t actual_crc =
+      crc32c::Extend(crc32c::Value(bytes.data(), 16), payload.data(), payload.size());
+  if (actual_crc != declared_crc) {
+    return Status::Corruption("snapshot checksum mismatch");
+  }
+  return SnapshotReader(payload);
+}
+
+Status ReadEnvelope(std::istream& in, std::string* bytes) {
+  bytes->resize(kEnvelopeHeaderBytes);
+  in.read(bytes->data(), 4);
+  if (!in) return Status::Corruption("truncated snapshot header");
+  uint32_t magic;
+  std::memcpy(&magic, bytes->data(), sizeof(magic));
+  if (magic != kEnvelopeMagic) return Status::Corruption("not an enveloped snapshot");
+  in.read(bytes->data() + 4, kEnvelopeHeaderBytes - 4);
+  if (!in) return Status::Corruption("truncated snapshot envelope");
+  uint64_t length;
+  std::memcpy(&length, bytes->data() + 8, sizeof(length));
 
   // Bound the declared payload length by the actual stream size *before*
   // allocating: a corrupt header claiming 2^60 bytes must be Corruption,
@@ -131,25 +149,18 @@ Result<SnapshotReader> OpenSnapshot(std::istream& in, std::string* payload_stora
     if (length > *left) {
       return Status::Corruption("snapshot payload length exceeds stream size");
     }
-    payload_storage->reserve(static_cast<size_t>(length));
+    bytes->reserve(kEnvelopeHeaderBytes + static_cast<size_t>(length));
   }
-  payload_storage->clear();
-  while (payload_storage->size() < length) {
-    const size_t chunk = static_cast<size_t>(
-        std::min<uint64_t>(kReadChunkBytes, length - payload_storage->size()));
-    const size_t old_size = payload_storage->size();
-    payload_storage->resize(old_size + chunk);
-    in.read(payload_storage->data() + old_size, static_cast<std::streamsize>(chunk));
+  const uint64_t total = kEnvelopeHeaderBytes + length;
+  while (bytes->size() < total) {
+    const size_t chunk =
+        static_cast<size_t>(std::min<uint64_t>(kReadChunkBytes, total - bytes->size()));
+    const size_t old_size = bytes->size();
+    bytes->resize(old_size + chunk);
+    in.read(bytes->data() + old_size, static_cast<std::streamsize>(chunk));
     if (!in) return Status::Corruption("truncated snapshot payload");
   }
-
-  const uint32_t actual_crc =
-      crc32c::Extend(crc32c::Value(header, sizeof(header)),
-                     payload_storage->data(), payload_storage->size());
-  if (actual_crc != declared_crc) {
-    return Status::Corruption("snapshot checksum mismatch");
-  }
-  return SnapshotReader(std::string_view(*payload_storage));
+  return Status::OK();
 }
 
 }  // namespace wmsketch::snapshot

@@ -157,13 +157,19 @@ class SnapshotReader {
   size_t pos_ = 0;
 };
 
-/// Reads one enveloped snapshot from `in` and returns a reader over its
-/// payload: validates magic and version, bounds the declared payload length
-/// against the actual stream size before allocating (a header claiming
-/// 2^60 bytes is Corruption, not OOM), reads the payload into
-/// `*payload_storage` in bounded chunks, and verifies the CRC32C. The
-/// returned reader must not outlive `*payload_storage`. Input that does not
-/// start with the envelope magic is Corruption.
-Result<SnapshotReader> OpenSnapshot(std::istream& in, std::string* payload_storage);
+/// Validates the enveloped snapshot `bytes` holds (magic, version, a
+/// declared payload length that `bytes` covers, the CRC32C) and returns a
+/// reader over its payload, in place: no copy. The reader must not outlive
+/// `bytes`. Input that does not start with the envelope magic is
+/// Corruption. Bytes after the payload are not read.
+Result<SnapshotReader> OpenSnapshot(std::string_view bytes);
+
+/// Reads one enveloped snapshot from `in` into `*bytes` (header and
+/// payload) for OpenSnapshot to validate. The declared payload length is
+/// bounded against the actual stream size before anything is allocated (a
+/// header claiming 2^60 bytes is Corruption, not OOM), and the payload is
+/// read in bounded chunks. Input that does not start with the envelope
+/// magic is Corruption.
+Status ReadEnvelope(std::istream& in, std::string* bytes);
 
 }  // namespace wmsketch::snapshot

@@ -5,9 +5,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <random>
 #include <sstream>
 #include <utility>
@@ -20,6 +22,14 @@ namespace wmsketch::dist {
 using net::SetIoTimeouts;
 
 namespace {
+
+// What a connection's receive buffer keeps after a full snapshot. The
+// snapshot is a one-off per connection (its first sync, or a resync) and the
+// deltas that follow are a small fraction of it (about 9 kB against 266 kB
+// at the perfbench `sync` shape), so its buffer goes back to the allocator
+// rather than stay with the connection; what is kept still takes such a
+// delta without allocating.
+constexpr size_t kKeptBufferBytes = size_t{64} << 10;
 
 uint64_t MintSessionToken() {
   // Uniqueness across restarts is what matters (a worker must never mistake
@@ -81,6 +91,7 @@ Aggregator& Aggregator::operator=(Aggregator&& other) noexcept {
   other.conns_.clear();
   pollfds_ = std::move(other.pollfds_);
   ack_frame_ = std::move(other.ack_frame_);
+  last_served_ = other.last_served_;
   workers_ = std::move(other.workers_);
   baseline_ = std::move(other.baseline_);
   checkpointer_ = std::move(other.checkpointer_);
@@ -143,9 +154,37 @@ Status Aggregator::AcceptPending() {
       ::close(fd);
       return st;
     }
-    conns_.push_back(Connection{fd, false, 0, Frame{}});
+    conns_.emplace_back().fd = fd;
     return Status::OK();  // one accept per poll round keeps the loop fair
   }
+}
+
+int Aggregator::Wait(int timeout_ms) {
+  const Clock::time_point now = Clock::now();
+  Clock::time_point until = Clock::time_point::max();
+  if (timeout_ms >= 0) until = now + std::chrono::milliseconds(timeout_ms);
+  const Clock::time_point spin_until = std::min(until, last_served_ + kSyncSpinBudget);
+  if (spin_until > now) {
+    const int ready = net::SpinPoll(pollfds_.data(), pollfds_.size(), spin_until);
+    if (ready != 0) return ready;
+  }
+  // The blocking wait also ends at the earliest frame deadline, so a peer
+  // stalled mid-frame is dropped on time even when nothing else happens.
+  if (options_.io_timeout_ms > 0) {
+    for (const Connection& conn : conns_) {
+      if (!conn.in.empty()) {
+        until = std::min(until,
+                         conn.partial_since + std::chrono::milliseconds(options_.io_timeout_ms));
+      }
+    }
+  }
+  if (until == Clock::time_point::max()) {
+    return ::ppoll(pollfds_.data(), pollfds_.size(), nullptr, nullptr);
+  }
+  const std::chrono::nanoseconds left = std::max(Clock::duration::zero(), until - Clock::now());
+  const timespec ts{static_cast<time_t>(left.count() / 1000000000),
+                    static_cast<long>(left.count() % 1000000000)};
+  return ::ppoll(pollfds_.data(), pollfds_.size(), &ts, nullptr);
 }
 
 Status Aggregator::PollOnce(int timeout_ms) {
@@ -154,24 +193,32 @@ Status Aggregator::PollOnce(int timeout_ms) {
   fds.clear();
   fds.push_back(pollfd{listen_fd_, POLLIN, 0});
   for (const Connection& conn : conns_) fds.push_back(pollfd{conn.fd, POLLIN, 0});
-  const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
+  const int ready = Wait(timeout_ms);
   if (ready < 0) {
     if (errno == EINTR) return Status::OK();
     return Status::IOError(std::string("poll failed: ") + std::strerror(errno));
   }
-  if (ready == 0) return Status::OK();
   // Only the connections polled this round may be served: AcceptPending()
   // appends past this prefix, and those newcomers have no pollfd entry yet.
   const size_t polled = conns_.size();
   if ((fds[0].revents & POLLIN) != 0) WMS_RETURN_NOT_OK(AcceptPending());
   // Serve back-to-front so erasing a dropped connection stays O(1) and does
-  // not shift the pollfd/conn correspondence of entries not yet visited.
+  // not shift the pollfd/conn correspondence of entries not yet visited. A
+  // connection whose unfinished frame has outlived io_timeout_ms drops too.
+  const Clock::time_point now = Clock::now();
   for (size_t i = polled; i-- > 0;) {
-    if ((fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+    Connection& conn = conns_[i];
     bool close_conn = false;
-    const Status st = ServeConnection(conns_[i], &close_conn);
+    Status st;
+    if ((fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+      st = ServeConnection(conn, &close_conn);
+    }
+    if (options_.io_timeout_ms > 0 && !conn.in.empty() &&
+        now - conn.partial_since >= std::chrono::milliseconds(options_.io_timeout_ms)) {
+      close_conn = true;
+    }
     if (close_conn || !st.ok()) {
-      ::close(conns_[i].fd);
+      ::close(conn.fd);
       conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(i));
     }
     // Per-connection failures are absorbed: a misbehaving worker drops its
@@ -190,20 +237,55 @@ Status Aggregator::SendError(int fd, const Status& status) {
 }
 
 Status Aggregator::ServeConnection(Connection& conn, bool* close_conn) {
-  if (!RecvFrame(conn.fd, &conn.in).ok()) {
-    // Clean close, torn frame, checksum mismatch, timeout: the connection is
-    // unusable either way. The worker's replica is untouched — it keeps its
-    // last fully-validated sync.
+  const bool had_partial = !conn.in.empty();
+  bool served_full = false;
+  if (!net::ReadAvailable(conn.fd, &conn.in, &conn.eof, "dist:recv")) {
+    // A read error or an injected fault: the connection is unusable. The
+    // worker's replica is untouched — it keeps its last fully-validated
+    // sync.
     *close_conn = true;
     return Status::OK();
   }
-  const Frame& frame = conn.in;
-  switch (frame.type) {
+  size_t pos = 0;
+  while (!*close_conn) {
+    FrameType type{};
+    std::string_view payload;
+    size_t consumed = 0;
+    if (!TryDecodeFrame(std::string_view(conn.in).substr(pos), &type, &payload, &consumed).ok()) {
+      // Bad type byte, envelope or checksum: the framing is lost.
+      *close_conn = true;
+      return Status::OK();
+    }
+    if (consumed == 0) break;
+    pos += consumed;
+    served_full = served_full || type == FrameType::kFullState;
+    const Status st = ServeFrame(conn, type, payload, close_conn);
+    last_served_ = Clock::now();
+    WMS_RETURN_NOT_OK(st);
+  }
+  conn.in.erase(0, pos);
+  if (served_full && conn.in.capacity() > kKeptBufferBytes) {
+    std::string kept;
+    kept.reserve(std::max(kKeptBufferBytes, conn.in.size()));
+    kept.append(conn.in);
+    conn.in.swap(kept);
+  }
+  // EOF between frames is a clean close, inside one a torn frame: either
+  // way the connection is done once its complete frames are served.
+  if (conn.eof) *close_conn = true;
+  // A frame that began to arrive in this read starts its deadline now.
+  if (!conn.in.empty() && (pos > 0 || !had_partial)) conn.partial_since = Clock::now();
+  return Status::OK();
+}
+
+Status Aggregator::ServeFrame(Connection& conn, FrameType type, std::string_view payload,
+                              bool* close_conn) {
+  switch (type) {
     case FrameType::kHello:
-      return HandleHello(conn, close_conn);
+      return HandleHello(conn, payload, close_conn);
     case FrameType::kFullState:
     case FrameType::kDelta:
-      return HandleSync(conn, close_conn);
+      return HandleSync(conn, type, payload, close_conn);
     case FrameType::kFetchMerged: {
       Result<std::string> merged = MergedModelBytes();
       if (!merged.ok()) return SendError(conn.fd, merged.status());
@@ -217,12 +299,12 @@ Status Aggregator::ServeConnection(Connection& conn, bool* close_conn) {
       *close_conn = true;
       return SendError(conn.fd,
                        Status::InvalidArgument(std::string("unexpected frame type ") +
-                                               FrameTypeName(frame.type)));
+                                               FrameTypeName(type)));
   }
 }
 
-Status Aggregator::HandleHello(Connection& conn, bool* close_conn) {
-  Result<HelloPayload> decoded = DecodeHello(conn.in.payload);
+Status Aggregator::HandleHello(Connection& conn, std::string_view payload, bool* close_conn) {
+  Result<HelloPayload> decoded = DecodeHello(payload);
   if (!decoded.ok()) {
     *close_conn = true;
     return SendError(conn.fd, decoded.status());
@@ -248,13 +330,14 @@ Status Aggregator::HandleHello(Connection& conn, bool* close_conn) {
   return SendFrame(conn.fd, FrameType::kHelloAck, EncodeHelloAck(ack));
 }
 
-Status Aggregator::HandleSync(Connection& conn, bool* close_conn) {
+Status Aggregator::HandleSync(Connection& conn, FrameType type, std::string_view payload,
+                              bool* close_conn) {
   if (!conn.has_worker) {
     *close_conn = true;
     return SendError(conn.fd, Status::FailedPrecondition("sync before handshake"));
   }
   std::string_view body;
-  Result<SyncHeader> decoded = DecodeSyncHeader(conn.in.payload, &body);
+  Result<SyncHeader> decoded = DecodeSyncHeader(payload, &body);
   if (!decoded.ok()) {
     *close_conn = true;
     return SendError(conn.fd, decoded.status());
@@ -288,7 +371,7 @@ Status Aggregator::HandleSync(Connection& conn, bool* close_conn) {
     return SendError(conn.fd, Status::IOError("injected merge-apply failure"));
   }
 
-  if (conn.in.type == FrameType::kDelta) {
+  if (type == FrameType::kDelta) {
     if (ws.needs_full || ws.replica == nullptr) {
       return SendError(conn.fd,
                        Status::FailedPrecondition(
@@ -302,20 +385,18 @@ Status Aggregator::HandleSync(Connection& conn, bool* close_conn) {
       return SendError(conn.fd, st);
     }
   } else {  // kFullState
-    // LoadLearner reads a stream: the payload moves into one, positioned at
-    // the body, rather than being copied. The next frame regrows the buffer.
-    const size_t body_at = conn.in.payload.size() - body.size();
-    std::istringstream in(std::move(conn.in.payload), std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(body_at));
-    Result<Learner> loaded = LoadLearner(in, options_.opts);
+    // Loaded where it lies in the connection's buffer, which keeps its size
+    // for the deltas that follow; the loaded model becomes the replica.
+    Method method;
+    Result<std::unique_ptr<BudgetedClassifier>> loaded =
+        LoadClassifier(body, options_.opts, &method);
     if (!loaded.ok()) return SendError(conn.fd, loaded.status());
-    Result<MergeIdentity> loaded_id =
-        MergeIdentityOf(loaded.value().method(), loaded.value().impl());
+    Result<MergeIdentity> loaded_id = MergeIdentityOf(method, *loaded.value());
     if (!loaded_id.ok()) return SendError(conn.fd, loaded_id.status());
     if (const Status st = CheckIdentityCompatible(identity_, loaded_id.value()); !st.ok()) {
       return SendError(conn.fd, st);
     }
-    ws.replica = loaded.value().impl().Clone();
+    ws.replica = std::move(loaded).value();
     ws.needs_full = false;
   }
   ws.acked_seq = header.sync_seq;

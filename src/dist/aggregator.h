@@ -2,11 +2,13 @@
 
 #include <poll.h>
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/budget.h"
@@ -28,8 +30,10 @@ struct AggregatorOptions {
   /// the answer served until workers resync after a restart.
   std::string checkpoint_dir;
   size_t keep_last = 3;
-  /// SO_RCVTIMEO/SO_SNDTIMEO on accepted connections: a worker that dies
-  /// mid-frame stalls one read, not the aggregator.
+  /// The frame deadline: a connection whose unfinished frame is older than
+  /// this is dropped, so a worker that dies mid-frame costs one connection,
+  /// never a stall of the loop. Also SO_SNDTIMEO on accepted connections.
+  /// <= 0: no deadline.
   int io_timeout_ms = 2000;
 };
 
@@ -37,7 +41,9 @@ struct AggregatorOptions {
 /// verifies each one's merge identity in the handshake, maintains one
 /// replica of every worker's model (kept current by written-cell deltas, with
 /// full-snapshot fallback), and serves/checkpoints the exact merge of all
-/// replicas. Single-threaded poll loop; every mutation of aggregator state
+/// replicas. Single-threaded poll loop that never blocks on one peer: each
+/// readable connection drains what has arrived into its own buffer, and
+/// only complete frames are served. Every mutation of aggregator state
 /// happens between two fully-validated frames, so a worker crash at any
 /// protocol point leaves the replicas either at the previous sync or at the
 /// new one — never in between.
@@ -67,8 +73,13 @@ class Aggregator {
   /// Binds and listens on `socket_path` (unlinking any stale socket file).
   Status Bind(const std::string& socket_path);
 
-  /// One poll round: accepts pending connections and serves every readable
-  /// one. `timeout_ms` < 0 blocks until an event.
+  /// One poll round: accepts pending connections, serves every complete
+  /// frame that has arrived and drops connections past their frame
+  /// deadline. Waits at most `timeout_ms` for an event (< 0: until one
+  /// arrives or a frame deadline passes). Within kSyncSpinBudget of the
+  /// last served frame it polls with a zero timeout first, so a stream of
+  /// syncs pays no wake-up; once nothing has been served for that long it
+  /// blocks at once.
   Status PollOnce(int timeout_ms);
 
   /// Serves until a kShutdown frame arrives.
@@ -95,12 +106,20 @@ class Aggregator {
   bool has_baseline() const { return baseline_ != nullptr; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   struct Connection {
     int fd = -1;
     bool has_worker = false;
     uint64_t worker_id = 0;
-    /// The last frame received; its payload buffer is reused by the next.
-    Frame in;
+    /// Bytes received and not yet served; frames are served in place, then
+    /// cut off the front.
+    std::string in;
+    /// Peer closed its write side; what is buffered is served, then the
+    /// connection closes.
+    bool eof = false;
+    /// When the unfinished frame at the front of `in` began to arrive.
+    Clock::time_point partial_since;
   };
   struct WorkerState {
     // Null until the first accepted sync: a handshake alone must not add a
@@ -117,11 +136,18 @@ class Aggregator {
 
   void CloseAll();
   Status AcceptPending();
-  // Serves one frame on `conn`; sets *close_conn when the connection must
-  // drop (bad frame, rejected handshake, clean EOF).
+  // Waits for an event on pollfds_ (see PollOnce); poll(2)'s result.
+  int Wait(int timeout_ms);
+  // Reads what has arrived on `conn` and serves every complete frame; sets
+  // *close_conn when the connection must drop (bad frame, rejected
+  // handshake, EOF).
   Status ServeConnection(Connection& conn, bool* close_conn);
-  Status HandleHello(Connection& conn, bool* close_conn);
-  Status HandleSync(Connection& conn, bool* close_conn);
+  // Serves one frame of `conn`'s; `payload` views its bytes in conn.in.
+  Status ServeFrame(Connection& conn, FrameType type, std::string_view payload,
+                    bool* close_conn);
+  Status HandleHello(Connection& conn, std::string_view payload, bool* close_conn);
+  Status HandleSync(Connection& conn, FrameType type, std::string_view payload,
+                    bool* close_conn);
   Result<std::unique_ptr<BudgetedClassifier>> MergedImpl() const;
   Status SendError(int fd, const Status& status);
   Status SendAck(int fd, uint64_t sync_seq);
@@ -137,6 +163,7 @@ class Aggregator {
   // rebuilt in place each round, and the ack frame.
   std::vector<pollfd> pollfds_;
   std::string ack_frame_;
+  Clock::time_point last_served_;
   std::map<uint64_t, WorkerState> workers_;
   std::unique_ptr<BudgetedClassifier> baseline_;
   std::optional<Checkpointer> checkpointer_;

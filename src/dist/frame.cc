@@ -34,19 +34,38 @@ Result<Frame> RecvFrame(int fd) {
   return frame;
 }
 
-Status RecvFrame(int fd, Frame* frame) {
-  net::TypedFrame typed;
-  typed.payload = std::move(frame->payload);  // lend the kept buffer
-  const Status st = net::RecvFrame(fd, static_cast<uint8_t>(FrameType::kHello),
-                                   static_cast<uint8_t>(FrameType::kShutdown), "dist:recv",
-                                   &typed);
-  frame->type = static_cast<FrameType>(typed.type);
-  frame->payload = std::move(typed.payload);
-  WMS_RETURN_NOT_OK(st);
+namespace {
+
+constexpr uint8_t kMinType = static_cast<uint8_t>(FrameType::kHello);
+constexpr uint8_t kMaxType = static_cast<uint8_t>(FrameType::kShutdown);
+
+// Every frame received whole passes this site.
+Status FrameDecodeFailpoint() {
   if (WMS_FAILPOINT("dist:frame_decode") != failpoint::Action::kOff) {
     return Status::Corruption("injected frame decode failure");
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status RecvFrame(int fd, Frame* frame) {
+  net::TypedFrame typed;
+  typed.payload = std::move(frame->payload);  // lend the kept buffer
+  const Status st = net::RecvFrame(fd, kMinType, kMaxType, "dist:recv", &typed);
+  frame->type = static_cast<FrameType>(typed.type);
+  frame->payload = std::move(typed.payload);
+  WMS_RETURN_NOT_OK(st);
+  return FrameDecodeFailpoint();
+}
+
+Status TryDecodeFrame(std::string_view buf, FrameType* type, std::string_view* payload,
+                      size_t* consumed) {
+  uint8_t raw_type = 0;
+  WMS_RETURN_NOT_OK(net::TryDecodeFrame(buf, kMinType, kMaxType, &raw_type, payload, consumed));
+  if (*consumed == 0) return Status::OK();
+  *type = static_cast<FrameType>(raw_type);
+  return FrameDecodeFailpoint();
 }
 
 }  // namespace wmsketch::dist

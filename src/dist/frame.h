@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -27,6 +28,8 @@ namespace wmsketch::dist {
 ///                         frame); crash: exit mid-protocol.
 ///   "dist:recv"         — error: fail before reading; short: consume a
 ///                         partial frame then fail (connection torn mid-read).
+///                         The aggregator consults it once per readable
+///                         connection, the worker once per frame.
 ///   "dist:frame_decode" — reject a fully-read, CRC-valid frame as corrupt
 ///                         (decode-layer fault).
 
@@ -55,6 +58,14 @@ struct Frame {
   std::string payload;
 };
 
+/// How long each end of a sync polls with a zero timeout before it blocks:
+/// the worker for its ack, the aggregator for the next frame after serving
+/// one. A blocked thread pays a wake-up when the bytes arrive, twice per
+/// round trip, which is a large share of a small delta sync; the ack and
+/// the next worker's frame usually arrive well within this budget. Chosen
+/// from a sweep of perfbench `sync` (README, Distributed training).
+inline constexpr std::chrono::microseconds kSyncSpinBudget{400};
+
 /// Writes one frame to `fd` (blocking, loops over partial writes). IOError
 /// on any write failure — by then a prefix may already be on the wire, so
 /// the caller must treat the connection as dead.
@@ -72,5 +83,12 @@ Result<Frame> RecvFrame(int fd);
 /// RecvFrame into a frame the caller keeps: its payload buffer is reused,
 /// so a connection allocates for its largest frame once.
 Status RecvFrame(int fd, Frame* frame);
+
+/// net::TryDecodeFrame over the dist frame types, for a buffered reader:
+/// *consumed is 0 while the frame at the front of `buf` is incomplete;
+/// otherwise `*payload` views the frame's payload inside `buf`. Any error
+/// loses the framing, so the connection must drop.
+Status TryDecodeFrame(std::string_view buf, FrameType* type, std::string_view* payload,
+                      size_t* consumed);
 
 }  // namespace wmsketch::dist

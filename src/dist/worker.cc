@@ -1,5 +1,6 @@
 #include "dist/worker.h"
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -155,6 +156,11 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model) {
   const size_t body_bytes = frame_.size() - body_at;
   net::SealFrame(&frame_);
   WMS_RETURN_NOT_OK(SendEncodedFrame(fd_, frame_));
+  // The ack usually follows within microseconds: poll for it before the
+  // blocking read, so the thread is not put to sleep and woken again.
+  pollfd reply_ready{fd_, POLLIN, 0};
+  const bool ack_within_spin =
+      net::SpinPoll(&reply_ready, 1, std::chrono::steady_clock::now() + kSyncSpinBudget) > 0;
   WMS_ASSIGN_OR_RETURN(const Frame reply, RecvFrame(fd_));
   if (reply.type == FrameType::kError) return DecodeErrorStatus(reply.payload);
   if (reply.type != FrameType::kAck) {
@@ -171,6 +177,7 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model) {
   acked_seq_ = header.sync_seq;
   needs_full_ = false;
   ++stats_.syncs;
+  stats_.acks_within_spin += ack_within_spin ? 1 : 0;
   stats_.bytes_shipped += body_bytes;
   if (full) {
     ++stats_.full_syncs;

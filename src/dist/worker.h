@@ -30,6 +30,9 @@ struct SyncClientOptions {
 /// Cumulative counters (tests and the bench read these).
 struct SyncStats {
   uint64_t syncs = 0;
+  /// Syncs whose ack was readable before kSyncSpinBudget ran out, so the
+  /// worker never slept waiting for it.
+  uint64_t acks_within_spin = 0;
   uint64_t delta_syncs = 0;
   uint64_t full_syncs = 0;
   uint64_t retries = 0;

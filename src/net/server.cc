@@ -16,7 +16,6 @@
 #include <utility>
 
 #include "net/wire.h"
-#include "util/failpoint.h"
 
 namespace wmsketch::net {
 
@@ -313,35 +312,6 @@ void MaxRelaxed(std::atomic<uint64_t>& target, uint64_t value) {
   }
 }
 
-/// Drains everything currently readable on `conn` into its buffer with
-/// MSG_DONTWAIT (the fd itself stays blocking for the send path). Returns
-/// false when the connection must be dropped (error or injected fault);
-/// clean EOF sets conn.eof instead so buffered frames still get served.
-bool ReadAvailable(Conn& conn) {
-  const failpoint::Action act = WMS_FAILPOINT("net:recv");
-  if (act == failpoint::Action::kError) return false;
-  if (act == failpoint::Action::kShortWrite) {
-    // Consume a torn prefix, then fail: the client died mid-request.
-    char tear[8];
-    (void)::recv(conn.fd, tear, sizeof(tear), MSG_DONTWAIT);
-    return false;
-  }
-  char buf[64 * 1024];
-  while (true) {
-    const ssize_t r = ::recv(conn.fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      return false;
-    }
-    if (r == 0) {
-      conn.eof = true;
-      return true;
-    }
-    conn.in.append(buf, static_cast<size_t>(r));
-  }
-}
-
 }  // namespace
 
 void ServingServer::ReaderLoop(Reader& r) {
@@ -435,7 +405,8 @@ void ServingServer::ReaderLoop(Reader& r) {
         const auto it = r.conns.find(fd);
         if (it == r.conns.end()) continue;
         any_conn = true;
-        if (!ReadAvailable(it->second)) dropped_fds.push_back(fd);
+        Conn& conn = it->second;
+        if (!ReadAvailable(fd, &conn.in, &conn.eof, "net:recv")) dropped_fds.push_back(fd);
       }
       if (stopping_.load(std::memory_order_acquire)) break;
       if (!any_conn && pass > 0) break;

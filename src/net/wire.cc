@@ -62,6 +62,39 @@ Status ReadUpTo(int fd, char* dst, size_t n, size_t* got) {
   return Status::OK();
 }
 
+bool ReadAvailable(int fd, std::string* in, bool* eof, const char* failpoint_site) {
+  const failpoint::Action act = WMS_FAILPOINT(failpoint_site);
+  if (act == failpoint::Action::kError) return false;
+  if (act == failpoint::Action::kShortWrite) {
+    // Consume a torn prefix, then fail: the peer died mid-frame.
+    char tear[8];
+    (void)::recv(fd, tear, sizeof(tear), MSG_DONTWAIT);
+    return false;
+  }
+  char buf[64 * 1024];
+  while (true) {
+    const ssize_t r = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+      return false;
+    }
+    if (r == 0) {
+      *eof = true;
+      return true;
+    }
+    in->append(buf, static_cast<size_t>(r));
+  }
+}
+
+int SpinPoll(pollfd* fds, size_t n, std::chrono::steady_clock::time_point until) {
+  for (;;) {
+    const int ready = ::poll(fds, n, 0);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready != 0 || std::chrono::steady_clock::now() >= until) return ready;
+  }
+}
+
 Status SetIoTimeouts(int fd, int timeout_ms) {
   if (timeout_ms <= 0) return Status::OK();
   timeval tv{};
@@ -223,6 +256,14 @@ Status RecvFrame(int fd, uint8_t min_type, uint8_t max_type, const char* failpoi
 
 Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type,
                       TypedFrame* frame, size_t* consumed) {
+  std::string_view payload;
+  WMS_RETURN_NOT_OK(TryDecodeFrame(buf, min_type, max_type, &frame->type, &payload, consumed));
+  if (*consumed > 0) frame->payload.assign(payload);
+  return Status::OK();
+}
+
+Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type, uint8_t* type,
+                      std::string_view* payload, size_t* consumed) {
   *consumed = 0;
   if (buf.empty()) return Status::OK();
   // The type byte and header are validated as soon as they are available —
@@ -236,11 +277,12 @@ Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type,
   uint64_t length;
   uint32_t declared_crc;
   WMS_RETURN_NOT_OK(DecodeHeader(buf.data(), &length, &declared_crc));
-  if (buf.size() < kFrameHeaderBytes + length) return Status::OK();
+  if (buf.size() - kFrameHeaderBytes < length) return Status::OK();
 
-  frame->type = raw_type;
-  frame->payload.assign(buf.data() + kFrameHeaderBytes, static_cast<size_t>(length));
-  WMS_RETURN_NOT_OK(CheckCrc(buf.data(), frame->payload, declared_crc));
+  const std::string_view body = buf.substr(kFrameHeaderBytes, static_cast<size_t>(length));
+  WMS_RETURN_NOT_OK(CheckCrc(buf.data(), body, declared_crc));
+  *type = raw_type;
+  *payload = body;
   *consumed = kFrameHeaderBytes + static_cast<size_t>(length);
   return Status::OK();
 }

@@ -1,5 +1,8 @@
 #pragma once
 
+#include <poll.h>
+
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -59,6 +62,20 @@ Status WriteAll(int fd, const char* data, size_t n);
 /// surface as IOError.
 Status ReadUpTo(int fd, char* dst, size_t n, size_t* got);
 
+/// Drains everything currently readable on `fd` into `*in` with
+/// MSG_DONTWAIT (the fd itself stays blocking for the send path). Returns
+/// false when the connection must be dropped (error or injected fault);
+/// clean EOF sets `*eof` instead so buffered frames still get served.
+/// `failpoint_site` as in RecvFrame (error / torn read).
+bool ReadAvailable(int fd, std::string* in, bool* eof, const char* failpoint_site);
+
+/// Polls `fds` with a zero timeout until one of them has an event or
+/// `until` passes. The wait costs CPU instead of a thread wake-up, which is
+/// worth it only where the event is expected within microseconds. Returns
+/// what poll(2) returned last: the ready count, 0 once `until` has passed,
+/// or -1 with errno set (EINTR is retried).
+int SpinPoll(pollfd* fds, size_t n, std::chrono::steady_clock::time_point until);
+
 /// Arms SO_RCVTIMEO/SO_SNDTIMEO on `fd` (no-op for timeout_ms <= 0), so a
 /// hung peer surfaces as a timed-out IOError instead of a stuck thread.
 Status SetIoTimeouts(int fd, int timeout_ms);
@@ -112,5 +129,10 @@ Status RecvFrame(int fd, uint8_t min_type, uint8_t max_type, const char* failpoi
 /// unrecoverable (framing is lost) and must be dropped.
 Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type,
                       TypedFrame* frame, size_t* consumed);
+
+/// TryDecodeFrame without the copy: a decoded frame's payload is a view
+/// into `buf`, valid while the bytes it points at are.
+Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type, uint8_t* type,
+                      std::string_view* payload, size_t* consumed);
 
 }  // namespace wmsketch::net

@@ -327,13 +327,13 @@ class BasicPagedTable {
 
   /// Bytes of paged-storage bookkeeping beyond the raw cells: per-page
   /// mirror + epoch metadata (kBytesPerPageMeta each), plus the written-cell
-  /// record's one bit per cell once a delta window has been opened. Left
-  /// out: the record's summary, 1/64 of its size (128 bytes at 64K cells),
-  /// and mirror *data*, since clean mirrors duplicate arena slices
-  /// transiently and are owned by whichever snapshots pin them
-  /// (PageSet::ResidentBytes).
+  /// record once a delta window has been opened: one bit per cell and one
+  /// summary bit per 64-bit word of those. Left out: mirror *data*, since
+  /// clean mirrors duplicate arena slices transiently and are owned by
+  /// whichever snapshots pin them (PageSet::ResidentBytes).
   size_t MetadataBytes() const {
-    return mirror_.size() * kBytesPerPageMeta + written_.size() * sizeof(uint64_t);
+    return mirror_.size() * kBytesPerPageMeta +
+           (written_.size() + written_words_.size()) * sizeof(uint64_t);
   }
 
  private:

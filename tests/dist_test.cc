@@ -6,18 +6,24 @@
 // heap index, the
 // merge handshake rejects every incompatible identity dimension with zero
 // aggregator mutation, CRC-corrupt frames drop the connection without
-// touching state,
+// touching state, a peer stalled mid-frame neither slows the other workers
+// nor outlives its frame deadline, an idle aggregator does not spin,
 // a multi-worker merge is byte-identical to the sequential reference, and an
 // aggregator restart forces a reconnect + re-handshake + full resync.
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -38,6 +44,7 @@
 #include "dist/frame.h"
 #include "dist/protocol.h"
 #include "dist/worker.h"
+#include "net/wire.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/memory_cost.h"
@@ -140,6 +147,17 @@ class ServingAggregator {
 
   Aggregator& agg() { return *agg_; }
   const std::string& socket_path() const { return path_; }
+  // The serving thread's CPU time so far, in milliseconds.
+  double ThreadCpuMs() {
+    clockid_t clock;
+    timespec ts{};
+    if (pthread_getcpuclockid(thread_.native_handle(), &clock) != 0 ||
+        clock_gettime(clock, &ts) != 0) {
+      ADD_FAILURE() << "no CPU clock for the serving thread";
+      return 0.0;
+    }
+    return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+  }
 
  private:
   std::optional<Aggregator> agg_;
@@ -154,6 +172,21 @@ AggregatorOptions AggOpts(const BudgetConfig& config) {
   options.opts = Opts();
   options.io_timeout_ms = 5000;
   return options;
+}
+
+// A bare connection to the aggregator at `path`, for peers that speak raw
+// bytes; -1 on failure.
+int RawConnect(const std::string& path) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 SyncClientOptions ClientOpts(uint64_t worker_id, const std::string& socket_path) {
@@ -295,8 +328,10 @@ TEST_F(DistTest, OneExampleShipsAtMostNnzTimesDepthCells) {
 TEST_F(DistTest, ResidentBytesCountCellRecordAndHeapIndex) {
   // ResidentStorageBytes = the table's cells + page metadata + the heap as
   // stored (16-byte entries, and a key → slot index that keeps at most a
-  // quarter of its u64 cells full) + one bit per cell once a delta window
-  // is open. MemoryCostBytes stays the paper's figure throughout.
+  // quarter of its u64 cells full) + the written-cell record once a delta
+  // window is open: one bit per cell, and a summary of 8 bytes per 64
+  // record words, rounded up. MemoryCostBytes stays the paper's figure
+  // throughout.
   for (const Method method : {Method::kWmSketch, Method::kAwmSketch}) {
     Result<Learner> built = Builder(method).Build();
     ASSERT_TRUE(built.ok());
@@ -313,7 +348,8 @@ TEST_F(DistTest, ResidentBytesCountCellRecordAndHeapIndex) {
     EXPECT_EQ(learner.impl().ResidentStorageBytes(), before) << MethodName(method);
 
     ASSERT_TRUE(BeginDeltaWindow(method, learner.impl()).ok());
-    EXPECT_EQ(learner.impl().ResidentStorageBytes(), before + cells / 8) << MethodName(method);
+    const size_t record = cells / 8 + (cells / 64 + 63) / 64 * 8;
+    EXPECT_EQ(learner.impl().ResidentStorageBytes(), before + record) << MethodName(method);
     EXPECT_EQ(learner.impl().MemoryCostBytes(), config.MemoryCostBytes()) << MethodName(method);
   }
 }
@@ -630,12 +666,8 @@ TEST_F(DistTest, CorruptFrameDropsConnectionWithoutMutation) {
   frame.append(payload);
   frame[frame.size() - 1] ^= 0x40;  // corrupt the payload, CRC now lies
 
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  const int fd = RawConnect(path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
   ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(frame.size()));
   // The aggregator answers a corrupt frame by closing, never by replying.
@@ -653,13 +685,9 @@ TEST_F(DistTest, SyncBeforeHandshakeIsRejected) {
   ASSERT_TRUE(ref.ok());
   const std::string path = UniqueSocket("nohello");
   ServingAggregator serving(AggOpts(ref.value().config()), path);
-  
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+
+  const int fd = RawConnect(path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
   dist::SyncHeader header;
   header.worker_id = 9;
   header.session_token = 1;
@@ -677,6 +705,93 @@ TEST_F(DistTest, SyncBeforeHandshakeIsRejected) {
 
   serving.Stop();
   EXPECT_EQ(serving.agg().worker_count(), 0u);
+}
+
+// ------------------------------------------------- one peer, one stall
+
+// Trains `model` on one 16-example window drawn from `gen`.
+void TrainWindow(Learner& model, SyntheticClassificationGen& gen) {
+  std::vector<Example> window;
+  for (int i = 0; i < 16; ++i) window.push_back(gen.Next());
+  model.UpdateBatch(window);
+}
+
+TEST_F(DistTest, PeerStalledMidFrameNeitherStallsOthersNorOutlivesItsDeadline) {
+  // A peer writes the first 5 bytes of a sealed sync frame and stops. The
+  // aggregator keeps serving the real worker's syncs as if the peer were
+  // not there, and drops the peer once its frame is io_timeout_ms old.
+  constexpr int kIoTimeoutMs = 2000;
+  Result<Learner> built = Builder().Build();
+  ASSERT_TRUE(built.ok());
+  Learner model = std::move(built).value();
+  Train(model, 200, 61);
+  AggregatorOptions options = AggOpts(model.config());
+  options.io_timeout_ms = kIoTimeoutMs;
+  const std::string path = UniqueSocket("stall");
+  ServingAggregator serving(options, path);
+  SyncClient client(model.method(), ClientOpts(1, path));
+  ASSERT_TRUE(client.Connect(model.impl()).ok());
+  ASSERT_TRUE(client.Sync(model.impl()).ok());
+
+  std::string frame;
+  net::BeginFrame(&frame, static_cast<uint8_t>(dist::FrameType::kDelta));
+  dist::EncodeSyncHeader({9, client.session_token(), 1}, &frame);
+  frame += "body";
+  net::SealFrame(&frame);
+  const int peer = RawConnect(path);
+  ASSERT_GE(peer, 0);
+  ASSERT_TRUE(net::SetIoTimeouts(peer, 3 * kIoTimeoutMs).ok());
+  const auto stalled_at = std::chrono::steady_clock::now();
+  ASSERT_EQ(::send(peer, frame.data(), 5, MSG_NOSIGNAL), 5);
+
+  SyntheticClassificationGen gen(ClassificationProfile::SmallTest(), 67);
+  std::chrono::steady_clock::duration slowest{};
+  for (int i = 0; i < 50; ++i) {
+    TrainWindow(model, gen);
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Sync(model.impl()).ok()) << "sync " << i;
+    slowest = std::max(slowest, std::chrono::steady_clock::now() - start);
+  }
+  EXPECT_LT(slowest, std::chrono::milliseconds(500));
+  EXPECT_EQ(client.stats().retries, 0u);
+  EXPECT_EQ(client.stats().delta_syncs, 50u);
+
+  // The aggregator closes the stalled connection, never answering it.
+  char byte;
+  EXPECT_EQ(::read(peer, &byte, 1), 0);
+  const auto dropped_after = std::chrono::steady_clock::now() - stalled_at;
+  EXPECT_GE(dropped_after, std::chrono::milliseconds(kIoTimeoutMs));
+  EXPECT_LT(dropped_after, std::chrono::milliseconds(2 * kIoTimeoutMs));
+  ::close(peer);
+
+  Result<std::string> merged = client.FetchMergedBytes();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value(), Bytes(model.method(), model.impl()));
+  serving.Stop();
+}
+
+TEST_F(DistTest, IdleAggregatorBlocksInsteadOfSpinning) {
+  // The aggregator polls with a zero timeout only within kSyncSpinBudget of
+  // the last frame it served. Once traffic stops it blocks, so its thread
+  // spends almost no CPU while the connected worker sits idle.
+  Result<Learner> built = Builder().Build();
+  ASSERT_TRUE(built.ok());
+  Learner model = std::move(built).value();
+  Train(model, 200, 71);
+  const std::string path = UniqueSocket("idle");
+  ServingAggregator serving(AggOpts(model.config()), path);
+  SyncClient client(model.method(), ClientOpts(1, path));
+  ASSERT_TRUE(client.Connect(model.impl()).ok());
+  SyntheticClassificationGen gen(ClassificationProfile::SmallTest(), 73);
+  for (int i = 0; i < 50; ++i) {
+    TrainWindow(model, gen);
+    ASSERT_TRUE(client.Sync(model.impl()).ok()) << "sync " << i;
+  }
+
+  const double busy_ms = serving.ThreadCpuMs();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(serving.ThreadCpuMs() - busy_ms, 10.0);
+  serving.Stop();
 }
 
 // ------------------------------------------------------- merge identity

@@ -364,9 +364,10 @@ TEST(PagedTableTest, ResidentAccounting) {
   EXPECT_EQ(s.ResidentBytes(),
             t.num_pages() * (t.page_cells() * sizeof(float) + kBytesPerPageMeta));
   EXPECT_EQ(t.MetadataBytes(), t.num_pages() * kBytesPerPageMeta);
-  // The written-cell record: one bit per cell from the first window on.
+  // The written-cell record from the first window on: one bit per cell,
+  // and a summary of 8 bytes per 64 record words, rounded up (64 words here).
   t.BeginDeltaWindow();
-  EXPECT_EQ(t.MetadataBytes(), t.num_pages() * kBytesPerPageMeta + t.size() / 8);
+  EXPECT_EQ(t.MetadataBytes(), t.num_pages() * kBytesPerPageMeta + t.size() / 8 + 8);
   EXPECT_EQ(PagedTableBytes(t.size(), t.num_pages()),
             t.size() * 4 + t.num_pages() * kBytesPerPageMeta);
 }
