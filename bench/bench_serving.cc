@@ -331,8 +331,8 @@ PublishCostResult RunPublishCost(const PublishCostConfig& c,
 // Single-threaded batched reads against a *published* snapshot: the paged
 // frozen read models behind every ServingHandle, measured without writer or
 // reader contention so the row isolates the paged read loops themselves
-// (readpath::MarginBatchPaged / EstimateBatchPaged, which resolve each cell
-// through the page-pointer array). Kernel paths toggle like bench_hot_path;
+// (readpath::MarginBatch / EstimateBatch over a PagedView, which resolve
+// each cell through the page-pointer array). Kernel paths toggle like bench_hot_path;
 // on the read side only MedianLarge (depth >= 8) has a vector variant. The
 // checksum is deterministic and must match across paths (bit-identity
 // contract).

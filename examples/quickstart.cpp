@@ -74,7 +74,7 @@ int main() {
   std::printf("reference error rate: %.4f\n", reference_err.Rate());
 
   // Query through an immutable snapshot: the top-10 materialized at capture
-  // time plus a frozen per-feature estimator, detached from the live model.
+  // time plus the frozen read model, detached from the live model.
   const LearnerSnapshot snapshot = sketch.Snapshot(/*top_k=*/10);
   const std::vector<float> w_star = reference.Weights();
   std::printf("\n%-10s %12s %12s\n", "feature", "sketch-w", "reference-w");

@@ -31,11 +31,11 @@ std::vector<FeatureWeight> LearnerSnapshot::TopK(size_t k) const {
 }
 
 float LearnerSnapshot::Estimate(uint32_t feature) const {
-  return state_->estimator(feature);
+  return state_->model->Estimate(feature);
 }
 
 std::vector<FeatureWeight> LearnerSnapshot::ScanTopK(size_t k, uint32_t dimension) const {
-  return wmsketch::ScanTopK(state_->estimator, k, dimension);
+  return wmsketch::ScanTopK(*state_->model, k, dimension);
 }
 
 // -------------------------------------------------------------- learner
@@ -127,7 +127,7 @@ LearnerSnapshot Learner::Snapshot(size_t top_k) const {
   state->steps = impl_->steps();
   state->memory_cost_bytes = impl_->MemoryCostBytes();
   state->top_k = impl_->TopK(top_k);
-  state->estimator = impl_->EstimatorSnapshot();
+  state->model = impl_->MakeReadModel();
   return LearnerSnapshot(std::move(state));
 }
 

@@ -35,9 +35,9 @@ struct CheckpointSpec {
 
 /// An immutable, cheaply-copyable view of a learner's queryable state,
 /// decoupled from the live model: the top-K heaviest features materialized
-/// at snapshot time, a frozen per-feature weight estimator, and the scalar
-/// bookkeeping (step count, memory footprint). Because nothing in a snapshot
-/// aliases live learner state, read paths — report generation, the
+/// at snapshot time, the frozen \ref ReadModel from MakeReadModel(), and the
+/// scalar bookkeeping (step count, memory footprint). Because nothing in a
+/// snapshot aliases live learner state, read paths — report generation, the
 /// PMI/deltoid/explanation applications, concurrent query serving — can hold
 /// and share snapshots while ingestion continues, and two snapshots of the
 /// same learner at different times answer from their respective moments.
@@ -69,12 +69,12 @@ class LearnerSnapshot {
   std::vector<FeatureWeight> TopK(size_t k) const;
 
   /// Frozen point estimate ŵᵢ for an arbitrary feature (works for features
-  /// outside the materialized top-K: sketch-backed methods answer from a
-  /// captured table copy, heap-backed methods return 0 for untracked ids).
+  /// outside the materialized top-K: sketch-backed methods answer from the
+  /// captured table pages, heap-backed methods return 0 for untracked ids).
   float Estimate(uint32_t feature) const;
 
-  /// Exhaustive frozen top-k over an explicit universe [0, dimension) — the
-  /// snapshot analogue of ScanTopK, and the only ranking available for
+  /// Exhaustive frozen top-k over an explicit universe [0, dimension)
+  /// (ScanTopK over the frozen model) — the only ranking available for
   /// identifier-free methods (feature hashing).
   std::vector<FeatureWeight> ScanTopK(size_t k, uint32_t dimension) const;
 
@@ -88,7 +88,7 @@ class LearnerSnapshot {
     uint64_t steps;
     size_t memory_cost_bytes;
     std::vector<FeatureWeight> top_k;
-    WeightEstimator estimator;
+    std::unique_ptr<const ReadModel> model;
   };
 
   explicit LearnerSnapshot(std::shared_ptr<const State> state);
@@ -106,7 +106,7 @@ class LearnerSnapshot {
 ///
 /// BudgetedClassifier remains the internal SPI that implementations
 /// subclass; impl() exposes it for tooling that genuinely needs the raw
-/// interface (e.g. ScanTopK over a live model).
+/// interface (e.g. merge orchestration).
 class Learner {
  public:
   Learner(Learner&&) noexcept = default;
@@ -165,9 +165,10 @@ class Learner {
   Status Merge(const Learner& other);
 
   /// Takes an immutable snapshot materializing the `top_k` heaviest tracked
-  /// features; see \ref LearnerSnapshot. Costs O(budget) — it captures the
-  /// frozen per-feature estimator. Read paths that only need the ranked
-  /// list should use TopK() instead.
+  /// features; see \ref LearnerSnapshot. Costs O(budget) at most — it
+  /// captures the frozen read model (the sketches share their clean table
+  /// pages). Read paths that only need the ranked list should use TopK()
+  /// instead.
   LearnerSnapshot Snapshot(size_t top_k = kDefaultSnapshotTopK) const;
   static constexpr size_t kDefaultSnapshotTopK = 128;
 
@@ -220,7 +221,7 @@ class Learner {
 
   /// The k heaviest tracked features, materialized into a detached vector
   /// (the same list a Snapshot would carry, without paying for the
-  /// estimator capture). Empty for identifier-free methods.
+  /// read-model capture). Empty for identifier-free methods.
   std::vector<FeatureWeight> TopK(size_t k) const;
 
   /// The method this learner runs.

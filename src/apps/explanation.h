@@ -22,7 +22,7 @@ namespace wmsketch {
 /// that learned weights correlate cleanly with per-attribute relative risk
 /// (footnote 4 of the paper). The per-row example burst is ingested through
 /// Learner::UpdateBatch, and retrieval returns detached, materialized lists
-/// (take a LearnerSnapshot for a frozen per-feature estimator).
+/// (take a LearnerSnapshot for frozen per-feature estimates).
 class StreamingExplainer {
  public:
   /// Wraps a learner built through LearnerBuilder; the explainer does not

@@ -18,73 +18,43 @@ namespace {
 
 constexpr double kMinScale = 1e-25;
 
-/// The frozen AWM read model: a copy of the active set (*raw* weights) plus
-/// its scale (so margins keep the live path's double-precision
-/// heap_scale·raw products), and the published pages of the tail sketch
-/// (shared across snapshots; only dirtied pages were copied). Answers are
+/// The frozen AWM read model: a copy of the active set (*raw* weights) and
+/// its scale, and the published pages of the tail sketch (shared across
+/// snapshots; only dirtied pages were copied). It reads through the same
+/// readpath::ActiveSetRead as the live model, so its answers are
 /// bit-identical to what the live model answered at capture time.
 class AwmReadModel final : public ReadModel {
  public:
-  AwmReadModel(TopKHeap active, double heap_scale,
-               std::vector<SignedBucketHash> rows, PageSet<float> pages,
-               double estimate_factor)
+  AwmReadModel(TopKHeap active, double active_scale, std::vector<SignedBucketHash> rows,
+               PageSet<float> pages, double tail_factor)
       : active_(std::move(active)),
-        heap_scale_(heap_scale),
+        active_scale_(active_scale),
         rows_(std::move(rows)),
         pages_(std::move(pages)),
-        estimate_factor_(estimate_factor) {}
+        tail_factor_(tail_factor) {}
 
-  double PredictMargin(const SparseVector& x) const override {
-    double acc = 0.0;
-    for (size_t i = 0; i < x.nnz(); ++i) {
-      const uint32_t feature = x.index(i);
-      const std::optional<float> exact = active_.Get(feature);
-      const double w = exact.has_value() ? heap_scale_ * static_cast<double>(*exact)
-                                         : static_cast<double>(TailQuery(feature));
-      acc += w * static_cast<double>(x.value(i));
-    }
-    return acc;
-  }
-
-  // A batched AWM margin has no second consumer to share hashes with (no
-  // scatter follows a read-only margin), so the fused per-example loop —
-  // which already hashes each tail (feature, row) pair exactly once — is the
-  // single-hash optimum; a plan would only add buffer traffic.
+  double PredictMargin(const SparseVector& x) const override { return Read().Margin(x); }
   void PredictBatch(std::span<const Example> batch, double* out) const override {
-    for (size_t e = 0; e < batch.size(); ++e) out[e] = PredictMargin(batch[e].x);
+    Read().MarginBatch(batch, out);
   }
-
-  float Estimate(uint32_t feature) const override {
-    const std::optional<float> exact = active_.Get(feature);
-    if (exact.has_value()) return static_cast<float>(heap_scale_ * static_cast<double>(*exact));
-    return TailQuery(feature);
-  }
-
+  float Estimate(uint32_t feature) const override { return Read().Estimate(feature); }
   void EstimateBatch(std::span<const uint32_t> features, float* out) const override {
-    readpath::ActiveEstimateBatchPaged(
-        pages_.view(), rows_, features, estimate_factor_,
-        [this](uint32_t feature) -> std::optional<float> {
-          const std::optional<float> exact = active_.Get(feature);
-          if (!exact.has_value()) return std::nullopt;
-          return static_cast<float>(heap_scale_ * static_cast<double>(*exact));
-        },
-        out);
+    Read().EstimateBatch(features, out);
   }
-
   size_t ResidentBytes() const override {
     return pages_.ResidentBytes() + active_.ResidentBytes();
   }
 
  private:
-  float TailQuery(uint32_t feature) const {
-    return readpath::FusedEstimatePaged(pages_.view(), rows_, feature, estimate_factor_);
+  readpath::ActiveSetRead<PagedView<float>> Read() const {
+    return {active_, active_scale_, pages_.view(), rows_, tail_factor_};
   }
 
-  TopKHeap active_;  // raw active-set weights
-  double heap_scale_;
+  TopKHeap active_;
+  double active_scale_;
   std::vector<SignedBucketHash> rows_;
   PageSet<float> pages_;
-  double estimate_factor_;  // √s·α for the tail sketch
+  double tail_factor_;
 };
 
 }  // namespace
@@ -105,19 +75,9 @@ AwmSketch::AwmSketch(const AwmSketchConfig& config, const LearnerOptions& opts)
 
 double AwmSketch::PredictMargin(const SparseVector& x) const {
   // τ = Σ_{i∈S} S[i]·x_i + zᵀR·x_tail (Algorithm 2's prediction split).
-  // Standalone queries keep the fused loop (each tail pair hashed once);
-  // updates route through PredictMarginWithPlan so the tail hashes are
+  // Updates route through PredictMarginWithPlan so the tail hashes are
   // reused by the gradient stage.
-  double acc = 0.0;
-  for (size_t i = 0; i < x.nnz(); ++i) {
-    const uint32_t feature = x.index(i);
-    const std::optional<float> exact = heap_.Get(feature);
-    const double w = exact.has_value()
-                         ? heap_scale_ * static_cast<double>(*exact)
-                         : static_cast<double>(SketchQuery(feature));
-    acc += w * static_cast<double>(x.value(i));
-  }
-  return acc;
+  return LiveRead().Margin(x);
 }
 
 double AwmSketch::PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) const {
@@ -142,37 +102,24 @@ double AwmSketch::PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) c
 }
 
 void AwmSketch::PredictBatch(std::span<const Example> batch, double* margins) const {
-  // Read-only margins have no scatter stage to share hashes with, so the
-  // fused loop is already single-hash; see AwmReadModel::PredictBatch.
-  for (size_t e = 0; e < batch.size(); ++e) margins[e] = PredictMargin(batch[e].x);
+  LiveRead().MarginBatch(batch, margins);
 }
 
 void AwmSketch::EstimateBatch(std::span<const uint32_t> features, float* out) const {
-  readpath::ActiveGatherMedianBatch(
-      table_.data(), rows_, features, sqrt_depth_ * sketch_scale_,
-      [this](uint32_t feature) -> std::optional<float> {
-        const std::optional<float> raw = heap_.Get(feature);
-        if (!raw.has_value()) return std::nullopt;
-        return static_cast<float>(heap_scale_ * static_cast<double>(*raw));
-      },
-      out);
+  LiveRead().EstimateBatch(features, out);
 }
 
 std::unique_ptr<const ReadModel> AwmSketch::MakeReadModel() const {
-  return std::make_unique<AwmReadModel>(heap_, heap_scale_, rows_,
-                                        table_.SharePages(), sqrt_depth_ * sketch_scale_);
+  return std::make_unique<AwmReadModel>(heap_, heap_scale_, rows_, table_.SharePages(),
+                                        sqrt_depth_ * sketch_scale_);
+}
+
+readpath::ActiveSetRead<const float*> AwmSketch::LiveRead() const {
+  return {heap_, heap_scale_, table_.data(), rows_, sqrt_depth_ * sketch_scale_};
 }
 
 float AwmSketch::SketchQuery(uint32_t feature) const {
-  float est[kMaxDepth];
-  for (uint32_t j = 0; j < config_.depth; ++j) {
-    uint32_t bucket;
-    float sign;
-    rows_[j].BucketAndSign(feature, &bucket, &sign);
-    est[j] = sign * Row(j)[bucket];
-  }
-  const float raw = MedianInPlace(est, config_.depth);
-  return static_cast<float>(sqrt_depth_ * sketch_scale_ * static_cast<double>(raw));
+  return readpath::FusedEstimate(table_.data(), rows_, feature, sqrt_depth_ * sketch_scale_);
 }
 
 float AwmSketch::SketchQueryFromPlan(HashPlan& plan, size_t i, uint32_t feature) const {
@@ -196,8 +143,9 @@ void AwmSketch::SketchAdd(uint32_t feature, double delta) {
     uint32_t bucket;
     float sign;
     rows_[j].BucketAndSign(feature, &bucket, &sign);
-    table_.MarkDirtyOffset(static_cast<size_t>(j) * config_.width + bucket);
-    Row(j)[bucket] += static_cast<float>(static_cast<double>(sign) * raw_delta);
+    const size_t off = static_cast<size_t>(j) * config_.width + bucket;
+    table_.MarkDirtyOffset(off);
+    table_.data()[off] += static_cast<float>(static_cast<double>(sign) * raw_delta);
   }
 }
 
@@ -385,29 +333,6 @@ std::unique_ptr<BudgetedClassifier> AwmSketch::Clone() const {
   return std::make_unique<AwmSketch>(*this);
 }
 
-WeightEstimator AwmSketch::EstimatorSnapshot() const {
-  // Tail pages shared with every other snapshot (O(dirty) capture); the
-  // closure's tail answer is the paged fused estimate, bit-identical to the
-  // live SketchQuery at capture time.
-  struct State {
-    TopKHeap active;  // raw active-set weights
-    std::vector<SignedBucketHash> rows;
-    PageSet<float> pages;
-    double heap_scale;
-    double sketch_scale;  // √s·α, the factor SketchQuery applies
-  };
-  auto shared = std::make_shared<const State>(State{heap_, rows_, table_.SharePages(),
-                                                    heap_scale_, sqrt_depth_ * sketch_scale_});
-  return [shared](uint32_t feature) {
-    const std::optional<float> exact = shared->active.Get(feature);
-    if (exact.has_value()) {
-      return static_cast<float>(shared->heap_scale * static_cast<double>(*exact));
-    }
-    return readpath::FusedEstimatePaged(shared->pages.view(), shared->rows, feature,
-                                        shared->sketch_scale);
-  };
-}
-
 void AwmSketch::MaybeRescale() {
   if (sketch_scale_ < kMinScale) {
     table_.MarkAllDirty();
@@ -421,9 +346,7 @@ void AwmSketch::MaybeRescale() {
 }
 
 float AwmSketch::WeightEstimate(uint32_t feature) const {
-  const std::optional<float> exact = heap_.Get(feature);
-  if (exact.has_value()) return static_cast<float>(heap_scale_ * static_cast<double>(*exact));
-  return SketchQuery(feature);
+  return LiveRead().Estimate(feature);
 }
 
 std::vector<FeatureWeight> AwmSketch::TopK(size_t k) const {

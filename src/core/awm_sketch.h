@@ -15,6 +15,10 @@
 namespace wmsketch {
 
 class HashPlan;
+namespace readpath {
+template <typename Cells>
+struct ActiveSetRead;
+}
 
 class AwmSketch;
 struct DeltaStats;
@@ -109,9 +113,6 @@ class AwmSketch final : public BudgetedClassifier {
   Status ScaleWeights(double factor) override;
   Status SetSteps(uint64_t steps) override;
   std::unique_ptr<BudgetedClassifier> Clone() const override;
-  /// Frozen estimator capturing the active-set weights plus copies of the
-  /// hash rows, tail table, and scales.
-  WeightEstimator EstimatorSnapshot() const override;
   /// The top-k of the active set (exact weights); the active set *is* the
   /// AWM-Sketch's answer to top-K queries.
   std::vector<FeatureWeight> TopK(size_t k) const override;
@@ -143,6 +144,8 @@ class AwmSketch final : public BudgetedClassifier {
   friend Status detail::SaveAwmSketchDelta(const AwmSketch&, std::string*, DeltaStats*);
   friend Status detail::ApplyAwmSketchDelta(AwmSketch&, snapshot::SnapshotReader&);
 
+  /// The exact-or-tail reads over the live table.
+  readpath::ActiveSetRead<const float*> LiveRead() const;
   /// Count-Sketch point estimate of a tail feature's weight (true scale).
   float SketchQuery(uint32_t feature) const;
   /// SketchQuery through feature slot `i` of a lazy plan: the slot is
@@ -158,11 +161,6 @@ class AwmSketch final : public BudgetedClassifier {
   /// The Update body once the plan exists (shared by Update and UpdateBatch).
   double UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan);
   void MaybeRescale();
-
-  float* Row(uint32_t j) { return table_.data() + static_cast<size_t>(j) * config_.width; }
-  const float* Row(uint32_t j) const {
-    return table_.data() + static_cast<size_t>(j) * config_.width;
-  }
 
   AwmSketchConfig config_;
   LearnerOptions opts_;

@@ -18,46 +18,6 @@ namespace {
 
 constexpr double kMinScale = 1e-25;
 
-/// The frozen WM read model: copies of the hash rows, the *published pages*
-/// of the raw table (shared with other snapshots; only pages dirtied since
-/// the previous publication were copied), and the two resolved scale
-/// factors. Every answer runs the shared sketch/read_path.h paged kernels,
-/// whose arithmetic is the flat kernels' verbatim — frozen answers stay
-/// bit-identical to what the live model answered at capture time.
-class WmReadModel final : public ReadModel {
- public:
-  WmReadModel(std::vector<SignedBucketHash> rows, PageSet<float> pages,
-              double margin_factor, double estimate_factor)
-      : rows_(std::move(rows)),
-        pages_(std::move(pages)),
-        margin_factor_(margin_factor),
-        estimate_factor_(estimate_factor) {}
-
-  double PredictMargin(const SparseVector& x) const override {
-    return readpath::FusedMarginPaged(pages_.view(), rows_, x, margin_factor_);
-  }
-
-  void PredictBatch(std::span<const Example> batch, double* out) const override {
-    readpath::MarginBatchPaged(pages_.view(), rows_, batch, margin_factor_, out);
-  }
-
-  float Estimate(uint32_t feature) const override {
-    return readpath::FusedEstimatePaged(pages_.view(), rows_, feature, estimate_factor_);
-  }
-
-  void EstimateBatch(std::span<const uint32_t> features, float* out) const override {
-    readpath::EstimateBatchPaged(pages_.view(), rows_, features, estimate_factor_, out);
-  }
-
-  size_t ResidentBytes() const override { return pages_.ResidentBytes(); }
-
- private:
-  std::vector<SignedBucketHash> rows_;
-  PageSet<float> pages_;
-  double margin_factor_;    // α/√s — applied to raw margin sums
-  double estimate_factor_;  // √s·α — applied to raw medians
-};
-
 }  // namespace
 
 WmSketch::WmSketch(const WmSketchConfig& config, const LearnerOptions& opts)
@@ -74,37 +34,23 @@ WmSketch::WmSketch(const WmSketchConfig& config, const LearnerOptions& opts)
 }
 
 double WmSketch::PredictMargin(const SparseVector& x) const {
-  // τ = zᵀRx = (α/√s)·Σ_i x_i Σ_j σ_j(i)·v[j, h_j(i)]. The standalone query
-  // path keeps the fused hash-and-accumulate loop: it already hashes each
-  // pair once, and materializing a plan here would only add buffer traffic.
-  // Updates compute this same sum through their plan (MarginFromPlan) so the
-  // hashes are reused by the scatter and heap stages.
-  double acc = 0.0;
-  for (size_t i = 0; i < x.nnz(); ++i) {
-    const uint32_t feature = x.index(i);
-    double per_feature = 0.0;
-    for (uint32_t j = 0; j < config_.depth; ++j) {
-      uint32_t bucket;
-      float sign;
-      rows_[j].BucketAndSign(feature, &bucket, &sign);
-      per_feature += static_cast<double>(sign) * static_cast<double>(Row(j)[bucket]);
-    }
-    acc += per_feature * static_cast<double>(x.value(i));
-  }
-  return scale_ / sqrt_depth_ * acc;
+  // τ = zᵀRx = (α/√s)·Σ_i x_i Σ_j σ_j(i)·v[j, h_j(i)]. Updates compute this
+  // same sum through their plan (MarginFromPlan) so the hashes are reused by
+  // the scatter and heap stages; a standalone read has none to share.
+  return readpath::FusedMargin(table_.data(), rows_, x, scale_ / sqrt_depth_);
 }
 
 void WmSketch::PredictBatch(std::span<const Example> batch, double* margins) const {
-  readpath::PlanMarginBatch(table_.data(), rows_, batch, scale_ / sqrt_depth_, margins);
+  readpath::MarginBatch(table_.data(), rows_, batch, scale_ / sqrt_depth_, margins);
 }
 
 void WmSketch::EstimateBatch(std::span<const uint32_t> features, float* out) const {
-  readpath::GatherMedianBatch(table_.data(), rows_, features, sqrt_depth_ * scale_, out);
+  readpath::EstimateBatch(table_.data(), rows_, features, sqrt_depth_ * scale_, out);
 }
 
 std::unique_ptr<const ReadModel> WmSketch::MakeReadModel() const {
-  return std::make_unique<WmReadModel>(rows_, table_.SharePages(), scale_ / sqrt_depth_,
-                                       sqrt_depth_ * scale_);
+  return std::make_unique<readpath::SketchReadModel>(rows_, table_.SharePages(),
+                                                     scale_ / sqrt_depth_, sqrt_depth_ * scale_);
 }
 
 double WmSketch::MarginFromPlan(const simd::PlanView& plan, const SparseVector& x) const {
@@ -174,22 +120,6 @@ void WmSketch::UpdateBatch(std::span<const Example> batch, std::vector<double>* 
   }
 }
 
-WeightEstimator WmSketch::EstimatorSnapshot() const {
-  // Shares published pages with every other snapshot (O(dirty) capture, not
-  // O(budget)); the closure is the paged fused estimate, bit-identical to
-  // the live WeightEstimate at capture time.
-  struct State {
-    std::vector<SignedBucketHash> rows;
-    PageSet<float> pages;
-    double scale;  // √s·α, the factor WeightEstimate applies to raw medians
-  };
-  auto st = std::make_shared<const State>(
-      State{rows_, table_.SharePages(), sqrt_depth_ * scale_});
-  return [st](uint32_t feature) {
-    return readpath::FusedEstimatePaged(st->pages.view(), st->rows, feature, st->scale);
-  };
-}
-
 Status WmSketch::CanMerge(const BudgetedClassifier& other) const {
   const auto* o = dynamic_cast<const WmSketch*>(&other);
   if (o == nullptr) {
@@ -256,14 +186,7 @@ std::unique_ptr<BudgetedClassifier> WmSketch::Clone() const {
 }
 
 float WmSketch::RawMedian(uint32_t feature) const {
-  float est[kMaxDepth];
-  for (uint32_t j = 0; j < config_.depth; ++j) {
-    uint32_t bucket;
-    float sign;
-    rows_[j].BucketAndSign(feature, &bucket, &sign);
-    est[j] = sign * Row(j)[bucket];
-  }
-  return MedianInPlace(est, config_.depth);
+  return readpath::FusedEstimate(table_.data(), rows_, feature, 1.0);
 }
 
 float WmSketch::RawMedianFromPlan(const simd::PlanView& plan, size_t i) const {
@@ -284,7 +207,7 @@ void WmSketch::MaybeRescale() {
 
 float WmSketch::WeightEstimate(uint32_t feature) const {
   // ŵ_i = median_j(√s·σ_j(i)·z[j,h_j(i)]) = √s·α·RawMedian(i).
-  return static_cast<float>(sqrt_depth_ * scale_ * static_cast<double>(RawMedian(feature)));
+  return readpath::FusedEstimate(table_.data(), rows_, feature, sqrt_depth_ * scale_);
 }
 
 std::vector<FeatureWeight> WmSketch::TopK(size_t k) const {

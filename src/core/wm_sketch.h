@@ -99,8 +99,6 @@ class WmSketch final : public BudgetedClassifier {
   Status ScaleWeights(double factor) override;
   Status SetSteps(uint64_t steps) override;
   std::unique_ptr<BudgetedClassifier> Clone() const override;
-  /// Frozen estimator capturing copies of the hash rows, table, and scale.
-  WeightEstimator EstimatorSnapshot() const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   size_t MemoryCostBytes() const override { return config_.MemoryCostBytes(); }
   /// What the model really holds: the table's cells and page metadata, the
@@ -137,18 +135,12 @@ class WmSketch final : public BudgetedClassifier {
   double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan);
   void MaybeRescale();
 
-  float* Row(uint32_t j) { return table_.data() + static_cast<size_t>(j) * config_.width; }
-  const float* Row(uint32_t j) const {
-    return table_.data() + static_cast<size_t>(j) * config_.width;
-  }
-
   WmSketchConfig config_;
   LearnerOptions opts_;
   std::vector<SignedBucketHash> rows_;
   // Raw v (z = scale_ * v) in copy-on-write paged storage: the live arena
-  // stays contiguous (hot paths and Row() unchanged); MakeReadModel /
-  // EstimatorSnapshot publish refcounted pages, copying only those dirtied
-  // since the previous publication.
+  // stays contiguous for the hot paths; MakeReadModel publishes refcounted
+  // pages, copying only those dirtied since the previous publication.
   PagedTable table_;
   double scale_ = 1.0;        // α
   double sqrt_depth_;         // √s, applied at predict/query time

@@ -185,14 +185,6 @@ void Checkpointer::Prune() const {
   }
 }
 
-std::vector<std::string> Checkpointer::ListCheckpoints() const {
-  std::vector<std::string> paths;
-  for (const auto& [seq, name] : ScanCheckpoints(dir_)) {
-    paths.push_back(dir_ + "/" + name);
-  }
-  return paths;
-}
-
 Result<Learner> Checkpointer::RecoverLatest(const LearnerOptions& opts,
                                             std::vector<std::string>* skipped) const {
   return RecoverFrom(dir_, opts, skipped);

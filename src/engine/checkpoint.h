@@ -66,9 +66,6 @@ class Checkpointer {
   /// Sequence number of the most recently committed checkpoint (0 = none).
   uint64_t last_sequence() const { return next_seq_ == 0 ? 0 : next_seq_ - 1; }
 
-  /// Paths of committed checkpoints, oldest first (rescans the directory).
-  std::vector<std::string> ListCheckpoints() const;
-
  private:
   Checkpointer(std::string dir, size_t keep_last, uint64_t next_seq)
       : dir_(std::move(dir)), keep_last_(keep_last), next_seq_(next_seq) {}

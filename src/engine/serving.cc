@@ -151,7 +151,7 @@ std::unique_ptr<ServingSnapshot> CaptureServingSnapshot(const BudgetedClassifier
   snap->steps = model.steps();
   // Difference the paged-storage counters around the capture: what this
   // snapshot cost is exactly the pages MakeReadModel copied out (zero for
-  // the closure-backed baselines, whose stats stay zero).
+  // the baselines without paged tables, whose stats stay zero).
   const uint64_t copied_before = model.publish_stats().copied_bytes;
   snap->model = model.MakeReadModel();
   snap->publish_bytes = model.publish_stats().copied_bytes - copied_before;

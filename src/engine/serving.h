@@ -153,14 +153,14 @@ class ServingHandle {
   /// Steps the pinned snapshot's model had absorbed — the reader-visible
   /// training progress; (writer steps − this) is the current staleness.
   uint64_t steps() const { return pinned_ == nullptr ? 0 : pinned_->steps; }
-  /// Bytes of model state the pinned snapshot keeps alive (reporting path —
-  /// the serving daemon's model-info response).
+  /// Bytes of model state the pinned snapshot keeps alive (reporting path).
   size_t resident_bytes() const {
     return pinned_ == nullptr ? 0 : pinned_->resident_bytes;
   }
-  /// Entries materialized in the pinned snapshot's top-K list (the upper
-  /// bound any TopK(k) call can return).
-  size_t top_k_size() const { return pinned_ == nullptr ? 0 : pinned_->top_k.size(); }
+  /// The snapshot the last Refresh (or query) pinned, read without pinning
+  /// again: a caller that answers several requests from one version pins
+  /// once with Refresh() and reads them all from here. Requires a pin.
+  const ServingSnapshot& pinned() const { return *pinned_; }
 
   /// The margin wᵀx under the latest published snapshot.
   double PredictMargin(const SparseVector& x);

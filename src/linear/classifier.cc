@@ -1,8 +1,9 @@
 #include "linear/classifier.h"
 
+#include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 
 namespace wmsketch {
 
@@ -29,61 +30,47 @@ Status BudgetedClassifier::SetSteps(uint64_t steps) {
 
 std::unique_ptr<BudgetedClassifier> BudgetedClassifier::Clone() const { return nullptr; }
 
-WeightEstimator BudgetedClassifier::EstimatorSnapshot() const {
-  // Heap-backed methods (truncation, Space-Saving, CM-FF) keep every nonzero
-  // weight behind a tracked identifier, so the full TopK *is* the model.
-  auto weights = std::make_shared<std::unordered_map<uint32_t, float>>();
-  for (const FeatureWeight& fw : TopK(std::numeric_limits<size_t>::max())) {
-    weights->emplace(fw.feature, fw.weight);
-  }
-  return [weights](uint32_t feature) {
-    const auto it = weights->find(feature);
-    return it == weights->end() ? 0.0f : it->second;
-  };
-}
-
 namespace {
 
-/// The default frozen read model: a WeightEstimator closure plus the linear
-/// margin over it. Exact for every method whose live PredictMargin is the
-/// linear functional of its tracked weights (the Sec. 7 baselines apply one
-/// shared lazy scale per margin where this applies it per frozen term, so
-/// agreement is up to float rounding of the individual estimates).
-class EstimatorReadModel final : public ReadModel {
+/// The default frozen read model: a copy of every tracked weight, answering
+/// 0 for the rest, with ReadModel's linear margin over those float weights.
+/// Exact for every method whose live margin is that same functional of its
+/// tracked weights (the Sec. 7 baselines apply one shared lazy scale per
+/// margin where this applies it per copied term, so agreement is up to the
+/// float rounding of the individual weights).
+class TrackedWeightsReadModel final : public ReadModel {
  public:
-  explicit EstimatorReadModel(WeightEstimator estimator)
-      : estimator_(std::move(estimator)) {}
-
-  double PredictMargin(const SparseVector& x) const override {
-    double acc = 0.0;
-    for (size_t i = 0; i < x.nnz(); ++i) {
-      acc += static_cast<double>(estimator_(x.index(i))) * static_cast<double>(x.value(i));
-    }
-    return acc;
+  explicit TrackedWeightsReadModel(std::vector<FeatureWeight> tracked)
+      : weights_(std::move(tracked)) {
+    std::sort(weights_.begin(), weights_.end(), [](const FeatureWeight& a, const FeatureWeight& b) {
+      return a.feature < b.feature;
+    });
   }
 
-  float Estimate(uint32_t feature) const override { return estimator_(feature); }
+  float Estimate(uint32_t feature) const override {
+    const auto it = std::lower_bound(
+        weights_.begin(), weights_.end(), feature,
+        [](const FeatureWeight& fw, uint32_t f) { return fw.feature < f; });
+    return it != weights_.end() && it->feature == feature ? it->weight : 0.0f;
+  }
+
+  size_t ResidentBytes() const override { return weights_.capacity() * sizeof(FeatureWeight); }
 
  private:
-  WeightEstimator estimator_;
+  std::vector<FeatureWeight> weights_;  // sorted by feature
 };
 
 }  // namespace
 
 std::unique_ptr<const ReadModel> BudgetedClassifier::MakeReadModel() const {
-  return std::make_unique<EstimatorReadModel>(EstimatorSnapshot());
+  return std::make_unique<TrackedWeightsReadModel>(
+      TopK(std::numeric_limits<size_t>::max()));
 }
 
-std::vector<FeatureWeight> ScanTopK(const BudgetedClassifier& model, size_t k,
-                                    uint32_t dimension) {
-  return ScanTopK([&model](uint32_t i) { return model.WeightEstimate(i); }, k, dimension);
-}
-
-std::vector<FeatureWeight> ScanTopK(const WeightEstimator& estimator, size_t k,
-                                    uint32_t dimension) {
+std::vector<FeatureWeight> ScanTopK(const ReadModel& model, size_t k, uint32_t dimension) {
   TopKHeap heap(k);
   for (uint32_t i = 0; i < dimension; ++i) {
-    const float w = estimator(i);
+    const float w = model.Estimate(i);
     if (w == 0.0f) continue;
     heap.Offer(i, w);
   }

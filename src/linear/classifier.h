@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -16,20 +15,13 @@
 
 namespace wmsketch {
 
-/// A self-contained per-feature weight estimator: captures (copies of)
-/// whatever state it needs at creation time, so it stays valid — and keeps
-/// answering from the same frozen model — after the classifier that produced
-/// it is further trained or destroyed. The budget constraint is what makes
-/// this cheap: a classifier's entire state is at most its byte budget.
-using WeightEstimator = std::function<float(uint32_t)>;
-
 /// An immutable, self-contained *frozen read model*: everything needed to
 /// answer margins and point estimates from one moment of a classifier's
-/// life, decoupled from the live (mutating) model. This is the structured
-/// sibling of \ref WeightEstimator — where the estimator is a single frozen
-/// point-query closure, a ReadModel additionally answers margins and batched
-/// queries, which is what the wait-free serving layer
-/// (src/engine/serving.h) publishes to readers.
+/// life, decoupled from the live (mutating) model. It stays valid — and
+/// keeps answering from the same frozen model — after the classifier that
+/// produced it is further trained or destroyed. It is the one frozen form
+/// of a model: LearnerSnapshot holds one, and the wait-free serving layer
+/// (src/engine/serving.h) publishes one to readers.
 ///
 /// Contract: every method is const, thread-safe, and allocation-free on the
 /// steady state, so any number of
@@ -38,8 +30,17 @@ class ReadModel {
  public:
   virtual ~ReadModel() = default;
 
-  /// The margin wᵀx under the frozen model.
-  virtual double PredictMargin(const SparseVector& x) const = 0;
+  /// The margin wᵀx under the frozen model. The default is the linear
+  /// functional Σᵢ Estimate(i)·xᵢ of the frozen float weights, which is the
+  /// margin of the models that freeze a copy of their weights; the sketches
+  /// override it with their fused margin.
+  virtual double PredictMargin(const SparseVector& x) const {
+    double acc = 0.0;
+    for (size_t i = 0; i < x.nnz(); ++i) {
+      acc += static_cast<double>(Estimate(x.index(i))) * static_cast<double>(x.value(i));
+    }
+    return acc;
+  }
 
   /// Batched margins: out[e] = PredictMargin(batch[e].x), bit-identical to
   /// the loop. The sketch-backed models override it with the shared
@@ -57,12 +58,11 @@ class ReadModel {
     for (size_t i = 0; i < features.size(); ++i) out[i] = Estimate(features[i]);
   }
 
-  /// Bytes of model state this frozen view keeps alive. Page-backed models
-  /// (the sketches, feature hashing) report the pages they pin plus
-  /// metadata — pages shared with other snapshots count in full (see
-  /// PageSet::ResidentBytes). The default (closure-backed baselines) reports
-  /// 0: their capture is opaque to this accounting.
-  virtual size_t ResidentBytes() const { return 0; }
+  /// Bytes of model state this frozen view keeps alive: the table pages a
+  /// sketch-backed model pins plus their metadata — pages shared with other
+  /// snapshots count in full (see PageSet::ResidentBytes) — the AWM's copied
+  /// active set, and the weights a copying model holds.
+  virtual size_t ResidentBytes() const = 0;
 };
 
 /// Hyperparameters shared by every online linear learner in the library.
@@ -117,9 +117,8 @@ class BudgetedClassifier {
   }
 
   /// Batched read-only margins: out[e] = PredictMargin(batch[e].x), bit-
-  /// identical to the loop. WM-Sketch and feature hashing override it with
-  /// the plan-arena path (whole batch hashed once, cross-example prefetch,
-  /// SIMD gathers); the AWM overrides it with its lazy per-example plan.
+  /// identical to the loop. The sketches and feature hashing override it
+  /// with the sketch/read_path.h batch loop (no virtual call per example).
   /// NOTE: reads the live model — it races with concurrent updates exactly
   /// like PredictMargin does. Concurrent serving goes through a published
   /// ReadModel (engine/serving.h) instead.
@@ -128,27 +127,21 @@ class BudgetedClassifier {
   }
 
   /// Batched point estimates: out[i] = WeightEstimate(features[i]), bit-
-  /// identical to the loop; sketch-backed methods override with a
-  /// hash-once + wide-gather path (sketch/read_path.h).
+  /// identical to the loop; sketch-backed methods override with the
+  /// sketch/read_path.h batch loop.
   virtual void EstimateBatch(std::span<const uint32_t> features, float* out) const {
     for (size_t i = 0; i < features.size(); ++i) out[i] = WeightEstimate(features[i]);
   }
 
-  /// Returns a frozen, self-contained weight estimator (see
-  /// \ref WeightEstimator). The default materializes every tracked entry
-  /// from TopK(); classifiers whose estimates are not exhausted by their
-  /// tracked identifiers (the sketches, feature hashing, the dense model)
-  /// override it to capture their table state instead.
-  virtual WeightEstimator EstimatorSnapshot() const;
-
   /// Returns a frozen \ref ReadModel capturing this classifier's current
-  /// queryable state (O(budget) copy). The default wraps EstimatorSnapshot:
-  /// Estimate answers from the frozen estimator and PredictMargin is the
-  /// linear functional Σᵢ Estimate(i)·xᵢ of the frozen estimates — exact for
-  /// every method whose live margin is that same functional of its tracked
-  /// weights (all Sec. 7 baselines), up to the per-term rounding of the
-  /// frozen float estimates. The sketches and feature hashing override it
-  /// with table-backed models carrying the batched SIMD read paths.
+  /// queryable state. The default copies every tracked weight from TopK():
+  /// the heap-backed baselines (truncation, Space-Saving, CM-FF) keep every
+  /// nonzero weight behind a tracked identifier, so that copy *is* the
+  /// model. Its margin is the linear functional Σᵢ Estimate(i)·xᵢ of the
+  /// copied float weights — the live margin up to the per-term rounding of
+  /// those floats. The sketches and feature hashing override it with
+  /// table-backed models over the sketch/read_path.h kernels, and the dense
+  /// model with a copy of its weight vector.
   virtual std::unique_ptr<const ReadModel> MakeReadModel() const;
 
   /// Point estimate ŵᵢ of the uncompressed model's weight for `feature`.
@@ -237,17 +230,10 @@ class BudgetedClassifier {
   virtual std::string Name() const = 0;
 };
 
-/// Exhaustive top-k: evaluates WeightEstimate over the full feature universe
+/// Exhaustive top-k: evaluates Estimate over the full feature universe
 /// [0, dimension) and returns the k largest-magnitude results. This is the
-/// only way to rank features for methods without identifier storage, and is
-/// also how the recovery metric treats every method uniformly.
-std::vector<FeatureWeight> ScanTopK(const BudgetedClassifier& model, size_t k,
-                                    uint32_t dimension);
-
-/// The same exhaustive scan over any point-estimate source (e.g. a frozen
-/// \ref WeightEstimator); the model overload and LearnerSnapshot::ScanTopK
-/// both delegate here.
-std::vector<FeatureWeight> ScanTopK(const WeightEstimator& estimator, size_t k,
-                                    uint32_t dimension);
+/// only way to rank features for methods without identifier storage (feature
+/// hashing). LearnerSnapshot::ScanTopK delegates here.
+std::vector<FeatureWeight> ScanTopK(const ReadModel& model, size_t k, uint32_t dimension);
 
 }  // namespace wmsketch

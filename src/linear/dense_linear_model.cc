@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <memory>
+#include <utility>
 
 namespace wmsketch {
 
@@ -9,6 +10,22 @@ namespace {
 // Rescale threshold: keeps raw float values far from overflow even though
 // the true weights stay O(1) as the scale shrinks.
 constexpr double kMinScale = 1e-25;
+
+/// The dense model frozen: a copy of w = α·v, with ReadModel's linear margin.
+class DenseReadModel final : public ReadModel {
+ public:
+  explicit DenseReadModel(std::vector<float> weights) : weights_(std::move(weights)) {}
+
+  float Estimate(uint32_t feature) const override {
+    return feature < weights_.size() ? weights_[feature] : 0.0f;
+  }
+
+  size_t ResidentBytes() const override { return weights_.size() * sizeof(float); }
+
+ private:
+  std::vector<float> weights_;
+};
+
 }  // namespace
 
 DenseLinearModel::DenseLinearModel(uint32_t dimension, const LearnerOptions& opts,
@@ -51,11 +68,8 @@ void DenseLinearModel::UpdateBatch(std::span<const Example> batch, std::vector<d
   }
 }
 
-WeightEstimator DenseLinearModel::EstimatorSnapshot() const {
-  auto weights = std::make_shared<const std::vector<float>>(Weights());
-  return [weights](uint32_t feature) {
-    return feature < weights->size() ? (*weights)[feature] : 0.0f;
-  };
+std::unique_ptr<const ReadModel> DenseLinearModel::MakeReadModel() const {
+  return std::make_unique<DenseReadModel>(Weights());
 }
 
 void DenseLinearModel::MaybeRescale() {

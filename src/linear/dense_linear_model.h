@@ -34,9 +34,9 @@ class DenseLinearModel final : public BudgetedClassifier {
   /// Devirtualized batch ingest (bit-identical to a loop of Update).
   void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
-  /// Frozen estimator over a materialized copy of the full weight vector
+  /// Frozen read model over a materialized copy of the full weight vector
   /// (0 for features outside [0, dimension)).
-  WeightEstimator EstimatorSnapshot() const override;
+  std::unique_ptr<const ReadModel> MakeReadModel() const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   size_t MemoryCostBytes() const override {
     return TableBytes(weights_.size()) + HeapBytes(heap_.capacity());

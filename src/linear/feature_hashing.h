@@ -38,7 +38,7 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
   /// Constructs with `buckets` hashed weights (power of two).
   FeatureHashingClassifier(uint32_t buckets, const LearnerOptions& opts);
 
-  /// Plan-driven (depth-1 plan): one hash per feature per call.
+  /// The fused depth-1 read: one hash per feature per call.
   double PredictMargin(const SparseVector& x) const override;
   /// Batched margins: the fused per-example loop.
   void PredictBatch(std::span<const Example> batch, double* margins) const override;
@@ -52,8 +52,6 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
   /// table prefetch.
   void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
-  /// Frozen estimator capturing copies of the bucket hash and table.
-  WeightEstimator EstimatorSnapshot() const override;
   /// Feature hashing stores no identifiers; native top-K is empty (use
   /// ScanTopK to rank an explicit universe).
   std::vector<FeatureWeight> TopK(size_t k) const override;
@@ -74,6 +72,9 @@ class FeatureHashingClassifier final : public BudgetedClassifier {
   friend Result<FeatureHashingClassifier> detail::LoadFeatureHashingPayload(
       snapshot::SnapshotReader&, const LearnerOptions&);
 
+  /// The bucket hash as a one-row sketch, the shape the plan builders and
+  /// the sketch read path take.
+  std::span<const SignedBucketHash> Rows() const { return {&hash_, 1}; }
   /// The Update body once the plan exists (shared by Update and UpdateBatch).
   double UpdateWithPlan(const SparseVector& x, int8_t y, const simd::PlanView& plan);
   void MaybeRescale();

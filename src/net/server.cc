@@ -70,7 +70,7 @@ struct ServingServer::Reader {
   /// Version-keyed top-K response cache: encoded response bytes per k,
   /// valid for exactly one snapshot version. A publish invalidates the
   /// whole map the first time the reader observes the new version — no
-  /// cross-thread protocol, the check rides the pin every query performs.
+  /// cross-thread protocol, the check rides the round's one pin.
   uint64_t topk_cache_version = 0;
   std::unordered_map<uint32_t, std::string> topk_cache;
 
@@ -349,16 +349,15 @@ void ServingServer::ReaderLoop(Reader& r) {
     }
   };
 
-  // Serves one kTopKRequest from the version-keyed cache; a miss encodes a
-  // fresh response and caches it for the snapshot version it was served at.
-  auto serve_topk = [&r](uint32_t k) -> const std::string& {
-    uint64_t version = r.handle.Refresh();
-    if (version != r.topk_cache_version) {
+  // Serves one kTopKRequest from the version-keyed cache; a miss encodes
+  // `snap`'s top-K and caches it under the snapshot's version.
+  auto serve_topk = [&r](const ServingSnapshot& snap, uint32_t k) -> const std::string& {
+    if (snap.version != r.topk_cache_version) {
       if (r.topk_cache_version != 0) {
         r.cache_invalidations.fetch_add(1, std::memory_order_relaxed);
       }
       r.topk_cache.clear();
-      r.topk_cache_version = version;
+      r.topk_cache_version = snap.version;
     }
     const auto it = r.topk_cache.find(k);
     if (it != r.topk_cache.end()) {
@@ -367,14 +366,9 @@ void ServingServer::ReaderLoop(Reader& r) {
     }
     r.cache_misses.fetch_add(1, std::memory_order_relaxed);
     TopKResponse resp;
-    resp.entries = r.handle.TopK(k);
-    resp.version = r.handle.version();
-    if (resp.version != version) {
-      // A publish landed between the refresh and the copy (vanishingly
-      // rare): key the entry under the version actually served.
-      r.topk_cache.clear();
-      r.topk_cache_version = resp.version;
-    }
+    resp.version = snap.version;
+    resp.entries.assign(snap.top_k.begin(),
+                        snap.top_k.begin() + std::min<size_t>(k, snap.top_k.size()));
     return r.topk_cache.emplace(k, EncodeTopKResponse(resp)).first->second;
   };
 
@@ -424,6 +418,11 @@ void ServingServer::ReaderLoop(Reader& r) {
     bool more = true;
     while (more && !stopping_.load(std::memory_order_acquire)) {
       more = false;
+      // One pin per round: every reply of the round answers from this one
+      // snapshot and carries its version, so replies that go out in arrival
+      // order never step back a version on a pipelined connection.
+      r.handle.Refresh();
+      const ServingSnapshot& snap = r.handle.pinned();
       std::vector<RoundRequest> round;
       std::vector<Example> examples;
       std::vector<uint32_t> features;
@@ -525,21 +524,17 @@ void ServingServer::ReaderLoop(Reader& r) {
         }
       }
 
-      // The micro-batch dispatch: one snapshot pin + one SIMD batch kernel
-      // call for every example (and every feature key) the round gathered,
+      // The micro-batch dispatch: one batch kernel call on the pinned model
+      // for every example (and every feature key) the round gathered,
       // regardless of how many connections they arrived on.
       std::vector<double> margins(examples.size());
-      uint64_t predict_version = 0;
       if (!examples.empty()) {
-        r.handle.PredictBatch(examples, margins.data());
-        predict_version = r.handle.version();
+        snap.model->PredictBatch(examples, margins.data());
         r.batches.fetch_add(1, std::memory_order_relaxed);
       }
       std::vector<float> estimates(features.size());
-      uint64_t estimate_version = 0;
       if (!features.empty()) {
-        r.handle.EstimateBatch(features, estimates.data());
-        estimate_version = r.handle.version();
+        snap.model->EstimateBatch(features, estimates.data());
         r.batches.fetch_add(1, std::memory_order_relaxed);
       }
 
@@ -569,7 +564,7 @@ void ServingServer::ReaderLoop(Reader& r) {
           switch (req.type) {
             case MsgType::kPredictRequest: {
               PredictResponse resp;
-              resp.version = predict_version;
+              resp.version = snap.version;
               resp.margins.assign(margins.begin() + static_cast<ptrdiff_t>(req.offset),
                                   margins.begin() +
                                       static_cast<ptrdiff_t>(req.offset + req.count));
@@ -579,7 +574,7 @@ void ServingServer::ReaderLoop(Reader& r) {
             }
             case MsgType::kEstimateRequest: {
               EstimateResponse resp;
-              resp.version = estimate_version;
+              resp.version = snap.version;
               resp.estimates.assign(
                   estimates.begin() + static_cast<ptrdiff_t>(req.offset),
                   estimates.begin() + static_cast<ptrdiff_t>(req.offset + req.count));
@@ -589,14 +584,14 @@ void ServingServer::ReaderLoop(Reader& r) {
             }
             case MsgType::kTopKRequest:
               type = static_cast<uint8_t>(MsgType::kTopKResponse);
-              payload = serve_topk(req.k);
+              payload = serve_topk(snap, req.k);
               break;
             case MsgType::kModelInfoRequest: {
               ModelInfoResponse info;
-              info.snapshot_version = r.handle.Refresh();
-              info.steps = r.handle.steps();
-              info.resident_bytes = r.handle.resident_bytes();
-              info.top_k_capacity = static_cast<uint32_t>(r.handle.top_k_size());
+              info.snapshot_version = snap.version;
+              info.steps = snap.steps;
+              info.resident_bytes = snap.resident_bytes;
+              info.top_k_capacity = static_cast<uint32_t>(snap.top_k.size());
               type = static_cast<uint8_t>(MsgType::kModelInfoResponse);
               payload = EncodeModelInfoResponse(info);
               break;

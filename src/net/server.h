@@ -26,21 +26,24 @@ namespace wmsketch::net {
 ///
 /// The performance core is micro-batching: a reader drains every complete
 /// frame its ready connections have buffered *before* touching the model,
-/// then routes all pending predict examples through ONE
-/// ServingHandle::PredictBatch call and all pending estimate features
-/// through ONE EstimateBatch call — one snapshot pin and one SIMD gather
-/// dispatch amortized across every request that arrived concurrently. The
-/// batch cut is deadline-or-size: a dispatch fires as soon as either
-/// `max_batch` examples are pending (size cut) or a zero-timeout epoll pass
-/// finds no more ready connections (the "deadline" is the instant the
-/// arrival burst is exhausted — idle traffic is dispatched immediately and
-/// never waits on a timer).
+/// then routes all pending predict examples through ONE PredictBatch call
+/// and all pending estimate features through ONE EstimateBatch call on the
+/// pinned frozen model — one batch dispatch amortized across every request
+/// that arrived concurrently. Each dispatch round pins the snapshot ONCE:
+/// predict, estimate, top-K and model-info replies all answer from that
+/// snapshot and carry its version, so the replies a pipelined connection
+/// receives (in arrival order) never step back a version. The batch cut is
+/// deadline-or-size: a dispatch fires as soon as either `max_batch`
+/// examples are pending (size cut) or a zero-timeout epoll pass finds no
+/// more ready connections (the "deadline" is the instant the arrival burst
+/// is exhausted — idle traffic is dispatched immediately and never waits on
+/// a timer).
 ///
 /// Top-K requests are answered from a reader-local cache keyed on
 /// (snapshot version, k): the encoded response bytes are reused until a
 /// publish advances the version, which invalidates the whole cache in O(1)
 /// observation — no cross-thread invalidation protocol, the version check
-/// rides the pin the reader already performs.
+/// rides the round's one pin.
 ///
 /// Fault containment: frame-level corruption (bad magic, bad CRC, lying
 /// length, unknown type) loses framing, so that connection — and only that

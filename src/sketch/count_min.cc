@@ -62,11 +62,6 @@ double CountMinSketch::Query(uint32_t key) const {
   return est;
 }
 
-void CountMinSketch::Clear() {
-  table_.Fill(0.0);
-  total_ = 0.0;
-}
-
 Status CountMinSketch::RestoreState(const std::vector<double>& table, double total) {
   if (table.size() != table_.size()) {
     return Status::InvalidArgument("counter array size does not match sketch shape");

@@ -39,9 +39,6 @@ class CountMinSketch {
   /// Point estimate (never underestimates for increment-only streams).
   double Query(uint32_t key) const;
 
-  /// Resets all counters.
-  void Clear();
-
   /// The raw counter array in row-major order (snapshot-save support).
   std::span<const double> table() const { return {table_.data(), table_.size()}; }
 

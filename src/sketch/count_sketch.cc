@@ -1,8 +1,8 @@
 #include "sketch/count_sketch.h"
 
 #include <cassert>
-#include <cmath>
 
+#include "sketch/read_path.h"
 #include "util/math.h"
 #include "util/random.h"
 #include "util/simd.h"
@@ -30,14 +30,7 @@ void CountSketch::Update(uint32_t key, float delta) {
 }
 
 float CountSketch::Query(uint32_t key) const {
-  float est[kMaxDepth];
-  for (uint32_t j = 0; j < depth_; ++j) {
-    uint32_t bucket;
-    float sign;
-    rows_[j].BucketAndSign(key, &bucket, &sign);
-    est[j] = sign * Row(j)[bucket];
-  }
-  return MedianInPlace(est, depth_);
+  return readpath::FusedEstimate(table_.data(), rows_, key, 1.0);
 }
 
 float CountSketch::UpdateAndQuery(uint32_t key, float delta) {
@@ -71,9 +64,5 @@ void CountSketch::Scale(float factor) {
 }
 
 void CountSketch::Clear() { table_.Fill(0.0f); }
-
-double CountSketch::TableL2Norm() const {
-  return std::sqrt(simd::L2NormSquared(table_.data(), table_.size()));
-}
 
 }  // namespace wmsketch

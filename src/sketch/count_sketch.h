@@ -69,9 +69,6 @@ class CountSketch {
   /// Cumulative publication counters of the paged storage.
   const TablePublishStats& publish_stats() const { return table_.publish_stats(); }
 
-  /// L2 norm of the raw table (diagnostics / tests).
-  double TableL2Norm() const;
-
  private:
   float* Row(uint32_t j) { return table_.data() + static_cast<size_t>(j) * width_; }
   const float* Row(uint32_t j) const { return table_.data() + static_cast<size_t>(j) * width_; }

@@ -3,8 +3,8 @@
 // Copy-on-write paged table storage: the weight/counter arrays of the
 // sketches (CountSketch, CountMinSketch, WM/AWM tables, the feature-hashing
 // bucket array) live in a BasicPagedTable instead of a bare std::vector, so
-// snapshot publication, cloning, and estimator capture cost O(dirtied pages)
-// instead of O(budget).
+// snapshot publication, cloning, and read-model capture cost O(dirtied
+// pages) instead of O(budget).
 //
 // Layout contract (what keeps the hot paths bit-identical and fast):
 //
@@ -112,8 +112,8 @@ struct PagedView {
   T At(size_t off) const { return pages[off >> shift][off & mask]; }
 };
 
-/// One published, immutable set of table pages: what a frozen ReadModel /
-/// estimator closure holds instead of a table copy. Copying a PageSet (or
+/// One published, immutable set of table pages: what a frozen ReadModel
+/// holds instead of a table copy. Copying a PageSet (or
 /// holding several from different publishes) shares page storage; pages are
 /// freed when the last PageSet referencing them dies.
 template <typename T>

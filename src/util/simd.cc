@@ -139,12 +139,4 @@ void ScaleTable(float* t, size_t n, float f) {
   for (size_t i = 0; i < n; ++i) t[i] *= f;
 }
 
-double L2NormSquared(const float* t, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    s += static_cast<double>(t[i]) * static_cast<double>(t[i]);
-  }
-  return s;
-}
-
 }  // namespace wmsketch::simd

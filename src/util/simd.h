@@ -122,7 +122,4 @@ void MergeScaledTable(float* dst, const float* src, size_t n, double ratio);
 /// t[i] *= f — the lazy-rescale table sweep.
 void ScaleTable(float* t, size_t n, float f);
 
-/// Σ t[i]² accumulated in double, left to right.
-double L2NormSquared(const float* t, size_t n);
-
 }  // namespace wmsketch::simd

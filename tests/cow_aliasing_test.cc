@@ -2,11 +2,11 @@
 // updates × snapshot publications × clones × merges, several seeds, three
 // table-backed methods. Two invariants are asserted bit-for-bit:
 //
-//   1. Pinned snapshots are frozen: every ReadModel / estimator pinned at
-//      some instant keeps returning the exact bits it returned at capture
-//      time, no matter how much the live model (or its clones) mutate,
-//      merge, or publish afterwards — page aliasing must never leak a
-//      writer-side mutation into a published page.
+//   1. Pinned snapshots are frozen: every ReadModel pinned at some
+//      instant keeps returning the exact bits it returned at capture time,
+//      no matter how much the live model (or its clones) mutate, merge, or
+//      publish afterwards — page aliasing must never leak a writer-side
+//      mutation into a published page.
 //   2. Publication is free of side effects: a reference learner that
 //      receives the identical update/merge sequence but never publishes or
 //      clones stays bit-identical to the live model under test.
@@ -41,7 +41,6 @@ constexpr size_t kProbeExamples = 8;
 
 struct Pinned {
   std::unique_ptr<const ReadModel> model;
-  WeightEstimator estimator;
   std::vector<double> margins;    // expected bits, recorded at capture
   std::vector<float> estimates;   // expected bits, recorded at capture
 };
@@ -79,7 +78,6 @@ Pinned Pin(const BudgetedClassifier& model, const std::vector<uint32_t>& feature
            const std::vector<Example>& probes) {
   Pinned p;
   p.model = model.MakeReadModel();
-  p.estimator = model.EstimatorSnapshot();
   p.margins.resize(probes.size());
   for (size_t e = 0; e < probes.size(); ++e) {
     p.margins[e] = p.model->PredictMargin(probes[e].x);
@@ -98,13 +96,10 @@ void VerifyPinned(const Pinned& p, const std::vector<uint32_t>& features,
   std::vector<float> estimates(features.size());
   p.model->EstimateBatch(features, estimates.data());
   ExpectBitEqualFloats(p.estimates, estimates, "pinned estimate");
-  // The single-call paths and the frozen estimator must agree with the
-  // recorded bits too.
+  // The single-call path must agree with the recorded bits too.
   for (size_t i = 0; i < features.size(); ++i) {
     const float single = p.model->Estimate(features[i]);
-    const float est = p.estimator(features[i]);
     EXPECT_EQ(0, std::memcmp(&single, &p.estimates[i], sizeof(float)));
-    EXPECT_EQ(0, std::memcmp(&est, &p.estimates[i], sizeof(float)));
   }
 }
 

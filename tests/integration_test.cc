@@ -60,7 +60,7 @@ SweepResult RunSweep(const ClassificationProfile& profile, size_t budget, size_t
   const std::vector<float> w_star = reference.Weights();
   for (size_t m = 0; m < models.size(); ++m) {
     std::vector<FeatureWeight> top = models[m]->TopK(k);
-    if (top.empty()) top = ScanTopK(*models[m], k, profile.dimension);  // Hash
+    if (top.empty()) top = ScanTopK(*models[m]->MakeReadModel(), k, profile.dimension);  // Hash
     out.rel_err.push_back(RelErrTopK(top, w_star, k));
     out.error_rate.push_back(errors[m].Rate());
   }

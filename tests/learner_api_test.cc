@@ -277,7 +277,7 @@ TEST(LearnerSnapshotTest, ScanTopKRanksHashedModels) {
   const auto scanned =
       snap.ScanTopK(16, ClassificationProfile::SmallTest().dimension);
   ASSERT_EQ(scanned.size(), 16u);
-  // Descending magnitude, and every weight agrees with the frozen estimator.
+  // Descending magnitude, and every weight agrees with the frozen model.
   for (size_t i = 1; i < scanned.size(); ++i) {
     EXPECT_GE(std::fabs(scanned[i - 1].weight), std::fabs(scanned[i].weight));
   }

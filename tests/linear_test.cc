@@ -255,7 +255,7 @@ TEST(FeatureHashingTest, NativeTopKEmptyButScanWorks) {
   FeatureHashingClassifier model(64, opts);
   for (int i = 0; i < 10; ++i) model.Update(SparseVector::OneHot(5), 1);
   EXPECT_TRUE(model.TopK(4).empty());
-  const auto scanned = ScanTopK(model, 4, /*dimension=*/100);
+  const auto scanned = ScanTopK(*model.MakeReadModel(), 4, /*dimension=*/100);
   ASSERT_FALSE(scanned.empty());
   // Feature 5's bucket-mates tie with it; feature 5 must be among them.
   bool found = false;

@@ -55,6 +55,19 @@ class HashOnceRule(unittest.TestCase):
         self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
         self.assertIn("exceed the audited allowlist ratchet", r.stdout)
 
+    def test_ratchet_is_exact_stale_entries_fail(self):
+        # A deletion must shrink the allowlist in the same change: an entry
+        # above its file's real count, or naming a file with no sites left,
+        # is a finding of its own.
+        r = run_lint("--rule", "hash-once", "--engine", "token",
+                     "--root", fixture("hash_once_stale"))
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("src/core/fused_read.cc:1", r.stdout)
+        self.assertIn("lower max_sites to 1", r.stdout)
+        self.assertIn("src/core/deleted_read.cc:1", r.stdout)
+        self.assertIn("remove the entry", r.stdout)
+        self.assertEqual(r.stdout.count("[hash-once]"), 2, r.stdout)
+
     def test_inline_suppression_with_reason_passes(self):
         r = run_lint("--rule", "hash-once", "--engine", "token",
                      "--root", fixture("hash_once_suppressed"))

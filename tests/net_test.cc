@@ -3,19 +3,26 @@
 // against direct ServingHandle calls for all seven methods, the
 // corruption/disconnect containment matrix (a bad frame or a killed client
 // costs exactly one connection, never the daemon), the version-keyed top-K
-// response cache (hit bytes identical, one invalidation per publish), and
-// the micro-batch dispatch structure (pipelined requests coalesce into one
-// PredictBatch call).
+// response cache (hit bytes identical, one invalidation per publish), the
+// micro-batch dispatch structure (pipelined requests coalesce into one
+// PredictBatch call), one snapshot pin per dispatch round (versions on a
+// pipelined connection never step back), and seeded mutation of every
+// payload decoder.
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -30,6 +37,8 @@
 #include "util/failpoint.h"
 #include "util/memory_cost.h"
 #include "util/random.h"
+
+#include "mutation_fuzz.h"
 
 namespace wmsketch {
 namespace {
@@ -208,6 +217,96 @@ TEST_F(NetTest, LyingFrameLengthCostsBoundedMemory) {
             StatusCode::kCorruption);
   EXPECT_LT(frame.payload.capacity(), size_t{1} << 20);
   ::close(fds[1]);
+}
+
+// --------------------------------------------------- payload codec fuzz
+
+/// A FuzzTarget decode that also checks the round trip: a mutated payload
+/// the decoder accepts must decode to a value that encodes and decodes back
+/// to the same bytes.
+template <typename T>
+std::function<Status(std::string_view)> RoundTrips(Result<T> (*decode)(std::string_view),
+                                                   std::string (*encode)(const T&)) {
+  return [decode, encode](std::string_view bytes) -> Status {
+    Result<T> first = decode(bytes);
+    if (!first.ok()) return first.status();
+    const std::string encoded = encode(first.value());
+    Result<T> second = decode(encoded);
+    EXPECT_TRUE(second.ok()) << second.status().ToString();
+    if (second.ok()) {
+      EXPECT_EQ(encode(second.value()), encoded);
+    }
+    return Status::OK();
+  };
+}
+
+TEST_F(NetTest, PayloadDecodersSurviveSeededMutation) {
+  // Every payload decoder of the serving protocol, fed seeded mutations of
+  // an encoder-built payload: each call returns (the sanitizer builds turn
+  // an out-of-bounds read or UB into a failure), and an accepted payload
+  // round-trips.
+  constexpr int kMutations = 3000;
+  net::PredictRequest predict;
+  predict.examples = MakeStream(2, /*seed=*/51);
+  const uint32_t nnz0 = static_cast<uint32_t>(predict.examples[0].x.nnz());
+  net::PredictResponse margins{9, {0.5, -1.25, 3.0}};
+  net::EstimateRequest estimate{{7, 3, 4096, 0xFFFFFFFFu}};
+  net::EstimateResponse estimates{9, {0.5f, -0.0f, 2.0f}};
+  net::TopKResponse topk{9, {{3, 2.5f}, {7, -1.0f}}};
+  net::ModelInfoResponse info;
+  info.snapshot_version = 9;
+  info.steps = 1234;
+  info.resident_bytes = 65536;
+  info.top_k_capacity = 128;
+
+  // Field offsets: counts, lengths, versions and the protocol version.
+  const std::vector<fuzz::FuzzTarget> targets = {
+      {"predict-request", net::EncodePredictRequest(predict),
+       {{0, 4}, {4, 4}, {8 + 8 * size_t{nnz0}, 4}},
+       RoundTrips(&net::DecodePredictRequest, &net::EncodePredictRequest)},
+      {"predict-response", net::EncodePredictResponse(margins), {{0, 8}, {8, 4}},
+       RoundTrips(&net::DecodePredictResponse, &net::EncodePredictResponse)},
+      {"estimate-request", net::EncodeEstimateRequest(estimate), {{0, 4}},
+       RoundTrips(&net::DecodeEstimateRequest, &net::EncodeEstimateRequest)},
+      {"estimate-response", net::EncodeEstimateResponse(estimates), {{0, 8}, {8, 4}},
+       RoundTrips(&net::DecodeEstimateResponse, &net::EncodeEstimateResponse)},
+      {"top-k-request", net::EncodeTopKRequest({16}), {{0, 4}},
+       RoundTrips(&net::DecodeTopKRequest, &net::EncodeTopKRequest)},
+      {"top-k-response", net::EncodeTopKResponse(topk), {{0, 8}, {8, 4}},
+       RoundTrips(&net::DecodeTopKResponse, &net::EncodeTopKResponse)},
+      {"model-info-response", net::EncodeModelInfoResponse(info),
+       {{0, 4}, {4, 8}, {12, 8}, {20, 8}, {28, 4}},
+       RoundTrips(&net::DecodeModelInfoResponse, &net::EncodeModelInfoResponse)},
+      // Error: u8 code, u16 detail, u32 message length, message. A decoded
+      // remote status carries the "remote: " prefix the decoder adds, which
+      // is how it is told apart from a rejected payload; encoding it and
+      // decoding again adds the prefix once more and changes nothing else.
+      {"error", net::EncodeError(Status::FailedPrecondition("stale snapshot")),
+       {{0, 1}, {1, 2}, {3, 4}},
+       [](std::string_view bytes) -> Status {
+         const Status remote = net::DecodeErrorStatus(bytes);
+         if (remote.message().rfind("remote: ", 0) != 0) return remote;
+         const Status again = net::DecodeErrorStatus(net::EncodeError(remote));
+         EXPECT_EQ(again.code(), remote.code());
+         EXPECT_EQ(again.detail(), remote.detail());
+         EXPECT_EQ(again.message(), "remote: " + remote.message());
+         return Status::OK();
+       }},
+  };
+
+  std::mt19937_64 rng(20261019);
+  for (const fuzz::FuzzTarget& t : targets) {
+    SCOPED_TRACE(t.name);
+    ASSERT_TRUE(t.decode(t.seed).ok());
+    int accepted = 0;
+    for (int i = 0; i < kMutations; ++i) {
+      if (t.decode(fuzz::Mutate(t, rng)).ok()) ++accepted;
+    }
+    // Both outcomes occur: some mutations only change a value, others
+    // break the payload.
+    EXPECT_GT(accepted, 0);
+    EXPECT_LT(accepted, kMutations);
+  }
 }
 
 // --------------------------------------- round-trip bit-identity, 7 methods
@@ -600,6 +699,95 @@ TEST_F(NetTest, MixedPipelinePreservesPerConnectionOrder) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply.value().type, static_cast<uint8_t>(want));
   }
+}
+
+// One pin per dispatch round: while a writer publishes continuously, a
+// connection that pipelines [estimate, predict, top-K, model-info] must
+// never get a reply older than one it already got. Replies go out in
+// arrival order, so a round that pinned once per request kind (predict
+// first, then estimate) answered the estimate before it from a newer
+// snapshot than the predict after it.
+TEST_F(NetTest, PipelinedVersionsNeverStepBackWhileTheWriterPublishes) {
+  Learner learner = TrainedLearner(Method::kWmSketch);
+  const std::string path = UniqueSocket("onepin");
+  ServerOptions options;
+  options.unix_path = path;
+  options.readers = 1;
+  auto server = StartServer(learner, options);
+
+  Result<ServingClient> connected = ServingClient::ConnectUnix(path);
+  ASSERT_TRUE(connected.ok());
+  ServingClient client = std::move(connected).value();
+
+  // A wide predict keeps its dispatch long enough for publishes to land
+  // inside a round.
+  net::EstimateRequest ereq;
+  ereq.features = FeatureIds(64, /*seed=*/42);
+  net::PredictRequest preq;
+  preq.examples = MakeStream(64, /*seed=*/41);
+  std::string pipelined;
+  pipelined += net::EncodeFrame(static_cast<uint8_t>(MsgType::kEstimateRequest),
+                                net::EncodeEstimateRequest(ereq));
+  pipelined += net::EncodeFrame(static_cast<uint8_t>(MsgType::kPredictRequest),
+                                net::EncodePredictRequest(preq));
+  pipelined += net::EncodeFrame(static_cast<uint8_t>(MsgType::kTopKRequest),
+                                net::EncodeTopKRequest(net::TopKRequest{8}));
+  pipelined += net::EncodeFrame(static_cast<uint8_t>(MsgType::kModelInfoRequest), "");
+
+  std::atomic<bool> stop{false};
+  std::thread writer([&learner, &stop] {
+    const std::vector<Example> stream = MakeStream(512, /*seed=*/43);
+    for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+      learner.Update(stream[i % stream.size()]);
+      learner.PublishServingSnapshot();
+    }
+  });
+  // Joins the writer on every exit, a failed assertion's early return too.
+  struct JoinWriter {
+    std::atomic<bool>& stop;
+    std::thread& thread;
+    ~JoinWriter() {
+      stop.store(true, std::memory_order_relaxed);
+      thread.join();
+    }
+  } join_writer{stop, writer};
+
+  constexpr int kRounds = 2000;
+  uint64_t first = 0;
+  uint64_t newest = 0;
+  int step_backs = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(net::WriteAll(client.fd(), pipelined.data(), pipelined.size()).ok());
+    for (int reply = 0; reply < 4; ++reply) {
+      Result<net::TypedFrame> frame =
+          net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
+      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+      const std::string& payload = frame.value().payload;
+      uint64_t version = 0;
+      switch (static_cast<MsgType>(frame.value().type)) {
+        case MsgType::kEstimateResponse:
+          version = net::DecodeEstimateResponse(payload).value().version;
+          break;
+        case MsgType::kPredictResponse:
+          version = net::DecodePredictResponse(payload).value().version;
+          break;
+        case MsgType::kTopKResponse:
+          version = net::DecodeTopKResponse(payload).value().version;
+          break;
+        case MsgType::kModelInfoResponse:
+          version = net::DecodeModelInfoResponse(payload).value().snapshot_version;
+          break;
+        default:
+          FAIL() << "unexpected reply type " << int{frame.value().type};
+      }
+      if (first == 0) first = version;
+      if (version < newest) ++step_backs;
+      newest = std::max(newest, version);
+    }
+  }
+  EXPECT_EQ(step_backs, 0) << "replies older than one already received, over "
+                           << kRounds << " rounds";
+  EXPECT_GT(newest, first);  // the writer published while the rounds ran
 }
 
 // ------------------------------------------------------------- lifecycle

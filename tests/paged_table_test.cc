@@ -272,14 +272,14 @@ TEST(PagedTableTest, DoubleTableWorksTheSameWay) {
   EXPECT_EQ(s.view().At(299), 2.25);
 }
 
-// Randomized read equivalence: the batched paged reads a frozen model serves
-// from (readpath::MarginBatchPaged / EstimateBatchPaged) must answer exactly
-// what the batched flat reads (PlanMarginBatch / GatherMedianBatch) answer
-// on the same cells, bit for bit. Three in four keys hash, in some row, to
-// one of the two cells on either side of a page boundary — the offsets where
-// the page walk (pages[off >> shift] + (off & mask)) is easiest to get wrong
-// by one. ±0 cells make the median networks' min/max choice on signed-zero
-// ties visible. Depths 1–7 take the sorting networks, depth 9 the
+// Randomized read equivalence: the batched read kernels over a frozen page
+// set (readpath::MarginBatch / EstimateBatch on a PagedView) must answer
+// exactly what the same kernels answer over the flat live cells, bit for
+// bit. Three in four keys hash, in some row, to one of the two cells on
+// either side of a page boundary — the offsets where the page walk
+// (pages[off >> shift] + (off & mask)) is easiest to get wrong by one. ±0
+// cells make the median networks' min/max choice on signed-zero ties
+// visible. Depths 1–7 take the sorting networks, depth 9 the
 // simd::MedianLarge path. Width 32 puts two rows on a page and leaves the
 // last page partly padded; width 256 splits each row over four pages. Runs
 // on both the scalar and (where the CPU has them) AVX2 paths.
@@ -345,13 +345,13 @@ TEST(PagedTableTest, RandomizedPagedReadsMatchFlatAcrossPageBoundaries) {
       SCOPED_TRACE(::testing::Message() << "width=" << shape.width << " depth="
                                         << shape.depth << " simd=" << simd_on);
       std::vector<float> est_flat(keys.size()), est_paged(keys.size());
-      readpath::GatherMedianBatch(t.data(), rows, keys, factor, est_flat.data());
-      readpath::EstimateBatchPaged(view, rows, keys, factor, est_paged.data());
+      readpath::EstimateBatch(t.data(), rows, keys, factor, est_flat.data());
+      readpath::EstimateBatch(view, rows, keys, factor, est_paged.data());
       ASSERT_EQ(0, std::memcmp(est_flat.data(), est_paged.data(),
                                keys.size() * sizeof(float)));
       std::vector<double> m_flat(batch.size()), m_paged(batch.size());
-      readpath::PlanMarginBatch(t.data(), rows, batch, factor, m_flat.data());
-      readpath::MarginBatchPaged(view, rows, batch, factor, m_paged.data());
+      readpath::MarginBatch(t.data(), rows, batch, factor, m_flat.data());
+      readpath::MarginBatch(view, rows, batch, factor, m_paged.data());
       ASSERT_EQ(0, std::memcmp(m_flat.data(), m_paged.data(), batch.size() * sizeof(double)));
     }
   }

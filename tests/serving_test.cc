@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <vector>
 
@@ -105,10 +106,21 @@ TEST(BatchReadTest, BatchCallsAppend) {
 
 // ------------------------------------------------------- frozen ReadModel
 
+template <typename T>
+void ExpectSameBits(const std::vector<T>& got, const std::vector<T>& want, const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(0, std::memcmp(&got[i], &want[i], sizeof(T)))
+        << what << " @" << i << ": " << got[i] << " vs " << want[i];
+  }
+}
+
 // A frozen read model must answer exactly what the live model answered at
-// capture time — and keep answering it after further training. WM at depth
-// 9 reads its frozen pages through the rank-selection median
-// (simd::MedianLarge), the other shapes through the sorting networks.
+// capture time — and keep answering it after further training — bit for
+// bit, through every read: the live batched calls, the frozen model's
+// per-call and batched calls, and a LearnerSnapshot. Depths 9 and 14 read
+// through the rank-selection median (simd::MedianLarge), the other shapes
+// through the sorting networks; AWM at depth > 1 reads a multi-row tail.
 TEST(ReadModelTest, FrozenAnswersMatchCaptureMoment) {
   const ClassificationProfile profile = ClassificationProfile::SmallTest();
   const std::vector<Example> stream = MakeStream(3000, 11);
@@ -117,42 +129,50 @@ TEST(ReadModelTest, FrozenAnswersMatchCaptureMoment) {
     Method method;
     uint32_t depth;
   };
-  const Case cases[] = {{Method::kWmSketch, 3},
-                        {Method::kWmSketch, 9},
-                        {Method::kAwmSketch, 1},
+  const Case cases[] = {{Method::kWmSketch, 3},  {Method::kWmSketch, 9},
+                        {Method::kWmSketch, 14}, {Method::kAwmSketch, 1},
+                        {Method::kAwmSketch, 3}, {Method::kAwmSketch, 9},
                         {Method::kFeatureHashing, 0}};
   for (const Case& c : cases) {
     Learner model = std::move(ShapeBuilder(c.method, c.depth).Build()).value();
     SCOPED_TRACE(model.Name() + " d" + std::to_string(c.depth));
     model.UpdateBatch(std::span<const Example>(stream.data(), 1500));
     const std::unique_ptr<const ReadModel> frozen = model.impl().MakeReadModel();
+    const LearnerSnapshot snap = model.Snapshot();
 
+    // The live per-call answers at the capture moment, which the live
+    // batched reads must match.
+    const std::span<const Example> queries(stream.data() + 1500, 300);
     std::vector<double> live_margins;
     std::vector<float> live_estimates;
-    const std::span<const Example> queries(stream.data() + 1500, 300);
     for (const Example& ex : queries) live_margins.push_back(model.PredictMargin(ex.x));
     for (const uint32_t id : ids) live_estimates.push_back(model.WeightEstimate(id));
+    std::vector<double> margins;
+    model.PredictBatch(queries, &margins);
+    ExpectSameBits(margins, live_margins, "live PredictBatch");
+    std::vector<float> estimates;
+    model.EstimateBatch(ids, &estimates);
+    ExpectSameBits(estimates, live_estimates, "live EstimateBatch");
 
     // Train past the capture: frozen answers must not move.
     model.UpdateBatch(std::span<const Example>(stream.data() + 1800, 1200));
-    std::vector<double> frozen_margins(queries.size());
-    frozen->PredictBatch(queries, frozen_margins.data());
-    std::vector<float> frozen_estimates(ids.size());
-    frozen->EstimateBatch(ids, frozen_estimates.data());
-    for (size_t e = 0; e < queries.size(); ++e) {
-      ASSERT_EQ(frozen_margins[e], live_margins[e]) << model.Name() << " @" << e;
-      ASSERT_EQ(frozen->PredictMargin(queries[e].x), live_margins[e]);
-    }
-    for (size_t i = 0; i < ids.size(); ++i) {
-      ASSERT_EQ(frozen_estimates[i], live_estimates[i]) << model.Name() << " @" << i;
-      ASSERT_EQ(frozen->Estimate(ids[i]), live_estimates[i]);
-    }
+    frozen->PredictBatch(queries, margins.data());
+    ExpectSameBits(margins, live_margins, "frozen PredictBatch");
+    for (size_t e = 0; e < queries.size(); ++e) margins[e] = frozen->PredictMargin(queries[e].x);
+    ExpectSameBits(margins, live_margins, "frozen PredictMargin");
+    frozen->EstimateBatch(ids, estimates.data());
+    ExpectSameBits(estimates, live_estimates, "frozen EstimateBatch");
+    for (size_t i = 0; i < ids.size(); ++i) estimates[i] = frozen->Estimate(ids[i]);
+    ExpectSameBits(estimates, live_estimates, "frozen Estimate");
+    for (size_t i = 0; i < ids.size(); ++i) estimates[i] = snap.Estimate(ids[i]);
+    ExpectSameBits(estimates, live_estimates, "LearnerSnapshot::Estimate");
   }
 }
 
-// The generic (estimator-backed) read model serves the Sec. 7 baselines:
-// point estimates exactly, margins as the linear functional of the frozen
-// estimates (equal to the live margin up to per-term float rounding).
+// The default read model (a copy of the tracked weights) serves the Sec. 7
+// baselines: point estimates exactly, margins as the linear functional of
+// the copied weights (equal to the live margin up to per-term float
+// rounding).
 TEST(ReadModelTest, GenericFallbackServesBaselines) {
   const std::vector<Example> stream = MakeStream(2000, 21);
   Learner model = std::move(LearnerBuilder()

@@ -11,6 +11,9 @@ linter turns them into CI-failing checks:
                (src/sketch/hash_plan.*), and an explicit allowlist of audited
                fused single-hash read paths (tools/lint/allowlist.json, one
                reason string per file, with a per-file site-count ratchet).
+               The ratchet is exact: an entry whose file has fewer sites
+               than its max_sites, or none, is itself a finding, so a
+               deletion shrinks the allowlist in the same change.
 
   cow-dirty    All table-backed models store their cells in copy-on-write
                paged tables (util/paged_table.h). Any function in src/core/,
@@ -318,6 +321,7 @@ def hash_once_libclang_sites(root, rel, notes):
 def check_hash_once(root, allow, engine, notes):
     findings = []
     allow_entries = allow.get("hash-once", {})
+    site_counts = {}  # file -> unsuppressed call sites
     for rel in iter_source_files(root, HASH_ONCE_SCOPE):
         norm = rel.replace(os.sep, "/")
         if any(norm.startswith(d + "/") for d in HASH_ONCE_ALLOWED_DIRS):
@@ -341,6 +345,7 @@ def check_hash_once(root, allow, engine, notes):
                  if not suppressed(suppressions, "hash-once", ln)]
         if not sites:
             continue
+        site_counts[norm] = len(sites)
         entry = allow_entries.get(norm)
         if entry is None:
             for ln in sites:
@@ -356,6 +361,15 @@ def check_hash_once(root, allow, engine, notes):
                 f"{len(sites)} BucketAndSign call sites exceed the audited "
                 f"allowlist ratchet of {entry.get('max_sites', 0)} "
                 f"(reason on file: {entry['reason']})"))
+    for path, entry in sorted(allow_entries.items()):
+        audited = int(entry.get("max_sites", 0))
+        have = site_counts.get(path, 0)
+        if have < audited:
+            fix = "remove the entry" if have == 0 else f"lower max_sites to {have}"
+            findings.append(Finding(
+                path, 1, "hash-once",
+                f"stale allowlist entry: {have} BucketAndSign call site(s) "
+                f"left against max_sites {audited}; {fix}"))
     return findings
 
 
