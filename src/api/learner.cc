@@ -180,11 +180,6 @@ LearnerBuilder& LearnerBuilder::SetLearningRate(LearningRate rate) {
   return *this;
 }
 
-LearnerBuilder& LearnerBuilder::SetLoss(const LossFunction* loss) {
-  opts_.loss = loss;
-  return *this;
-}
-
 LearnerBuilder& LearnerBuilder::SetSeed(uint64_t seed) {
   opts_.seed = seed;
   return *this;

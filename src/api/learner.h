@@ -315,8 +315,6 @@ class LearnerBuilder {
   LearnerBuilder& SetLambda(double lambda);
   /// Learning-rate schedule (default η_t = 0.1/√t).
   LearnerBuilder& SetLearningRate(LearningRate rate);
-  /// Loss function; `loss` must outlive the learner (default logistic).
-  LearnerBuilder& SetLoss(const LossFunction* loss);
   /// Seed for all hashing/randomized internals (default 42).
   LearnerBuilder& SetSeed(uint64_t seed);
 

@@ -48,13 +48,6 @@ double SpaceSavingFrequent::Update(const SparseVector& x, int8_t y) {
   return margin;
 }
 
-void SpaceSavingFrequent::UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) {
-  for (const Example& ex : batch) {
-    const double margin = Update(ex.x, ex.y);
-    if (margins != nullptr) margins->push_back(margin);
-  }
-}
-
 void SpaceSavingFrequent::MaybeRescale() {
   if (scale_ >= kMinScale) return;
   const float f = static_cast<float>(scale_);
@@ -127,13 +120,6 @@ double CountMinFrequent::Update(const SparseVector& x, int8_t y) {
   }
   MaybeRescale();
   return margin;
-}
-
-void CountMinFrequent::UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) {
-  for (const Example& ex : batch) {
-    const double margin = Update(ex.x, ex.y);
-    if (margins != nullptr) margins->push_back(margin);
-  }
 }
 
 void CountMinFrequent::MaybeRescale() {

@@ -45,8 +45,6 @@ class SpaceSavingFrequent final : public BudgetedClassifier {
 
   double PredictMargin(const SparseVector& x) const override;
   double Update(const SparseVector& x, int8_t y) override;
-  /// Devirtualized batch ingest (bit-identical to a loop of Update).
-  void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   /// (id, count, weight) per monitored slot.
@@ -86,8 +84,6 @@ class CountMinFrequent final : public BudgetedClassifier {
 
   double PredictMargin(const SparseVector& x) const override;
   double Update(const SparseVector& x, int8_t y) override;
-  /// Devirtualized batch ingest (bit-identical to a loop of Update).
-  void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   /// CM counters + (id, weight) per monitored slot.

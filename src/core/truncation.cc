@@ -49,13 +49,6 @@ double SimpleTruncation::Update(const SparseVector& x, int8_t y) {
   return margin;
 }
 
-void SimpleTruncation::UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) {
-  for (const Example& ex : batch) {
-    const double margin = Update(ex.x, ex.y);
-    if (margins != nullptr) margins->push_back(margin);
-  }
-}
-
 void SimpleTruncation::MaybeRescale() {
   if (scale_ >= kMinScale) return;
   heap_.Scale(static_cast<float>(scale_));
@@ -134,13 +127,6 @@ double ProbabilisticTruncation::Update(const SparseVector& x, int8_t y) {
   }
   MaybeRescale();
   return margin;
-}
-
-void ProbabilisticTruncation::UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) {
-  for (const Example& ex : batch) {
-    const double margin = Update(ex.x, ex.y);
-    if (margins != nullptr) margins->push_back(margin);
-  }
 }
 
 void ProbabilisticTruncation::MaybeRescale() {

@@ -43,8 +43,6 @@ class SimpleTruncation final : public BudgetedClassifier {
 
   double PredictMargin(const SparseVector& x) const override;
   double Update(const SparseVector& x, int8_t y) override;
-  /// Devirtualized batch ingest (bit-identical to a loop of Update).
-  void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   /// (id, weight) per tracked entry.
@@ -83,8 +81,6 @@ class ProbabilisticTruncation final : public BudgetedClassifier {
 
   double PredictMargin(const SparseVector& x) const override;
   double Update(const SparseVector& x, int8_t y) override;
-  /// Devirtualized batch ingest (bit-identical to a loop of Update).
-  void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
   std::vector<FeatureWeight> TopK(size_t k) const override;
   /// (id, weight, reservoir key) per tracked entry.

@@ -272,7 +272,12 @@ std::string FormatSparsityProfileJson(const SparsityProfile& p) {
   std::ostringstream os;
   os.precision(17);  // double round-trip
   os << "{\n";
-  os << "  \"name\": \"" << p.name << "\",\n";
+  os << "  \"name\": \"";
+  for (const char c : p.name) {
+    if (c == '"' || c == '\\') os << '\\';  // the two escapes the parser reads
+    os << c;
+  }
+  os << "\",\n";
   os << "  \"dimension\": " << p.dimension << ",\n";
   os << "  \"positive_fraction\": " << p.positive_fraction << ",\n";
   os << "  \"binary_values\": " << (p.binary_values ? "true" : "false") << ",\n";

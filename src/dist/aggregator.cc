@@ -233,7 +233,7 @@ Status Aggregator::ServeUntilShutdown() {
 }
 
 Status Aggregator::SendError(int fd, const Status& status) {
-  return SendFrame(fd, FrameType::kError, EncodeError(status));
+  return SendFrame(fd, FrameType::kError, net::EncodeError(status));
 }
 
 Status Aggregator::ServeConnection(Connection& conn, bool* close_conn) {

@@ -73,12 +73,6 @@ Result<SyncHeader> DecodeSyncHeader(std::string_view payload, std::string_view* 
   return header;
 }
 
-std::string EncodeAck(const AckPayload& ack) {
-  std::string out;
-  EncodeAck(ack, &out);
-  return out;
-}
-
 void EncodeAck(const AckPayload& ack, std::string* out) { WriteRaw(*out, ack.sync_seq); }
 
 Result<AckPayload> DecodeAck(std::string_view payload) {
@@ -86,34 +80,6 @@ Result<AckPayload> DecodeAck(std::string_view payload) {
   AckPayload ack;
   if (!in.ReadRaw(&ack.sync_seq)) return Status::Corruption("truncated ack payload");
   return ack;
-}
-
-std::string EncodeError(const Status& status) {
-  std::string out;
-  WriteRaw(out, static_cast<uint8_t>(status.code()));
-  WriteRaw(out, status.detail());
-  WriteRaw(out, static_cast<uint32_t>(status.message().size()));
-  snapshot::WriteBytes(out, status.message().data(), status.message().size());
-  return out;
-}
-
-Status DecodeErrorStatus(std::string_view payload) {
-  SnapshotReader in(payload);
-  uint8_t code = 0;
-  uint16_t detail = 0;
-  uint32_t len = 0;
-  if (!in.ReadRaw(&code) || !in.ReadRaw(&detail) || !in.ReadRaw(&len)) {
-    return Status::Corruption("truncated error payload");
-  }
-  if (code == 0 || code > static_cast<uint8_t>(StatusCode::kUnimplemented)) {
-    return Status::Corruption("error payload has unknown status code");
-  }
-  if (!in.CanRead(len, 1)) return Status::Corruption("error message exceeds payload");
-  std::string message(len, '\0');
-  if (!in.ReadExactRaw(message.data(), len)) {
-    return Status::Corruption("truncated error message");
-  }
-  return Status(static_cast<StatusCode>(code), "remote: " + message, detail);
 }
 
 }  // namespace wmsketch::dist

@@ -27,9 +27,9 @@ namespace wmsketch::dist {
 ///     | -- kFetchMerged ---------------------------> (replicas merged)
 ///     | <-- kMergedState {learner bytes} ----------
 ///
-/// A rejected frame comes back as kError carrying an encoded Status; the
-/// worker reacts by reconnecting, re-handshaking, and falling back to a
-/// full-state sync.
+/// A rejected frame comes back as kError carrying a Status encoded by
+/// net::EncodeError (net/wire.h); the worker reacts by reconnecting,
+/// re-handshaking, and falling back to a full-state sync.
 
 inline constexpr uint32_t kProtocolVersion = 1;
 
@@ -83,15 +83,8 @@ void EncodeSyncHeader(const SyncHeader& header, std::string* out);
 /// `payload`, valid while `payload`'s storage lives).
 Result<SyncHeader> DecodeSyncHeader(std::string_view payload, std::string_view* body);
 
-std::string EncodeAck(const AckPayload& ack);
 /// Appends an ack payload to `*out` (the aggregator's kept ack frame).
 void EncodeAck(const AckPayload& ack, std::string* out);
 Result<AckPayload> DecodeAck(std::string_view payload);
-
-/// kError payload: the rejecting side's Status, round-tripped so the worker
-/// can log and react to the real failure, not a generic "rejected".
-std::string EncodeError(const Status& status);
-/// The remote Status (Corruption if the payload itself is malformed).
-Status DecodeErrorStatus(std::string_view payload);
 
 }  // namespace wmsketch::dist

@@ -91,7 +91,7 @@ Status SyncClient::Handshake(const BudgetedClassifier& model) {
   WMS_ASSIGN_OR_RETURN(hello.identity, MergeIdentityOf(method_, model));
   WMS_RETURN_NOT_OK(SendFrame(fd_, FrameType::kHello, EncodeHello(hello)));
   WMS_ASSIGN_OR_RETURN(const Frame reply, RecvFrame(fd_));
-  if (reply.type == FrameType::kError) return DecodeErrorStatus(reply.payload);
+  if (reply.type == FrameType::kError) return net::DecodeErrorStatus(reply.payload);
   if (reply.type != FrameType::kHelloAck) {
     return Status::Corruption(std::string("expected hello-ack, got ") +
                               FrameTypeName(reply.type));
@@ -162,7 +162,7 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model) {
   const bool ack_within_spin =
       net::SpinPoll(&reply_ready, 1, std::chrono::steady_clock::now() + kSyncSpinBudget) > 0;
   WMS_ASSIGN_OR_RETURN(const Frame reply, RecvFrame(fd_));
-  if (reply.type == FrameType::kError) return DecodeErrorStatus(reply.payload);
+  if (reply.type == FrameType::kError) return net::DecodeErrorStatus(reply.payload);
   if (reply.type != FrameType::kAck) {
     return Status::Corruption(std::string("expected ack, got ") + FrameTypeName(reply.type));
   }
@@ -232,7 +232,7 @@ Result<std::string> SyncClient::FetchMergedBytes() {
       Result<Frame> reply = RecvFrame(fd_);
       if (reply.ok()) {
         if (reply.value().type == FrameType::kError) {
-          return DecodeErrorStatus(reply.value().payload);
+          return net::DecodeErrorStatus(reply.value().payload);
         }
         if (reply.value().type != FrameType::kMergedState) {
           return Status::Corruption(std::string("expected merged-state, got ") +

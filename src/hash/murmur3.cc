@@ -1,37 +1,6 @@
 #include "hash/murmur3.h"
 
-#include <cstring>
-
 namespace wmsketch {
-
-namespace {
-
-inline uint32_t Rotl32(uint32_t x, int8_t r) { return (x << r) | (x >> (32 - r)); }
-inline uint64_t Rotl64(uint64_t x, int8_t r) { return (x << r) | (x >> (64 - r)); }
-
-inline uint32_t Fmix32(uint32_t h) {
-  h ^= h >> 16;
-  h *= 0x85ebca6bu;
-  h ^= h >> 13;
-  h *= 0xc2b2ae35u;
-  h ^= h >> 16;
-  return h;
-}
-
-// Reads a 32-bit little-endian block without alignment assumptions.
-inline uint32_t GetBlock32(const uint8_t* p, size_t i) {
-  uint32_t v;
-  std::memcpy(&v, p + i * 4, sizeof(v));
-  return v;
-}
-
-inline uint64_t GetBlock64(const uint8_t* p, size_t i) {
-  uint64_t v;
-  std::memcpy(&v, p + i * 8, sizeof(v));
-  return v;
-}
-
-}  // namespace
 
 uint64_t Murmur3Fmix64(uint64_t k) {
   k ^= k >> 33;
@@ -40,145 +9,6 @@ uint64_t Murmur3Fmix64(uint64_t k) {
   k *= 0xc4ceb9fe1a85ec53ULL;
   k ^= k >> 33;
   return k;
-}
-
-uint32_t Murmur3_x86_32(const void* data, size_t len, uint32_t seed) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  const size_t nblocks = len / 4;
-
-  uint32_t h1 = seed;
-  const uint32_t c1 = 0xcc9e2d51u;
-  const uint32_t c2 = 0x1b873593u;
-
-  for (size_t i = 0; i < nblocks; ++i) {
-    uint32_t k1 = GetBlock32(bytes, i);
-    k1 *= c1;
-    k1 = Rotl32(k1, 15);
-    k1 *= c2;
-    h1 ^= k1;
-    h1 = Rotl32(h1, 13);
-    h1 = h1 * 5 + 0xe6546b64u;
-  }
-
-  const uint8_t* tail = bytes + nblocks * 4;
-  uint32_t k1 = 0;
-  switch (len & 3) {
-    case 3:
-      k1 ^= static_cast<uint32_t>(tail[2]) << 16;
-      [[fallthrough]];
-    case 2:
-      k1 ^= static_cast<uint32_t>(tail[1]) << 8;
-      [[fallthrough]];
-    case 1:
-      k1 ^= static_cast<uint32_t>(tail[0]);
-      k1 *= c1;
-      k1 = Rotl32(k1, 15);
-      k1 *= c2;
-      h1 ^= k1;
-  }
-
-  h1 ^= static_cast<uint32_t>(len);
-  return Fmix32(h1);
-}
-
-void Murmur3_x64_128(const void* data, size_t len, uint32_t seed, uint64_t out[2]) {
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  const size_t nblocks = len / 16;
-
-  uint64_t h1 = seed;
-  uint64_t h2 = seed;
-  const uint64_t c1 = 0x87c37b91114253d5ULL;
-  const uint64_t c2 = 0x4cf5ad432745937fULL;
-
-  for (size_t i = 0; i < nblocks; ++i) {
-    uint64_t k1 = GetBlock64(bytes, i * 2 + 0);
-    uint64_t k2 = GetBlock64(bytes, i * 2 + 1);
-
-    k1 *= c1;
-    k1 = Rotl64(k1, 31);
-    k1 *= c2;
-    h1 ^= k1;
-    h1 = Rotl64(h1, 27);
-    h1 += h2;
-    h1 = h1 * 5 + 0x52dce729;
-
-    k2 *= c2;
-    k2 = Rotl64(k2, 33);
-    k2 *= c1;
-    h2 ^= k2;
-    h2 = Rotl64(h2, 31);
-    h2 += h1;
-    h2 = h2 * 5 + 0x38495ab5;
-  }
-
-  const uint8_t* tail = bytes + nblocks * 16;
-  uint64_t k1 = 0;
-  uint64_t k2 = 0;
-  switch (len & 15) {
-    case 15:
-      k2 ^= static_cast<uint64_t>(tail[14]) << 48;
-      [[fallthrough]];
-    case 14:
-      k2 ^= static_cast<uint64_t>(tail[13]) << 40;
-      [[fallthrough]];
-    case 13:
-      k2 ^= static_cast<uint64_t>(tail[12]) << 32;
-      [[fallthrough]];
-    case 12:
-      k2 ^= static_cast<uint64_t>(tail[11]) << 24;
-      [[fallthrough]];
-    case 11:
-      k2 ^= static_cast<uint64_t>(tail[10]) << 16;
-      [[fallthrough]];
-    case 10:
-      k2 ^= static_cast<uint64_t>(tail[9]) << 8;
-      [[fallthrough]];
-    case 9:
-      k2 ^= static_cast<uint64_t>(tail[8]);
-      k2 *= c2;
-      k2 = Rotl64(k2, 33);
-      k2 *= c1;
-      h2 ^= k2;
-      [[fallthrough]];
-    case 8:
-      k1 ^= static_cast<uint64_t>(tail[7]) << 56;
-      [[fallthrough]];
-    case 7:
-      k1 ^= static_cast<uint64_t>(tail[6]) << 48;
-      [[fallthrough]];
-    case 6:
-      k1 ^= static_cast<uint64_t>(tail[5]) << 40;
-      [[fallthrough]];
-    case 5:
-      k1 ^= static_cast<uint64_t>(tail[4]) << 32;
-      [[fallthrough]];
-    case 4:
-      k1 ^= static_cast<uint64_t>(tail[3]) << 24;
-      [[fallthrough]];
-    case 3:
-      k1 ^= static_cast<uint64_t>(tail[2]) << 16;
-      [[fallthrough]];
-    case 2:
-      k1 ^= static_cast<uint64_t>(tail[1]) << 8;
-      [[fallthrough]];
-    case 1:
-      k1 ^= static_cast<uint64_t>(tail[0]);
-      k1 *= c1;
-      k1 = Rotl64(k1, 31);
-      k1 *= c2;
-      h1 ^= k1;
-  }
-
-  h1 ^= static_cast<uint64_t>(len);
-  h2 ^= static_cast<uint64_t>(len);
-  h1 += h2;
-  h2 += h1;
-  h1 = Murmur3Fmix64(h1);
-  h2 = Murmur3Fmix64(h2);
-  h1 += h2;
-  h2 += h1;
-  out[0] = h1;
-  out[1] = h2;
 }
 
 }  // namespace wmsketch

@@ -1,29 +1,13 @@
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 namespace wmsketch {
 
-/// MurmurHash3 (Austin Appleby's public-domain algorithm), reimplemented
-/// from the specification. The paper's pipeline (Sec. 8.3) hashes strings to
-/// 32-bit feature identifiers with MurmurHash3 before sketching; we use it
-/// for the same purpose (token and attribute interning) and for seeding.
-///
-/// x86_32 variant: returns a 32-bit hash of `data[0..len)` under `seed`.
-uint32_t Murmur3_x86_32(const void* data, size_t len, uint32_t seed);
-
-/// x64_128 variant: writes a 128-bit hash of `data[0..len)` into `out[2]`.
-void Murmur3_x64_128(const void* data, size_t len, uint32_t seed, uint64_t out[2]);
-
-/// Convenience: 32-bit hash of a string.
-inline uint32_t Murmur3String(std::string_view s, uint32_t seed = 0) {
-  return Murmur3_x86_32(s.data(), s.size(), seed);
-}
-
-/// Convenience: 64-bit finalizer-style hash of a 64-bit key (the fmix64
-/// finalizer, usable as a fast standalone integer mixer).
+/// The 64-bit finalizer (fmix64) of MurmurHash3 (Austin Appleby's
+/// public-domain algorithm), reimplemented from the specification: a fast
+/// standalone integer mixer. bench_ablation_hashing compares it with the
+/// tabulation and polynomial hash families.
 uint64_t Murmur3Fmix64(uint64_t key);
 
 }  // namespace wmsketch

@@ -101,13 +101,12 @@ class BudgetedClassifier {
   virtual double Update(const SparseVector& x, int8_t y) = 0;
 
   /// Ingests a batch of labeled examples, equivalent to calling Update() on
-  /// each in order (implementations guarantee bit-identical state). The
-  /// batch path exists so high-throughput ingest pays one virtual dispatch
-  /// per batch instead of one per example; every concrete classifier
-  /// overrides it with a devirtualized loop over its own update step. When
+  /// each in order (implementations guarantee bit-identical state). When
   /// `margins` is non-null the pre-update margin of every example is
-  /// appended to it (batched progressive validation) without leaving the
-  /// devirtualized loop.
+  /// appended to it (batched progressive validation). This default is that
+  /// loop. The sketches and feature hashing override it with a
+  /// devirtualized loop over their hash-plan update step; the Sec. 7
+  /// baselines and the dense model keep the default.
   virtual void UpdateBatch(std::span<const Example> batch,
                            std::vector<double>* margins = nullptr) {
     for (const Example& ex : batch) {

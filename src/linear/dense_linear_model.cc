@@ -61,13 +61,6 @@ double DenseLinearModel::Update(const SparseVector& x, int8_t y) {
   return margin;
 }
 
-void DenseLinearModel::UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) {
-  for (const Example& ex : batch) {
-    const double margin = Update(ex.x, ex.y);
-    if (margins != nullptr) margins->push_back(margin);
-  }
-}
-
 std::unique_ptr<const ReadModel> DenseLinearModel::MakeReadModel() const {
   return std::make_unique<DenseReadModel>(Weights());
 }

@@ -31,8 +31,6 @@ class DenseLinearModel final : public BudgetedClassifier {
 
   double PredictMargin(const SparseVector& x) const override;
   double Update(const SparseVector& x, int8_t y) override;
-  /// Devirtualized batch ingest (bit-identical to a loop of Update).
-  void UpdateBatch(std::span<const Example> batch, std::vector<double>* margins) override;
   float WeightEstimate(uint32_t feature) const override;
   /// Frozen read model over a materialized copy of the full weight vector
   /// (0 for features outside [0, dimension)).

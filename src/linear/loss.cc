@@ -1,7 +1,5 @@
 #include "linear/loss.h"
 
-#include <cassert>
-
 #include "util/math.h"
 
 namespace wmsketch {
@@ -12,32 +10,6 @@ double LogisticLoss::Derivative(double margin) const {
   // d/dm log(1+e^{-m}) = -sigmoid(-m).
   return -Sigmoid(-margin);
 }
-
-SmoothedHingeLoss::SmoothedHingeLoss(double gamma) : gamma_(gamma) {
-  assert(gamma > 0.0 && gamma <= 1.0);
-}
-
-double SmoothedHingeLoss::Value(double margin) const {
-  if (margin >= 1.0) return 0.0;
-  if (margin > 1.0 - gamma_) {
-    const double z = 1.0 - margin;
-    return z * z / (2.0 * gamma_);
-  }
-  return 1.0 - margin - gamma_ / 2.0;
-}
-
-double SmoothedHingeLoss::Derivative(double margin) const {
-  if (margin >= 1.0) return 0.0;
-  if (margin > 1.0 - gamma_) return (margin - 1.0) / gamma_;
-  return -1.0;
-}
-
-double SquaredLoss::Value(double margin) const {
-  const double z = 1.0 - margin;
-  return z * z / 2.0;
-}
-
-double SquaredLoss::Derivative(double margin) const { return margin - 1.0; }
 
 const LossFunction& DefaultLogisticLoss() {
   static const LogisticLoss kLoss;

@@ -9,8 +9,8 @@ namespace wmsketch {
 /// The online update for every classifier in this library is
 ///   w ← (1−ηλ)·w − η·y·ℓ'(m)·x,
 /// so the interface exposes the scalar derivative ℓ'(m). The theory
-/// (Theorems 1–2) requires β-strong smoothness; each loss reports its β so
-/// tests and the budget planner can plug it into the bound.
+/// (Theorems 1–2) requires β-strong smoothness; the logistic loss is
+/// 1/4-smooth (paper Sec. 6.1 uses the loose bound β = 1).
 class LossFunction {
  public:
   virtual ~LossFunction() = default;
@@ -21,53 +21,16 @@ class LossFunction {
   /// Derivative dℓ/dm at margin m (non-positive for monotone losses).
   virtual double Derivative(double margin) const = 0;
 
-  /// Strong-smoothness constant β (w.r.t. ‖·‖₂).
-  virtual double SmoothnessBeta() const = 0;
-
   /// Stable identifier for logs and bench output.
   virtual std::string Name() const = 0;
 };
 
 /// Logistic loss ℓ(m) = log(1 + e^{−m}); defines logistic regression.
-/// β = 1/4 (paper Sec. 6.1 uses the loose bound β = 1).
 class LogisticLoss final : public LossFunction {
  public:
   double Value(double margin) const override;
   double Derivative(double margin) const override;
-  double SmoothnessBeta() const override { return 0.25; }
   std::string Name() const override { return "logistic"; }
-};
-
-/// Quadratically-smoothed hinge loss (Shalev-Shwartz et al.):
-///   ℓ(m) = 0                    if m ≥ 1
-///        = (1−m)²/(2γ)          if 1−γ < m < 1
-///        = 1 − m − γ/2          otherwise.
-/// A close relative of the linear SVM (paper Sec. 4.1); β = 1/γ.
-class SmoothedHingeLoss final : public LossFunction {
- public:
-  /// Constructs with smoothing width γ in (0, 1]; γ = 1 is the common
-  /// "smooth hinge".
-  explicit SmoothedHingeLoss(double gamma = 1.0);
-
-  double Value(double margin) const override;
-  double Derivative(double margin) const override;
-  double SmoothnessBeta() const override { return 1.0 / gamma_; }
-  std::string Name() const override { return "smoothed_hinge"; }
-  double gamma() const { return gamma_; }
-
- private:
-  double gamma_;
-};
-
-/// Squared loss on the margin, ℓ(m) = (1−m)²/2 — least-squares
-/// classification; β = 1. Included for the weight-estimation framework's
-/// generality (Definition 3 covers any convex loss).
-class SquaredLoss final : public LossFunction {
- public:
-  double Value(double margin) const override;
-  double Derivative(double margin) const override;
-  double SmoothnessBeta() const override { return 1.0; }
-  std::string Name() const override { return "squared"; }
 };
 
 /// Process-lifetime singleton logistic loss (the default everywhere, as in

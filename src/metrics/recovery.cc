@@ -51,15 +51,4 @@ double RelErrTopK(const std::vector<FeatureWeight>& estimated_topk,
   return std::sqrt(est_sq / ref_sq);
 }
 
-double TopKRecall(const std::vector<FeatureWeight>& actual,
-                  const std::vector<FeatureWeight>& expected) {
-  if (expected.empty()) return 1.0;
-  std::unordered_set<uint32_t> got;
-  got.reserve(actual.size());
-  for (const FeatureWeight& fw : actual) got.insert(fw.feature);
-  size_t hits = 0;
-  for (const FeatureWeight& fw : expected) hits += got.count(fw.feature);
-  return static_cast<double>(hits) / static_cast<double>(expected.size());
-}
-
 }  // namespace wmsketch

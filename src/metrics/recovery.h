@@ -26,9 +26,4 @@ double RelErrTopK(const std::vector<FeatureWeight>& estimated_topk,
 /// (ties by ascending feature id) — the wᴷ* reference set.
 std::vector<FeatureWeight> ExactTopK(const std::vector<float>& w_star, size_t k);
 
-/// Fraction of `expected`'s features present in `actual` (set recall on the
-/// feature ids; weights ignored). Returns 1 for empty `expected`.
-double TopKRecall(const std::vector<FeatureWeight>& actual,
-                  const std::vector<FeatureWeight>& expected);
-
 }  // namespace wmsketch

@@ -220,32 +220,4 @@ Result<ModelInfoResponse> DecodeModelInfoResponse(std::string_view payload) {
   return info;
 }
 
-std::string EncodeError(const Status& status) {
-  std::ostringstream os(std::ios::binary);
-  WriteRaw(os, static_cast<uint8_t>(status.code()));
-  WriteRaw(os, status.detail());
-  WriteRaw(os, static_cast<uint32_t>(status.message().size()));
-  snapshot::WriteBytes(os, status.message().data(), status.message().size());
-  return std::move(os).str();
-}
-
-Status DecodeErrorStatus(std::string_view payload) {
-  SnapshotReader in(payload);
-  uint8_t code = 0;
-  uint16_t detail = 0;
-  uint32_t len = 0;
-  if (!in.ReadRaw(&code) || !in.ReadRaw(&detail) || !in.ReadRaw(&len)) {
-    return Status::Corruption("truncated error payload");
-  }
-  if (code == 0 || code > static_cast<uint8_t>(StatusCode::kUnimplemented)) {
-    return Status::Corruption("error payload has unknown status code");
-  }
-  if (!in.CanRead(len, 1)) return Status::Corruption("error message exceeds payload");
-  std::string message(len, '\0');
-  if (!in.ReadExactRaw(message.data(), len)) {
-    return Status::Corruption("truncated error message");
-  }
-  return Status(static_cast<StatusCode>(code), "remote: " + message, detail);
-}
-
 }  // namespace wmsketch::net

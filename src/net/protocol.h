@@ -34,7 +34,7 @@ namespace wmsketch::net {
 ///     | <-- kShutdownAck ---------------------
 ///
 /// A request the daemon cannot serve comes back as kErrorResponse carrying
-/// an encoded Status (round-tripped code/detail/message). Frame-level
+/// a Status encoded by EncodeError (net/wire.h). Frame-level
 /// corruption (bad magic/CRC/oversized length) is different: framing is
 /// lost, so the daemon drops that connection — and only that connection.
 
@@ -135,11 +135,5 @@ Result<TopKResponse> DecodeTopKResponse(std::string_view payload);
 
 std::string EncodeModelInfoResponse(const ModelInfoResponse& info);
 Result<ModelInfoResponse> DecodeModelInfoResponse(std::string_view payload);
-
-/// kErrorResponse payload: the daemon's Status, round-tripped so the client
-/// reacts to the real failure, not a generic "rejected".
-std::string EncodeError(const Status& status);
-/// The remote Status (Corruption if the payload itself is malformed).
-Status DecodeErrorStatus(std::string_view payload);
 
 }  // namespace wmsketch::net

@@ -16,6 +16,34 @@ namespace wmsketch::net {
 
 namespace {
 
+/// Payload bytes a receive buffer grows by ahead of the bytes that fill
+/// it. A header that lies about its length therefore costs at most one chunk
+/// of memory before the missing bytes surface as a torn frame, however large
+/// the declared length. One chunk holds a full snapshot of the sync
+/// workload's model (~260 kB), so receiving it takes one allocation, not a
+/// grow-and-copy.
+constexpr size_t kRecvChunkBytes = size_t{512} << 10;
+
+/// Called before `n` received bytes at `data` are appended to `*in`: once
+/// the two hold the header of the frame at the front of `*in` but not the
+/// whole frame, reserves room for the frame's declared size, so a large
+/// frame takes one allocation instead of a doubling per read. The reserve
+/// stops kRecvChunkBytes beyond the bytes at hand, so a header that lies
+/// about its length costs at most one chunk, as in ReadPayload.
+void ReserveDeclaredFrame(std::string* in, const char* data, size_t n) {
+  const size_t have = in->size() + n;
+  if (have < kFrameHeaderBytes) return;
+  char head[kFrameHeaderBytes];
+  const size_t buffered = std::min(in->size(), kFrameHeaderBytes);
+  std::memcpy(head, in->data(), buffered);
+  std::memcpy(head + buffered, data, kFrameHeaderBytes - buffered);
+  uint64_t length;
+  std::memcpy(&length, head + 9, sizeof(length));
+  if (length > kMaxFramePayloadBytes) return;  // the decoder rejects the frame
+  const size_t frame = kFrameHeaderBytes + static_cast<size_t>(length);
+  if (have < frame) in->reserve(std::min(frame, have + kRecvChunkBytes));
+}
+
 // One read(2) of at most `n` bytes: blocks until some arrive, then takes
 // what has arrived. `*got` is 0 only at EOF.
 Status ReadSome(int fd, char* dst, size_t n, size_t* got) {
@@ -83,8 +111,37 @@ bool ReadAvailable(int fd, std::string* in, bool* eof, const char* failpoint_sit
       *eof = true;
       return true;
     }
+    ReserveDeclaredFrame(in, buf, static_cast<size_t>(r));
     in->append(buf, static_cast<size_t>(r));
   }
+}
+
+std::string EncodeError(const Status& status) {
+  std::string out;
+  snapshot::WriteRaw(out, static_cast<uint8_t>(status.code()));
+  snapshot::WriteRaw(out, status.detail());
+  snapshot::WriteRaw(out, static_cast<uint32_t>(status.message().size()));
+  snapshot::WriteBytes(out, status.message().data(), status.message().size());
+  return out;
+}
+
+Status DecodeErrorStatus(std::string_view payload) {
+  snapshot::SnapshotReader in(payload);
+  uint8_t code = 0;
+  uint16_t detail = 0;
+  uint32_t len = 0;
+  if (!in.ReadRaw(&code) || !in.ReadRaw(&detail) || !in.ReadRaw(&len)) {
+    return Status::Corruption("truncated error payload");
+  }
+  if (code == 0 || code > static_cast<uint8_t>(StatusCode::kUnimplemented)) {
+    return Status::Corruption("error payload has unknown status code");
+  }
+  if (!in.CanRead(len, 1)) return Status::Corruption("error message exceeds payload");
+  std::string message(len, '\0');
+  if (!in.ReadExactRaw(message.data(), len)) {
+    return Status::Corruption("truncated error message");
+  }
+  return Status(static_cast<StatusCode>(code), "remote: " + message, detail);
 }
 
 int SpinPoll(pollfd* fds, size_t n, std::chrono::steady_clock::time_point until) {
@@ -155,13 +212,6 @@ Status SendEncodedFrame(int fd, std::string_view frame, const char* failpoint_si
 }
 
 namespace {
-
-/// Payload bytes the receive buffer grows by per read. A header that lies
-/// about its length therefore costs at most one chunk of memory before the
-/// missing bytes surface as a torn frame, however large the declared length.
-/// One chunk holds a full snapshot of the sync workload's model (~260 kB),
-/// so receiving it takes one allocation, not a grow-and-copy.
-constexpr size_t kRecvChunkBytes = size_t{512} << 10;
 
 /// Reads up to `n` bytes from `fd` into the empty `*payload`, growing it one
 /// chunk at a time as bytes arrive. It comes back shorter than `n` only at

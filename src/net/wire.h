@@ -121,6 +121,15 @@ Result<TypedFrame> RecvFrame(int fd, uint8_t min_type, uint8_t max_type,
 Status RecvFrame(int fd, uint8_t min_type, uint8_t max_type, const char* failpoint_site,
                  TypedFrame* frame);
 
+/// The error payload of both tiers (net's kErrorResponse, dist's kError):
+/// the rejecting side's Status, round-tripped so the peer reacts to the real
+/// failure, not a generic "rejected". Layout: u8 code, u16 detail, u32
+/// message length, message bytes.
+std::string EncodeError(const Status& status);
+/// The remote Status, its message prefixed "remote: " (Corruption if the
+/// payload itself is malformed).
+Status DecodeErrorStatus(std::string_view payload);
+
 /// Non-blocking decode for buffered event loops: attempts to extract one
 /// complete frame from the front of `buf`. Returns OK with *consumed == 0
 /// when more bytes are needed (frame incomplete), OK with *consumed > 0

@@ -10,8 +10,8 @@ namespace wmsketch {
 /// The structural identity of a signed-hash sketch table for merge purposes:
 /// two tables can be summed iff their projection matrices are equal, which
 /// holds exactly when width, depth, and the seed the row hashes were derived
-/// from all match. Shared by CountSketch::Merge, WmSketch::Merge, and
-/// AwmSketch::Merge so every merge path rejects mismatches identically.
+/// from all match. Shared by the WM-Sketch and AWM-Sketch merges and the
+/// delta applier so every merge path rejects mismatches identically.
 struct SketchShape {
   uint32_t width = 0;
   uint32_t depth = 0;

@@ -23,18 +23,6 @@ uint32_t SpaceSaving::Update(uint32_t item, uint64_t increment) {
   return min.key;
 }
 
-uint64_t SpaceSaving::EstimateCount(uint32_t item) const {
-  const IndexedMinHeap::Entry* e = heap_.Find(item);
-  if (e == nullptr) return 0;
-  return static_cast<uint64_t>(e->priority);
-}
-
-uint64_t SpaceSaving::ErrorBound(uint32_t item) const {
-  const IndexedMinHeap::Entry* e = heap_.Find(item);
-  if (e == nullptr) return 0;
-  return static_cast<uint64_t>(e->value);
-}
-
 std::vector<SpaceSavingEntry> SpaceSaving::Entries() const {
   std::vector<SpaceSavingEntry> out;
   out.reserve(heap_.size());
@@ -74,18 +62,6 @@ Status SpaceSaving::RestoreEntries(const std::vector<SpaceSavingEntry>& entries,
   WMS_RETURN_NOT_OK(heap_.RestoreHeapOrder(std::move(heap_entries)));
   total_ = total;
   return Status::OK();
-}
-
-std::vector<SpaceSavingEntry> SpaceSaving::HeavyHitters(double threshold_fraction,
-                                                        bool guaranteed) const {
-  const double threshold = threshold_fraction * static_cast<double>(total_);
-  std::vector<SpaceSavingEntry> out;
-  for (const SpaceSavingEntry& e : Entries()) {
-    const double support =
-        guaranteed ? static_cast<double>(e.count - e.error) : static_cast<double>(e.count);
-    if (support > threshold) out.push_back(e);
-  }
-  return out;
 }
 
 }  // namespace wmsketch

@@ -40,12 +40,6 @@ class SpaceSaving {
   /// True iff `item` currently occupies a monitored slot.
   bool Contains(uint32_t item) const { return heap_.Contains(item); }
 
-  /// Estimated count (upper bound) for `item`; 0 if unmonitored.
-  uint64_t EstimateCount(uint32_t item) const;
-
-  /// Maximum overestimation for a monitored item; 0 if unmonitored.
-  uint64_t ErrorBound(uint32_t item) const;
-
   /// All monitored entries, sorted by descending estimated count.
   std::vector<SpaceSavingEntry> Entries() const;
 
@@ -53,12 +47,6 @@ class SpaceSaving {
   /// support: RestoreEntries preserves this order exactly, because eviction
   /// tie-breaking among equal counts depends on it).
   std::vector<SpaceSavingEntry> RawEntries() const;
-
-  /// Items whose guaranteed count (estimate - error) exceeds
-  /// `threshold_fraction * TotalCount()` — no false positives; plus items
-  /// whose estimate exceeds it — no false negatives (set `guaranteed` to
-  /// choose which side of the guarantee you want).
-  std::vector<SpaceSavingEntry> HeavyHitters(double threshold_fraction, bool guaranteed) const;
 
   /// Replaces the summary's state with serialized entries (snapshot-restore
   /// support): the (item, count, error) triples are installed in the given

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 namespace wmsketch {
@@ -205,9 +206,13 @@ Result<std::vector<Example>> ReadLibsvmFile(const std::string& path, bool one_ba
 
 std::string FormatLibsvmLine(const Example& ex) {
   std::ostringstream os;
+  // max_digits10 significant digits read back as the same float; the
+  // stream's default 6 would round 1234567.8 to 1.23457e+06.
+  os.precision(std::numeric_limits<float>::max_digits10);
   os << (ex.y > 0 ? "+1" : "-1");
   for (size_t i = 0; i < ex.x.nnz(); ++i) {
-    os << ' ' << (ex.x.index(i) + 1) << ':' << ex.x.value(i);
+    // Widened first: index 2^32 - 1 is written as 4294967296, not 0.
+    os << ' ' << (uint64_t{ex.x.index(i)} + 1) << ':' << ex.x.value(i);
   }
   return os.str();
 }

@@ -31,7 +31,9 @@ Result<Example> ParseLibsvmLine(std::string_view line, bool one_based = true);
 /// malformed record.
 Result<std::vector<Example>> ReadLibsvmFile(const std::string& path, bool one_based = true);
 
-/// Serializes an example in LIBSVM format (1-based indices).
+/// Serializes an example in LIBSVM format (1-based indices), with values
+/// at float round-trip precision: ParseLibsvmLine reads back the same
+/// example.
 std::string FormatLibsvmLine(const Example& ex);
 
 /// Writes examples to `path`, one per line. Returns IOError on failure.

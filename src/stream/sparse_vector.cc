@@ -68,30 +68,6 @@ Status SparseVector::Validate() const {
   return Status::OK();
 }
 
-double SparseVector::L1Norm() const {
-  double s = 0.0;
-  for (float v : values_) s += std::fabs(static_cast<double>(v));
-  return s;
-}
-
-double SparseVector::L2Norm() const {
-  double s = 0.0;
-  for (float v : values_) s += static_cast<double>(v) * static_cast<double>(v);
-  return std::sqrt(s);
-}
-
-void SparseVector::NormalizeL1() {
-  const double n = L1Norm();
-  if (n == 0.0) return;
-  for (float& v : values_) v = static_cast<float>(v / n);
-}
-
-void SparseVector::NormalizeL2() {
-  const double n = L2Norm();
-  if (n == 0.0) return;
-  for (float& v : values_) v = static_cast<float>(v / n);
-}
-
 double SparseVector::Dot(const std::vector<float>& dense) const {
   double s = 0.0;
   for (size_t i = 0; i < indices_.size(); ++i) {

@@ -39,16 +39,6 @@ class SparseVector {
   uint32_t index(size_t i) const { return indices_[i]; }
   float value(size_t i) const { return values_[i]; }
 
-  /// L1 norm (the γ = max‖x‖₁ quantity in Theorem 1's bound).
-  double L1Norm() const;
-  /// L2 norm.
-  double L2Norm() const;
-  /// Divides all values by the L1 norm (no-op on empty vectors); the paper's
-  /// theory assumes ‖x‖₁ = 1 and the generators normalize this way.
-  void NormalizeL1();
-  /// Divides all values by the L2 norm (no-op on empty vectors).
-  void NormalizeL2();
-
   /// Dot product against a dense weight array of dimension >= max index + 1.
   double Dot(const std::vector<float>& dense) const;
 

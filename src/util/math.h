@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "util/simd.h"
 
@@ -26,15 +25,6 @@ inline double Sigmoid(double x) {
   return e / (1.0 + e);
 }
 
-/// Returns the median of `values`, destroying their order. For even sizes
-/// returns the lower-middle element (the convention used by Count-Sketch
-/// style estimators, where depth is typically odd). Requires non-empty input.
-inline float MedianInPlace(std::vector<float>& values) {
-  const size_t mid = (values.size() - 1) / 2;
-  std::nth_element(values.begin(), values.begin() + static_cast<ptrdiff_t>(mid), values.end());
-  return values[mid];
-}
-
 namespace detail {
 
 /// Compare-exchange of a sorting network: branchless under -O2 (min/max
@@ -49,12 +39,16 @@ inline void CSwap(float& a, float& b) {
 }  // namespace detail
 
 /// Median of a small fixed buffer (the per-query path for depth-s sketches);
-/// `n` must be >= 1 and the buffer is reordered. Depths 1–7 run an optimal
-/// sorting network instead of std::nth_element: the per-feature heap offer
-/// in the update loop calls this once per nonzero, and the nth_element call
-/// overhead dominated the work at these sizes. Returns the same order
-/// statistic (lower-middle element) on every path.
-inline float MedianInPlace(float* v, size_t n) {
+/// `n` must be >= 1 and the buffer is reordered. For even `n` it returns the
+/// lower-middle element (the Count-Sketch convention, where depth is
+/// typically odd). Depths 1–7 run an optimal sorting network instead of
+/// std::nth_element: the per-feature heap offer in the update loop calls
+/// this once per nonzero, and the nth_element call overhead dominated the
+/// work at these sizes. Returns the same order statistic on every path.
+/// Always inlined, like the sketch/read_path.h kernels: it runs once per
+/// feature on every sketch read, where a call costs as much as a depth-1
+/// median itself.
+[[gnu::always_inline]] inline float MedianInPlace(float* v, size_t n) {
   using detail::CSwap;
   switch (n) {
     case 1:

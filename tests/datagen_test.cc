@@ -4,6 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <fstream>
+#include <random>
+#include <sstream>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -15,6 +19,8 @@
 #include "datagen/sparsity_profile.h"
 #include "metrics/relative_risk.h"
 #include "stream/libsvm_io.h"
+
+#include "mutation_fuzz.h"
 
 namespace wmsketch {
 namespace {
@@ -37,7 +43,7 @@ TEST(ClassificationGenTest, ExamplesAreValidAndBinary) {
   for (int i = 0; i < 500; ++i) {
     const Example ex = gen.Next();
     ASSERT_TRUE(ex.Validate().ok());
-    EXPECT_DOUBLE_EQ(ex.x.L1Norm(), static_cast<double>(ex.x.nnz()));  // binary values
+    for (const float v : ex.x.values()) EXPECT_EQ(std::fabs(v), 1.0f);  // binary values
     EXPECT_GE(ex.x.nnz(), 5u);
     EXPECT_LE(ex.x.nnz(), 25u);
   }
@@ -286,6 +292,14 @@ TEST(SparsityProfileTest, JsonRoundTripsExactly) {
   EXPECT_EQ(r.value().rank_bands, p.rank_bands);
 }
 
+TEST(SparsityProfileTest, NameWithQuotesAndBackslashesRoundTrips) {
+  SparsityProfile p = TinyProfile();
+  p.name = "a \"quoted\" \\ name";
+  auto r = ParseSparsityProfileJson(FormatSparsityProfileJson(p));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r.value().name, p.name);
+}
+
 TEST(SparsityProfileTest, ParserRejectsMalformedInput) {
   EXPECT_FALSE(ParseSparsityProfileJson("").ok());
   EXPECT_FALSE(ParseSparsityProfileJson("{}").ok());  // missing dimension
@@ -368,6 +382,50 @@ TEST(SparsityProfileTest, CommittedRcv1ProfileLoadsAndValidates) {
   for (int i = 0; i < 500; ++i) mean += static_cast<double>(replay.Next().x.nnz());
   mean /= 500.0;
   EXPECT_NEAR(mean, 74.0, 12.0);  // the committed histogram's mean is ~74
+}
+
+void ExpectSameProfile(const SparsityProfile& a, const SparsityProfile& b,
+                       const std::string& context) {
+  EXPECT_EQ(a.name, b.name) << context;
+  EXPECT_EQ(a.dimension, b.dimension) << context;
+  EXPECT_EQ(a.positive_fraction, b.positive_fraction) << context;
+  EXPECT_EQ(a.binary_values, b.binary_values) << context;
+  EXPECT_EQ(a.nnz_histogram, b.nnz_histogram) << context;
+  EXPECT_EQ(a.rank_bands, b.rank_bands) << context;
+}
+
+// Seeded mutation fuzz (tests/mutation_fuzz.h) of ParseSparsityProfileJson
+// over the committed profile. A mutated file may parse; if it does, the
+// profile is valid and the formatter's JSON for it parses back to the same
+// profile.
+TEST(SparsityProfileTest, ParserSurvivesSeededMutationAndAcceptedProfilesRoundTrip) {
+  constexpr int kMutations = 3000;
+  std::ifstream in(std::string(WMS_SOURCE_DIR) + "/bench/profiles/rcv1_sparsity.json");
+  std::ostringstream file;
+  file << in.rdbuf();
+  const std::string json = file.str();
+  ASSERT_TRUE(ParseSparsityProfileJson(json).ok());
+  // Numeric tokens: the dimension, and the first histogram bucket's bounds.
+  const size_t dimension_at = json.find("47236");
+  const size_t bucket_at = json.find("[4, 8,");
+  ASSERT_NE(dimension_at, std::string::npos);
+  ASSERT_NE(bucket_at, std::string::npos);
+  const fuzz::FuzzTarget t{
+      "rcv1 profile", json, {{dimension_at, 1}, {bucket_at + 1, 1}, {bucket_at + 4, 1}}, nullptr};
+  std::mt19937_64 rng(20261019);
+  int accepted = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string mutated = fuzz::Mutate(t, rng);
+    const Result<SparsityProfile> got = ParseSparsityProfileJson(mutated);
+    if (!got.ok()) continue;
+    ++accepted;
+    ASSERT_TRUE(got.value().Validate().ok()) << mutated;
+    const std::string again_json = FormatSparsityProfileJson(got.value());
+    const Result<SparsityProfile> again = ParseSparsityProfileJson(again_json);
+    ASSERT_TRUE(again.ok()) << mutated << "\n->\n" << again_json;
+    ExpectSameProfile(again.value(), got.value(), "mutation " + std::to_string(i));
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(CorpusGenTest, DocumentBoundariesOccur) {

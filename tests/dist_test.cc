@@ -545,12 +545,14 @@ TEST_F(DistTest, DistDecodersSurviveSeededMutation) {
                        std::string_view body;
                        return dist::DecodeSyncHeader(b, &body).status();
                      }});
-  targets.push_back({"ack", dist::EncodeAck({13}), {{0, 8}},
+  std::string ack_payload;
+  dist::EncodeAck({13}, &ack_payload);
+  targets.push_back({"ack", ack_payload, {{0, 8}},
                      [](std::string_view b) { return dist::DecodeAck(b).status(); }});
   // Error: u8 code, u16 detail, u32 message length, message.
-  targets.push_back({"error", dist::EncodeError(Status::FailedPrecondition("stale session")),
+  targets.push_back({"error", net::EncodeError(Status::FailedPrecondition("stale session")),
                      {{3, 4}},
-                     [](std::string_view b) { return dist::DecodeErrorStatus(b); }});
+                     [](std::string_view b) { return net::DecodeErrorStatus(b); }});
 
   std::mt19937_64 rng(20261017);
   for (const FuzzTarget& t : targets) {
@@ -699,7 +701,7 @@ TEST_F(DistTest, SyncBeforeHandshakeIsRejected) {
   Result<dist::Frame> reply = dist::RecvFrame(fd);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   ASSERT_EQ(reply.value().type, dist::FrameType::kError);
-  const Status st = dist::DecodeErrorStatus(reply.value().payload);
+  const Status st = net::DecodeErrorStatus(reply.value().payload);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   ::close(fd);
 

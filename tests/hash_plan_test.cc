@@ -17,7 +17,6 @@
 #include "datagen/classification_gen.h"
 #include "hash/tabulation.h"
 #include "sketch/count_min.h"
-#include "sketch/count_sketch.h"
 #include "sketch/hash_plan.h"
 #include "util/math.h"
 #include "util/random.h"
@@ -334,19 +333,6 @@ TEST(MedianNetworkTest, MedianLargeBitIdenticalAcrossKernelPaths) {
 }
 
 // ------------------------------------------- single-hash combined ops
-
-TEST(SingleHashOpsTest, CountSketchUpdateAndQueryMatchesSeparateCalls) {
-  CountSketch a(256, 5, 77), b(256, 5, 77);
-  SplitMix64 keys(3);
-  for (int i = 0; i < 3000; ++i) {
-    const uint32_t key = static_cast<uint32_t>(keys.Next() % 1000);
-    const float delta = static_cast<float>((i % 7) - 3) * 0.5f;
-    a.Update(key, delta);
-    const float separate = a.Query(key);
-    const float combined = b.UpdateAndQuery(key, delta);
-    ASSERT_EQ(separate, combined) << i;
-  }
-}
 
 TEST(SingleHashOpsTest, CountMinUpdateAndQueryMatchesSeparateCalls) {
   for (const bool conservative : {false, true}) {

@@ -1,10 +1,9 @@
-// Tests for the hashing substrate: MurmurHash3 reference vectors, tabulation
+// Tests for the hashing substrate: the MurmurHash3 finalizer, tabulation
 // hashing uniformity / sign balance, and the k-independent polynomial family.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 #include <vector>
 
 #include "hash/murmur3.h"
@@ -15,42 +14,6 @@ namespace wmsketch {
 namespace {
 
 // ---------------------------------------------------------------- Murmur3
-
-// Reference vectors from the canonical smhasher implementation.
-TEST(Murmur3Test, X86_32KnownVectors) {
-  EXPECT_EQ(Murmur3_x86_32("", 0, 0), 0u);
-  EXPECT_EQ(Murmur3_x86_32("", 0, 1), 0x514e28b7u);
-  EXPECT_EQ(Murmur3_x86_32("", 0, 0xffffffffu), 0x81f16f39u);
-  EXPECT_EQ(Murmur3String("test", 0), 0xba6bd213u);
-  EXPECT_EQ(Murmur3String("test", 0x9747b28cu), 0x704b81dcu);
-  EXPECT_EQ(Murmur3String("Hello, world!", 0), 0xc0363e43u);
-  EXPECT_EQ(Murmur3String("Hello, world!", 0x9747b28cu), 0x24884cbau);
-  EXPECT_EQ(Murmur3String("The quick brown fox jumps over the lazy dog", 0x9747b28cu),
-            0x2fa826cdu);
-}
-
-TEST(Murmur3Test, X86_32TailLengths) {
-  // Exercise every tail-switch arm (len % 4 in {0,1,2,3}).
-  const std::string base = "abcdefgh";
-  std::vector<uint32_t> hashes;
-  for (size_t len = 0; len <= 8; ++len) {
-    hashes.push_back(Murmur3_x86_32(base.data(), len, 42));
-  }
-  // All distinct.
-  for (size_t i = 0; i < hashes.size(); ++i) {
-    for (size_t j = i + 1; j < hashes.size(); ++j) EXPECT_NE(hashes[i], hashes[j]);
-  }
-}
-
-TEST(Murmur3Test, X64_128DeterministicAndSpread) {
-  uint64_t a[2], b[2], c[2];
-  Murmur3_x64_128("wmsketch", 8, 1, a);
-  Murmur3_x64_128("wmsketch", 8, 1, b);
-  Murmur3_x64_128("wmsketcj", 8, 1, c);
-  EXPECT_EQ(a[0], b[0]);
-  EXPECT_EQ(a[1], b[1]);
-  EXPECT_NE(a[0], c[0]);
-}
 
 TEST(Murmur3Test, Fmix64Bijective) {
   // Distinct inputs keep distinct outputs (sanity for the mixer).

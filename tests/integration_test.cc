@@ -1,7 +1,7 @@
 // End-to-end integration tests: every budgeted method trained on the same
 // synthetic benchmark stream as the uncompressed reference, checked for the
 // paper's qualitative claims — recovery ordering, error-rate ordering,
-// budget accounting, determinism — plus the multiclass extension.
+// budget accounting and determinism.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/budget.h"
-#include "core/multiclass.h"
 #include "datagen/classification_gen.h"
 #include "linear/dense_linear_model.h"
 #include "metrics/online_error.h"
@@ -163,55 +162,6 @@ TEST(IntegrationTest, HigherRegularizationLowersAwmRecoveryError) {
   const double high_reg = run_lambda(1e-3);
   const double low_reg = run_lambda(1e-6);
   EXPECT_LE(high_reg, low_reg + 0.02);
-}
-
-// ------------------------------------------------------------- Multiclass
-
-TEST(MulticlassTest, LearnsThreeClassProblem) {
-  // Three classes, each signaled by its own feature block.
-  const BudgetConfig cfg = DefaultConfig(Method::kAwmSketch, KiB(2)).value();
-  MulticlassClassifier model(3, cfg, BenchOptions(1e-6, 71));
-  Rng rng(72);
-  int late_mistakes = 0;
-  const int total = 6000;
-  for (int i = 0; i < total; ++i) {
-    const size_t label = rng.Bounded(3);
-    const uint32_t signal = static_cast<uint32_t>(100 * label + rng.Bounded(4));
-    const uint32_t noise = static_cast<uint32_t>(1000 + rng.Bounded(500));
-    auto x = SparseVector::FromUnsorted({{signal, 0.8f}, {noise, 0.2f}}).value();
-    const size_t predicted = model.Update(x, label);
-    if (i > total / 2 && predicted != label) ++late_mistakes;
-  }
-  EXPECT_LT(static_cast<double>(late_mistakes) / (total / 2), 0.12);
-}
-
-TEST(MulticlassTest, PerClassTopKIdentifiesSignalFeatures) {
-  const BudgetConfig cfg = DefaultConfig(Method::kAwmSketch, KiB(2)).value();
-  MulticlassClassifier model(2, cfg, BenchOptions(1e-6, 73));
-  Rng rng(74);
-  for (int i = 0; i < 4000; ++i) {
-    const size_t label = rng.Bounded(2);
-    const uint32_t signal = label == 0 ? 5u : 17u;
-    model.Update(SparseVector::OneHot(signal), label);
-  }
-  // One-vs-all: each class model weights its own signal positively and the
-  // other class's signal (its negatives) symmetrically negatively; both land
-  // in the top-2 by magnitude.
-  EXPECT_GT(model.class_model(0).WeightEstimate(5), 0.3f);
-  EXPECT_LT(model.class_model(0).WeightEstimate(17), -0.3f);
-  EXPECT_GT(model.class_model(1).WeightEstimate(17), 0.3f);
-  EXPECT_LT(model.class_model(1).WeightEstimate(5), -0.3f);
-  const auto top0 = model.class_model(0).TopK(2);
-  ASSERT_EQ(top0.size(), 2u);
-  EXPECT_TRUE((top0[0].feature == 5u && top0[1].feature == 17u) ||
-              (top0[0].feature == 17u && top0[1].feature == 5u));
-}
-
-TEST(MulticlassTest, MemoryIsSumOfClassModels) {
-  const BudgetConfig cfg = DefaultConfig(Method::kAwmSketch, KiB(2)).value();
-  MulticlassClassifier model(5, cfg, BenchOptions(1e-6, 75));
-  EXPECT_EQ(model.MemoryCostBytes(), 5u * KiB(2));
-  EXPECT_EQ(model.num_classes(), 5u);
 }
 
 }  // namespace

@@ -10,10 +10,8 @@
 #include <vector>
 
 #include "api/learner.h"
-#include "core/multiclass.h"
 #include "datagen/classification_gen.h"
 #include "util/memory_cost.h"
-#include "util/random.h"
 
 namespace wmsketch {
 namespace {
@@ -191,29 +189,6 @@ TEST(LearnerBatchTest, BatchWithMarginsMatchesProgressiveValidation) {
   ASSERT_EQ(loop_margins.size(), batch_margins.size());
   for (size_t i = 0; i < loop_margins.size(); ++i) {
     EXPECT_EQ(loop_margins[i], batch_margins[i]) << i;
-  }
-}
-
-TEST(LearnerBatchTest, MulticlassBatchMatchesLoop) {
-  const BudgetConfig cfg = DefaultConfig(Method::kAwmSketch, KiB(2)).value();
-  LearnerOptions opts;
-  opts.lambda = 1e-4;
-  opts.rate = LearningRate::Constant(0.2);
-  opts.seed = 31;
-  MulticlassClassifier loop(4, cfg, opts);
-  MulticlassClassifier batched(4, cfg, opts);
-
-  Rng rng(33);
-  std::vector<MulticlassExample> stream;
-  for (int i = 0; i < 1500; ++i) {
-    const uint32_t f = static_cast<uint32_t>(rng.Bounded(1024));
-    stream.push_back(MulticlassExample{SparseVector::OneHot(f), f % 4});
-  }
-  for (const MulticlassExample& ex : stream) loop.Update(ex.x, ex.label);
-  batched.UpdateBatch(stream);
-  for (uint32_t f = 0; f < 1024; f += 3) {
-    EXPECT_EQ(loop.PredictClass(SparseVector::OneHot(f)),
-              batched.PredictClass(SparseVector::OneHot(f)));
   }
 }
 

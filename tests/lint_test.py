@@ -7,6 +7,11 @@ known-bad trees must keep producing their findings and the known-good trees
 must stay clean, so a linter regression — a rule silently going blind, a
 broken allowlist ratchet, a suppression bypass — fails ctest, not just CI.
 
+The test_only_* fixtures hold a three-function library, one production
+program and one `*_test` program each. TestOnlyRatchet compiles them at -O0
+with function sections, links with --gc-sections, and runs
+tools/lint/test_only.py over the result against the fixture's allowlist.
+
 The final test runs every rule over the real repository: the tree itself
 must hold the invariants the linter enforces.
 """
@@ -14,10 +19,12 @@ must hold the invariants the linter enforces.
 import os
 import subprocess
 import sys
+import tempfile
 import unittest
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 LINT = os.path.join(REPO, "tools", "lint", "wms_lint.py")
+TEST_ONLY = os.path.join(REPO, "tools", "lint", "test_only.py")
 FIXTURES = os.path.join(REPO, "tests", "lint_fixtures")
 
 
@@ -149,6 +156,53 @@ class CheckedIoRule(unittest.TestCase):
         r = run_lint("--rule", "checked-io", "--engine", "token",
                      "--root", fixture("checked_io_suppressed"))
         self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+
+
+class TestOnlyRatchet(unittest.TestCase):
+    FLAGS = ["-O0", "-ffunction-sections", "-fdata-sections"]
+
+    def run_ratchet(self, name):
+        """Builds the fixture's library archive and its two programs the way
+        the ratchet's CI job builds the repository, then runs the ratchet."""
+        src = fixture(name)
+        cxx = os.environ.get("CXX") or "c++"
+        with tempfile.TemporaryDirectory() as build:
+            def sh(*cmd):
+                subprocess.run(cmd, check=True, timeout=120)
+            obj = os.path.join(build, "lib.o")
+            archive = os.path.join(build, "libwmsketch.a")
+            sh(cxx, *self.FLAGS, "-c", os.path.join(src, "lib.cc"), "-o", obj)
+            sh("ar", "rcs", archive, obj)
+            for program in ("tool", "lib_test"):
+                sh(cxx, *self.FLAGS, os.path.join(src, program + ".cc"), archive,
+                   "-Wl,--gc-sections", "-o", os.path.join(build, program))
+            return subprocess.run(
+                [sys.executable, TEST_ONLY, "--root", src, build],
+                capture_output=True, text=True, timeout=120)
+
+    def test_exact_list_is_clean(self):
+        r = self.run_ratchet("test_only_exact")
+        self.assertEqual(r.returncode, 0, r.stdout + r.stderr)
+        self.assertIn("3 strong library functions: 1 reached only by tests, "
+                      "1 by no binary", r.stdout)
+
+    def test_unlisted_test_only_function_fails(self):
+        r = self.run_ratchet("test_only_unlisted")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("only tests reach demo::TestOnly(int)", r.stdout)
+        self.assertEqual(r.stdout.count("[test-only]"), 1, r.stdout)
+
+    def test_entry_for_function_production_reaches_fails(self):
+        r = self.run_ratchet("test_only_reached")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("stale entry: production reaches demo::TestOnly(int)", r.stdout)
+        self.assertEqual(r.stdout.count("[test-only]"), 1, r.stdout)
+
+    def test_entry_for_deleted_function_fails(self):
+        r = self.run_ratchet("test_only_gone")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("no library function demo::Unused(int) exists", r.stdout)
+        self.assertEqual(r.stdout.count("[test-only]"), 1, r.stdout)
 
 
 class RealTree(unittest.TestCase):

@@ -78,14 +78,6 @@ TEST(RelErrTest, MatchesBruteForceOnRandomInputs) {
   EXPECT_NEAR(RelErrTopK(est, w_star, k), std::sqrt(num / den), 1e-6);
 }
 
-TEST(TopKRecallTest, CountsFeatureOverlap) {
-  const std::vector<FeatureWeight> expected = {{1, 1.0f}, {2, 1.0f}, {3, 1.0f}, {4, 1.0f}};
-  const std::vector<FeatureWeight> actual = {{2, 0.5f}, {4, -1.0f}, {9, 2.0f}};
-  EXPECT_DOUBLE_EQ(TopKRecall(actual, expected), 0.5);
-  EXPECT_DOUBLE_EQ(TopKRecall(actual, {}), 1.0);
-  EXPECT_DOUBLE_EQ(TopKRecall({}, expected), 0.0);
-}
-
 // --------------------------------------------------------- OnlineErrorRate
 
 TEST(OnlineErrorRateTest, ProgressiveValidation) {

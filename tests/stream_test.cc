@@ -8,6 +8,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "stream/libsvm_io.h"
@@ -15,6 +17,8 @@
 #include "stream/sparse_vector.h"
 #include "stream/window.h"
 #include "util/random.h"
+
+#include "mutation_fuzz.h"
 
 namespace wmsketch {
 namespace {
@@ -58,20 +62,6 @@ TEST(SparseVectorTest, ValidateRejectsUnsortedAndZeros) {
   EXPECT_FALSE(SparseVector({1, 1}, {1.0f, 1.0f}).Validate().ok());
   EXPECT_FALSE(SparseVector({1, 2}, {1.0f, 0.0f}).Validate().ok());
   EXPECT_TRUE(SparseVector({}, {}).Validate().ok());  // empty is valid
-}
-
-TEST(SparseVectorTest, NormsAndNormalize) {
-  SparseVector v({0, 3}, {3.0f, -4.0f});
-  EXPECT_DOUBLE_EQ(v.L1Norm(), 7.0);
-  EXPECT_DOUBLE_EQ(v.L2Norm(), 5.0);
-  v.NormalizeL1();
-  EXPECT_NEAR(v.L1Norm(), 1.0, 1e-7);
-  SparseVector u({1}, {2.0f});
-  u.NormalizeL2();
-  EXPECT_NEAR(u.L2Norm(), 1.0, 1e-7);
-  SparseVector empty;
-  empty.NormalizeL1();  // no-op, no crash
-  EXPECT_EQ(empty.nnz(), 0u);
 }
 
 TEST(SparseVectorTest, DotAgainstDense) {
@@ -227,6 +217,51 @@ TEST(LibsvmTest, RoundTripFile) {
   EXPECT_EQ(r.value()[0].x, examples[0].x);
   EXPECT_EQ(r.value()[1].y, -1);
   std::remove(path.c_str());
+}
+
+TEST(LibsvmTest, FormatterWritesValuesAndIndicesThatReadBack) {
+  // At the stream's default 6 digits 1234567.8 printed as 1.23457e+06, and
+  // index 2^32 - 1 wrapped to 0 when made one-based.
+  const Example ex{SparseVector({8, 4294967295u}, {1234567.8f, -3.25e-7f}), 1};
+  EXPECT_EQ(FormatLibsvmLine(ex), "+1 9:1234567.75 4294967296:-3.25000002e-07");
+  Result<Example> back = ParseLibsvmLine(FormatLibsvmLine(ex));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value().x, ex.x);
+}
+
+// Seeded mutation fuzz (tests/mutation_fuzz.h) of ParseLibsvmLine over lines
+// FormatLibsvmLine wrote. A mutated line may parse; if it does, the example
+// is valid and the formatter's line for it parses back to the same example.
+TEST(LibsvmTest, ParserSurvivesSeededMutationAndAcceptedLinesRoundTrip) {
+  constexpr int kMutationsPerLine = 1000;
+  const std::vector<Example> seeds = {
+      Example{SparseVector({8}, {1234567.8f}), 1},
+      Example{SparseVector({0, 4, 77}, {0.1f, -3.25e-7f, 1e30f}), -1},
+      Example{SparseVector({12, 4294967295u}, {-0.333333343f, 2.5f}), 1},
+  };
+  std::mt19937_64 rng(20261019);
+  int accepted = 0;
+  for (const Example& ex : seeds) {
+    const std::string line = FormatLibsvmLine(ex);
+    Result<Example> parsed = ParseLibsvmLine(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    ASSERT_EQ(parsed.value().x, ex.x) << line;
+    // Offset 3 is the first digit of the first feature index.
+    const fuzz::FuzzTarget t{line, line, {{3, 1}}, nullptr};
+    for (int i = 0; i < kMutationsPerLine; ++i) {
+      const std::string mutated = fuzz::Mutate(t, rng);
+      const Result<Example> got = ParseLibsvmLine(mutated);
+      if (!got.ok()) continue;
+      ++accepted;
+      ASSERT_TRUE(got.value().Validate().ok()) << mutated;
+      const std::string again_line = FormatLibsvmLine(got.value());
+      const Result<Example> again = ParseLibsvmLine(again_line);
+      ASSERT_TRUE(again.ok()) << mutated << " -> " << again_line;
+      ASSERT_EQ(again.value().x, got.value().x) << mutated << " -> " << again_line;
+      ASSERT_EQ(again.value().y, got.value().y) << mutated;
+    }
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(LibsvmTest, FileErrorsSurfaceLineNumbers) {

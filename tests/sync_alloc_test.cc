@@ -8,9 +8,14 @@
 // ones, so the buffers it sizes hold what the measured windows need. On the
 // aggregator the full sync that precedes every delta leaves a buffer with
 // room for a delta, so the first delta after it allocates nothing either.
+// The receive path has its own cases: net::ReadAvailable takes a large frame
+// (a sync worker's full snapshot) with one reserve of its declared size, and
+// a small one with the one allocation of its read.
 
 #include <gtest/gtest.h>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -29,18 +34,22 @@
 #include "datagen/classification_gen.h"
 #include "dist/aggregator.h"
 #include "dist/worker.h"
+#include "net/wire.h"
 
 namespace {
 
 thread_local uint64_t t_allocations = 0;
+thread_local uint64_t t_allocated_bytes = 0;
 
 void* CountedAlloc(std::size_t n) {
   ++t_allocations;
+  t_allocated_bytes += n;
   return std::malloc(n == 0 ? 1 : n);
 }
 
 void* CountedAlignedAlloc(std::size_t n, std::align_val_t align) {
   ++t_allocations;
+  t_allocated_bytes += n;
   const std::size_t a = static_cast<std::size_t>(align);
   return std::aligned_alloc(a, (n + a - 1) / a * a);
 }
@@ -234,6 +243,59 @@ TEST(SyncAllocTest, FirstDeltaAfterAFullSyncAllocatesNothingOnTheAggregator) {
   // The full snapshot is loaded in place from the connection's receive
   // buffer, and the buffer the connection keeps after it takes the delta.
   EXPECT_EQ(ServedDeltaAllocations(0), 0u);
+}
+
+// A frame of `frame_bytes` on the wire (header included), sent from another
+// thread over a socketpair and drained with net::ReadAvailable as it
+// arrives, the way the serving readers and the aggregator receive. Returns
+// the receiving thread's allocations and bytes allocated, and the buffer.
+struct Received {
+  uint64_t allocations = 0;
+  uint64_t bytes = 0;
+  std::string buffer;
+};
+
+Received ReceiveOneFrame(size_t frame_bytes) {
+  const std::string frame =
+      net::EncodeFrame(1, std::string(frame_bytes - net::kFrameHeaderBytes, 'x'));
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  std::thread sender([&] { EXPECT_TRUE(net::SendEncodedFrame(fds[0], frame, "test:send").ok()); });
+  Received got;
+  const uint64_t allocations = t_allocations;
+  const uint64_t bytes = t_allocated_bytes;
+  bool eof = false;
+  while (got.buffer.size() < frame.size() && !eof) {
+    pollfd pfd{fds[1], POLLIN, 0};
+    if (::poll(&pfd, 1, 5000) <= 0) break;
+    if (!net::ReadAvailable(fds[1], &got.buffer, &eof, "test:recv")) break;
+  }
+  got.allocations = t_allocations - allocations;
+  got.bytes = t_allocated_bytes - bytes;
+  sender.join();
+  ::close(fds[0]);
+  ::close(fds[1]);
+  EXPECT_EQ(got.buffer, frame);
+  return got;
+}
+
+TEST(SyncAllocTest, ReadAvailableReceivesALargeFrameWithOneReserve) {
+  // 272,405 bytes: a full snapshot of the perfbench `sync` worker's model,
+  // the first sync every worker sends. Growing the buffer by doubling per
+  // 64 KiB read would take 4 allocations and 983,044 bytes on this frame;
+  // the reserve takes one of 272,406.
+  constexpr size_t kFrameBytes = 272405;
+  const Received got = ReceiveOneFrame(kFrameBytes);
+  EXPECT_LE(got.allocations, 2u);
+  EXPECT_LE(got.bytes, kFrameBytes + (size_t{64} << 10));
+}
+
+TEST(SyncAllocTest, ReadAvailableReceivesASmallFrameWithOneAllocation) {
+  // Requests and deltas are under the 64 KiB read size: one read, one
+  // allocation, as before the reserve existed.
+  const Received got = ReceiveOneFrame(4096);
+  EXPECT_EQ(got.allocations, 1u);
+  EXPECT_LE(got.bytes, 2 * 4096u);
 }
 
 }  // namespace

@@ -243,11 +243,11 @@ TEST(MathTest, SigmoidStableAndSymmetric) {
 
 TEST(MathTest, MedianOddAndEven) {
   std::vector<float> odd = {5.0f, 1.0f, 3.0f};
-  EXPECT_EQ(MedianInPlace(odd), 3.0f);
+  EXPECT_EQ(MedianInPlace(odd.data(), odd.size()), 3.0f);
   std::vector<float> even = {4.0f, 1.0f, 3.0f, 2.0f};
-  EXPECT_EQ(MedianInPlace(even), 2.0f);  // lower-middle convention
+  EXPECT_EQ(MedianInPlace(even.data(), even.size()), 2.0f);  // lower-middle convention
   std::vector<float> single = {7.0f};
-  EXPECT_EQ(MedianInPlace(single), 7.0f);
+  EXPECT_EQ(MedianInPlace(single.data(), single.size()), 7.0f);
 }
 
 TEST(MathTest, PowerOfTwoHelpers) {

@@ -51,7 +51,6 @@ class ConstantGradientLoss final : public LossFunction {
  public:
   double Value(double margin) const override { return -margin; }
   double Derivative(double) const override { return -1.0; }
-  double SmoothnessBeta() const override { return 0.0; }
   std::string Name() const override { return "linear"; }
 };
 
