@@ -311,15 +311,9 @@ BudgetConfig ConfigOf(Method method, const BudgetedClassifier& impl) {
     case Method::kFeatureHashing:
       cfg.width = static_cast<const FeatureHashingClassifier&>(impl).buckets();
       break;
-    case Method::kWmSketch: {
-      const WmSketchConfig& c = static_cast<const WmSketch&>(impl).config();
-      cfg.width = c.width;
-      cfg.depth = c.depth;
-      cfg.heap_capacity = c.heap_capacity;
-      break;
-    }
+    case Method::kWmSketch:
     case Method::kAwmSketch: {
-      const AwmSketchConfig& c = static_cast<const AwmSketch&>(impl).config();
+      const LinearSketchConfig& c = static_cast<const LinearSketch&>(impl).config();
       cfg.width = c.width;
       cfg.depth = c.depth;
       cfg.heap_capacity = c.heap_capacity;
@@ -360,10 +354,8 @@ Status SaveClassifier(Method method, const BudgetedClassifier& impl, std::ostrea
           static_cast<const FeatureHashingClassifier&>(impl), payload);
       break;
     case Method::kWmSketch:
-      body = detail::SaveWmSketchPayload(static_cast<const WmSketch&>(impl), payload);
-      break;
     case Method::kAwmSketch:
-      body = detail::SaveAwmSketchPayload(static_cast<const AwmSketch&>(impl), payload);
+      body = detail::SaveLinearSketchPayload(static_cast<const LinearSketch&>(impl), payload);
       break;
   }
   WMS_RETURN_NOT_OK(body);
@@ -438,14 +430,9 @@ Result<std::unique_ptr<BudgetedClassifier>> LoadClassifier(std::string_view byte
       impl = std::make_unique<FeatureHashingClassifier>(std::move(model));
       break;
     }
-    case Method::kWmSketch: {
-      WMS_ASSIGN_OR_RETURN(WmSketch model, detail::LoadWmSketchPayload(reader, opts));
-      impl = std::make_unique<WmSketch>(std::move(model));
-      break;
-    }
+    case Method::kWmSketch:
     case Method::kAwmSketch: {
-      WMS_ASSIGN_OR_RETURN(AwmSketch model, detail::LoadAwmSketchPayload(reader, opts));
-      impl = std::make_unique<AwmSketch>(std::move(model));
+      WMS_ASSIGN_OR_RETURN(impl, detail::LoadLinearSketchPayload(reader, *method, opts));
       break;
     }
   }

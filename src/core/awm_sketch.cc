@@ -6,17 +6,13 @@
 #include <memory>
 
 #include "sketch/hash_plan.h"
-#include "sketch/merge_compat.h"
 #include "sketch/read_path.h"
 #include "util/math.h"
-#include "util/random.h"
 #include "util/simd.h"
 
 namespace wmsketch {
 
 namespace {
-
-constexpr double kMinScale = 1e-25;
 
 /// The frozen AWM read model: a copy of the active set (*raw* weights) and
 /// its scale, and the published pages of the tail sketch (shared across
@@ -60,17 +56,8 @@ class AwmReadModel final : public ReadModel {
 }  // namespace
 
 AwmSketch::AwmSketch(const AwmSketchConfig& config, const LearnerOptions& opts)
-    : config_(config),
-      opts_(opts),
-      sqrt_depth_(std::sqrt(static_cast<double>(config.depth))),
-      heap_(config.heap_capacity) {
-  assert(IsPowerOfTwo(config.width));
-  assert(config.depth >= 1 && config.depth <= kMaxDepth);
+    : LinearSketch(Method::kAwmSketch, config, opts, /*num_scales=*/2) {
   assert(config.heap_capacity >= 1);
-  SplitMix64 sm(opts.seed);
-  rows_.reserve(config.depth);
-  for (uint32_t j = 0; j < config.depth; ++j) rows_.emplace_back(sm.Next(), config.width);
-  table_ = PagedTable(static_cast<size_t>(config.width) * config.depth);
 }
 
 double AwmSketch::PredictMargin(const SparseVector& x) const {
@@ -92,7 +79,7 @@ double AwmSketch::PredictMarginWithPlan(const SparseVector& x, HashPlan& plan) c
     double w;
     if (slot != TopKHeap::kNoSlot) {
       plan.MarkActive(i);
-      w = heap_scale_ * static_cast<double>(heap_.ValueAt(slot));
+      w = active_scale() * static_cast<double>(heap_.ValueAt(slot));
     } else {
       w = static_cast<double>(SketchQueryFromPlan(plan, i, feature));
     }
@@ -110,16 +97,16 @@ void AwmSketch::EstimateBatch(std::span<const uint32_t> features, float* out) co
 }
 
 std::unique_ptr<const ReadModel> AwmSketch::MakeReadModel() const {
-  return std::make_unique<AwmReadModel>(heap_, heap_scale_, rows_, table_.SharePages(),
-                                        sqrt_depth_ * sketch_scale_);
+  return std::make_unique<AwmReadModel>(heap_, active_scale(), rows_, table_.SharePages(),
+                                        sqrt_depth_ * table_scale());
 }
 
 readpath::ActiveSetRead<const float*> AwmSketch::LiveRead() const {
-  return {heap_, heap_scale_, table_.data(), rows_, sqrt_depth_ * sketch_scale_};
+  return {heap_, active_scale(), table_.data(), rows_, sqrt_depth_ * table_scale()};
 }
 
 float AwmSketch::SketchQuery(uint32_t feature) const {
-  return readpath::FusedEstimate(table_.data(), rows_, feature, sqrt_depth_ * sketch_scale_);
+  return readpath::FusedEstimate(table_.data(), rows_, feature, sqrt_depth_ * table_scale());
 }
 
 float AwmSketch::SketchQueryFromPlan(HashPlan& plan, size_t i, uint32_t feature) const {
@@ -129,16 +116,16 @@ float AwmSketch::SketchQueryFromPlan(HashPlan& plan, size_t i, uint32_t feature)
   const uint32_t* off = plan.offsets(i);
   const float* sg = plan.signs(i);
   const float* tbl = table_.data();
-  float est[kMaxDepth];
+  float est[kMaxSketchDepth];
   for (uint32_t j = 0; j < plan.depth(); ++j) est[j] = sg[j] * tbl[off[j]];
   const float raw = MedianInPlace(est, plan.depth());
-  return static_cast<float>(sqrt_depth_ * sketch_scale_ * static_cast<double>(raw));
+  return static_cast<float>(sqrt_depth_ * table_scale() * static_cast<double>(raw));
 }
 
 void AwmSketch::SketchAdd(uint32_t feature, double delta) {
   // Inverse of SketchQuery's scaling: the stored cell moves by
   // σ·delta/(√s·α) so the true estimate moves by delta in every row.
-  const double raw_delta = delta / (sqrt_depth_ * sketch_scale_);
+  const double raw_delta = delta / (sqrt_depth_ * table_scale());
   for (uint32_t j = 0; j < config_.depth; ++j) {
     uint32_t bucket;
     float sign;
@@ -152,7 +139,7 @@ void AwmSketch::SketchAdd(uint32_t feature, double delta) {
 void AwmSketch::SketchAddFromPlan(HashPlan& plan, size_t i, uint32_t feature,
                                   double delta) {
   if (!plan.has(i)) plan.FillSlot(rows_, i, feature);  // first touch: hash once
-  const double raw_delta = delta / (sqrt_depth_ * sketch_scale_);
+  const double raw_delta = delta / (sqrt_depth_ * table_scale());
   const uint32_t* off = plan.offsets(i);
   const float* sg = plan.signs(i);
   table_.MarkPlanDirty(off, plan.depth());
@@ -183,8 +170,8 @@ double AwmSketch::UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan
   // ℓ2 decay on both structures: S ← (1−λη)S and z ← (1−λη)z, via scales.
   if (opts_.lambda > 0.0) {
     const double decay = 1.0 - eta * opts_.lambda;
-    heap_scale_ *= decay;
-    sketch_scale_ *= decay;
+    active_scale() *= decay;
+    table_scale() *= decay;
   }
 
   const double step = eta * static_cast<double>(y) * g;  // subtracted per unit x_i
@@ -197,7 +184,7 @@ double AwmSketch::UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan
       const size_t slot = heap_.SlotOf(feature);
       if (slot != TopKHeap::kNoSlot) {
         // Exact gradient on an active-set member, written through the scale.
-        heap_.AddAt(slot, static_cast<float>(-step * xi / heap_scale_));
+        heap_.AddAt(slot, static_cast<float>(-step * xi / active_scale()));
         continue;
       }
     }
@@ -207,11 +194,11 @@ double AwmSketch::UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan
     const double w_tilde =
         static_cast<double>(SketchQueryFromPlan(plan, i, feature)) - step * xi;
     if (!heap_.full()) {
-      heap_.Insert(feature, static_cast<float>(w_tilde / heap_scale_));
+      heap_.Insert(feature, static_cast<float>(w_tilde / active_scale()));
       continue;
     }
     const FeatureWeight min = heap_.Min();
-    const double min_true = heap_scale_ * static_cast<double>(min.weight);
+    const double min_true = active_scale() * static_cast<double>(min.weight);
     if (std::fabs(w_tilde) > std::fabs(min_true)) {
       // Fold the evictee back into the sketch so its estimate matches its
       // exact weight, then hand its slot to the newcomer. The newcomer's
@@ -220,7 +207,7 @@ double AwmSketch::UpdateWithPlan(const SparseVector& x, int8_t y, HashPlan& plan
       // (hashing) query/add path.
       heap_.PopMin();
       SketchAdd(min.feature, min_true - static_cast<double>(SketchQuery(min.feature)));
-      heap_.Insert(feature, static_cast<float>(w_tilde / heap_scale_));
+      heap_.Insert(feature, static_cast<float>(w_tilde / active_scale()));
     } else {
       // Tail update: apply the gradient inside the sketch via the plan.
       SketchAddFromPlan(plan, i, feature, -step * xi);
@@ -244,24 +231,8 @@ void AwmSketch::UpdateBatch(std::span<const Example> batch, std::vector<double>*
   }
 }
 
-Status AwmSketch::CanMerge(const BudgetedClassifier& other) const {
-  const auto* o = dynamic_cast<const AwmSketch*>(&other);
-  if (o == nullptr) {
-    return Status::InvalidArgument("awm merge: cannot merge a '" + other.Name() +
-                                   "' model into an awm sketch");
-  }
-  WMS_RETURN_NOT_OK(CheckMergeCompatible(
-      "awm", SketchShape{config_.width, config_.depth, opts_.seed},
-      SketchShape{o->config_.width, o->config_.depth, o->opts_.seed}));
-  return CheckCapacityCompatible("awm", "active-set capacity", config_.heap_capacity,
-                                 o->config_.heap_capacity);
-}
-
 Status AwmSketch::MergeScaled(const BudgetedClassifier& other, double coeff) {
-  WMS_RETURN_NOT_OK(CanMerge(other));
-  if (!std::isfinite(coeff)) {
-    return Status::InvalidArgument("awm merge: coefficient must be finite");
-  }
+  WMS_RETURN_NOT_OK(CheckMerge(other, coeff));
   const AwmSketch& o = static_cast<const AwmSketch&>(other);
 
   // 1. Combined weights of the union of the two active sets, computed
@@ -270,12 +241,7 @@ Status AwmSketch::MergeScaled(const BudgetedClassifier& other, double coeff) {
   //    estimate otherwise. (A member's stale sketch mass — left in place by
   //    the lazy eviction scheme — is ignored here exactly as each side's
   //    WeightEstimate ignores it.)
-  std::vector<uint32_t> union_ids;
-  union_ids.reserve(heap_.size() + o.heap_.size());
-  for (const FeatureWeight& fw : heap_.Entries()) union_ids.push_back(fw.feature);
-  for (const FeatureWeight& fw : o.heap_.Entries()) union_ids.push_back(fw.feature);
-  std::sort(union_ids.begin(), union_ids.end());
-  union_ids.erase(std::unique(union_ids.begin(), union_ids.end()), union_ids.end());
+  const std::vector<uint32_t> union_ids = HeapUnion(o);
   std::vector<std::pair<uint32_t, double>> merged;
   merged.reserve(union_ids.size());
   for (const uint32_t feature : union_ids) {
@@ -283,12 +249,8 @@ Status AwmSketch::MergeScaled(const BudgetedClassifier& other, double coeff) {
                                      coeff * static_cast<double>(o.WeightEstimate(feature)));
   }
 
-  // 2. Combine the tail tables in this sketch's raw representation:
-  //    z = α_a·v_a + c·α_b·v_b = α_a·(v_a + (c·α_b/α_a)·v_b). The sweep
-  //    writes every cell, so the whole table COWs.
-  const double ratio = coeff * o.sketch_scale_ / sketch_scale_;
-  table_.MarkAllDirty();
-  simd::MergeScaledTable(table_.data(), o.table_.data(), table_.size(), ratio);
+  // 2. Combine the tail tables in this sketch's raw representation.
+  MergeTable(o, coeff);
 
   // 3. The |S| largest-magnitude union members (ties: ascending id, for
   //    determinism) take the exact active-set slots; every other member is
@@ -302,7 +264,7 @@ Status AwmSketch::MergeScaled(const BudgetedClassifier& other, double coeff) {
   const size_t keep = std::min(config_.heap_capacity, merged.size());
   TopKHeap rebuilt(config_.heap_capacity);
   for (size_t i = 0; i < keep; ++i) {
-    rebuilt.Set(merged[i].first, static_cast<float>(merged[i].second / heap_scale_));
+    rebuilt.Set(merged[i].first, static_cast<float>(merged[i].second / active_scale()));
   }
   heap_ = std::move(rebuilt);
   for (size_t i = keep; i < merged.size(); ++i) {
@@ -313,35 +275,19 @@ Status AwmSketch::MergeScaled(const BudgetedClassifier& other, double coeff) {
   return Status::OK();
 }
 
-Status AwmSketch::ScaleWeights(double factor) {
-  if (!(factor > 0.0)) {
-    return Status::InvalidArgument("awm scale: factor must be positive");
-  }
-  // Both structures carry a lazy global scale, so this is O(1).
-  heap_scale_ *= factor;
-  sketch_scale_ *= factor;
-  MaybeRescale();
-  return Status::OK();
-}
-
-Status AwmSketch::SetSteps(uint64_t steps) {
-  t_ = steps;
-  return Status::OK();
-}
-
 std::unique_ptr<BudgetedClassifier> AwmSketch::Clone() const {
   return std::make_unique<AwmSketch>(*this);
 }
 
 void AwmSketch::MaybeRescale() {
-  if (sketch_scale_ < kMinScale) {
+  if (double& scale = table_scale(); scale < kMinLazyScale) {
     table_.MarkAllDirty();
-    simd::ScaleTable(table_.data(), table_.size(), static_cast<float>(sketch_scale_));
-    sketch_scale_ = 1.0;
+    simd::ScaleTable(table_.data(), table_.size(), static_cast<float>(scale));
+    scale = 1.0;
   }
-  if (heap_scale_ < kMinScale) {
-    heap_.Scale(static_cast<float>(heap_scale_));
-    heap_scale_ = 1.0;
+  if (double& scale = active_scale(); scale < kMinLazyScale) {
+    heap_.Scale(static_cast<float>(scale));
+    scale = 1.0;
   }
 }
 
@@ -354,7 +300,7 @@ std::vector<FeatureWeight> AwmSketch::TopK(size_t k) const {
   out.reserve(heap_.size());
   for (const FeatureWeight& fw : heap_.Entries()) {
     out.push_back(
-        FeatureWeight{fw.feature, static_cast<float>(heap_scale_ * fw.weight)});
+        FeatureWeight{fw.feature, static_cast<float>(active_scale() * fw.weight)});
   }
   SortByMagnitudeAndTruncate(out, k);
   return out;

@@ -44,10 +44,6 @@ const std::vector<Method>& AllMethods() {
   return kAll;
 }
 
-static_assert(kMaxSketchDepth == WmSketch::kMaxDepth &&
-                  kMaxSketchDepth == AwmSketch::kMaxDepth,
-              "budget planner depth cap out of sync with the sketches");
-
 namespace {
 
 Status ShapeError(ConfigError error, const std::string& what) {
@@ -119,7 +115,6 @@ size_t BudgetConfig::MemoryCostBytes() const {
     case Method::kFeatureHashing:
       return TableBytes(width);
     case Method::kCountMinFrequent:
-      return TableBytes(static_cast<size_t>(width) * depth) + HeapBytes(heap_capacity);
     case Method::kWmSketch:
     case Method::kAwmSketch:
       return TableBytes(static_cast<size_t>(width) * depth) + HeapBytes(heap_capacity);
@@ -260,7 +255,7 @@ std::vector<BudgetConfig> EnumerateConfigs(Method method, size_t budget_bytes) {
           cfg.width = width;
           cfg.depth = static_cast<uint32_t>(sketch_bytes / TableBytes(width));
           if (cfg.depth < 1) continue;
-          if (cfg.depth > WmSketch::kMaxDepth) cfg.depth = WmSketch::kMaxDepth;
+          cfg.depth = std::min(cfg.depth, kMaxSketchDepth);
           out.push_back(cfg);
           // Also the depth-1 variant at this width (the AWM sweet spot).
           if (cfg.depth > 1) {
@@ -290,13 +285,11 @@ std::unique_ptr<BudgetedClassifier> MakeClassifier(const BudgetConfig& config,
                                                 config.heap_capacity, opts);
     case Method::kFeatureHashing:
       return std::make_unique<FeatureHashingClassifier>(config.width, opts);
-    case Method::kWmSketch: {
-      WmSketchConfig c{config.width, config.depth, config.heap_capacity};
-      return std::make_unique<WmSketch>(c, opts);
-    }
+    case Method::kWmSketch:
     case Method::kAwmSketch: {
-      AwmSketchConfig c{config.width, config.depth, config.heap_capacity};
-      return std::make_unique<AwmSketch>(c, opts);
+      const LinearSketchConfig shape{config.width, config.depth, config.heap_capacity};
+      if (config.method == Method::kAwmSketch) return std::make_unique<AwmSketch>(shape, opts);
+      return std::make_unique<WmSketch>(shape, opts);
     }
   }
   return nullptr;

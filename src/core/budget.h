@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "hash/tabulation.h"
 #include "linear/classifier.h"
 #include "util/memory_cost.h"
 #include "util/status.h"
@@ -14,10 +15,6 @@ namespace wmsketch {
 /// Smallest budget the planner accepts (the paper's evaluation starts at
 /// 2 KB; below 1 KiB every method degenerates).
 inline constexpr size_t kMinBudgetBytes = KiB(1);
-
-/// Largest sketch depth any method supports (= WmSketch/AwmSketch/CountMin
-/// kMaxDepth; budget.cc static_asserts they agree).
-inline constexpr uint32_t kMaxSketchDepth = 64;
 
 /// Why a configuration or budget was rejected. Carried as the `detail()`
 /// subcode of the InvalidArgument/OutOfRange Status returned by

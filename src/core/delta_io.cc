@@ -1,14 +1,14 @@
 #include "core/delta_io.h"
 
+#include <array>
 #include <bit>
 #include <cstring>
+#include <span>
 #include <string>
 
-#include "core/awm_sketch.h"
+#include "core/linear_sketch.h"
 #include "core/serialization.h"
 #include "core/snapshot_io.h"
-#include "core/wm_sketch.h"
-#include "sketch/merge_compat.h"
 
 namespace wmsketch {
 
@@ -138,6 +138,16 @@ Status CheckDeltaHeader(SnapshotReader& in, Method expected) {
   return Status::OK();
 }
 
+// The methods whose models are LinearSketches, hence mergeable and synced by
+// delta; every other method gets Unimplemented.
+bool IsLinearSketch(Method method) {
+  return method == Method::kWmSketch || method == Method::kAwmSketch;
+}
+
+Status NoDeltaSync(Method method) {
+  return Status::Unimplemented(MethodName(method) + " does not support delta sync");
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- identity
@@ -150,26 +160,16 @@ Result<MergeIdentity> MergeIdentityOf(Method method, const BudgetedClassifier& i
   id.rate_kind = static_cast<uint8_t>(opts.rate.kind());
   id.eta0 = opts.rate.eta0();
   id.lambda = opts.lambda;
-  switch (method) {
-    case Method::kWmSketch: {
-      const WmSketchConfig& c = static_cast<const WmSketch&>(impl).config();
-      id.width = c.width;
-      id.depth = c.depth;
-      id.heap_capacity = c.heap_capacity;
-      return id;
-    }
-    case Method::kAwmSketch: {
-      const AwmSketchConfig& c = static_cast<const AwmSketch&>(impl).config();
-      id.width = c.width;
-      id.depth = c.depth;
-      id.heap_capacity = c.heap_capacity;
-      return id;
-    }
-    default:
-      return Status::Unimplemented(MethodName(method) +
-                                   " has no exact merge; distributed sync supports the "
-                                   "linear sketches (wm, awm) only");
+  if (!IsLinearSketch(method)) {
+    return Status::Unimplemented(MethodName(method) +
+                                 " has no exact merge; distributed sync supports the "
+                                 "linear sketches (wm, awm) only");
   }
+  const LinearSketchConfig& shape = static_cast<const LinearSketch&>(impl).config();
+  id.width = shape.width;
+  id.depth = shape.depth;
+  id.heap_capacity = shape.heap_capacity;
+  return id;
 }
 
 Status CheckIdentityCompatible(const MergeIdentity& mine, const MergeIdentity& theirs) {
@@ -179,12 +179,10 @@ Status CheckIdentityCompatible(const MergeIdentity& mine, const MergeIdentity& t
                                    TagName(theirs.method_tag) + ")");
   }
   const std::string kind = TagName(mine.method_tag);
-  WMS_RETURN_NOT_OK(CheckMergeCompatible(kind, SketchShape{mine.width, mine.depth, mine.seed},
-                                         SketchShape{theirs.width, theirs.depth, theirs.seed}));
-  const bool awm = mine.method_tag == static_cast<uint8_t>(Method::kAwmSketch);
-  WMS_RETURN_NOT_OK(CheckCapacityCompatible(kind,
-                                            awm ? "active-set capacity" : "heap capacity",
-                                            mine.heap_capacity, theirs.heap_capacity));
+  const LinearSketchConfig a{mine.width, mine.depth, mine.heap_capacity};
+  const LinearSketchConfig b{theirs.width, theirs.depth, theirs.heap_capacity};
+  WMS_RETURN_NOT_OK(
+      CheckSummable(static_cast<Method>(mine.method_tag), a, mine.seed, b, theirs.seed));
   if (mine.rate_kind != theirs.rate_kind || mine.eta0 != theirs.eta0) {
     return Status::InvalidArgument(
         kind + " merge: learning-rate schedule mismatch; workers must share the "
@@ -227,120 +225,58 @@ Result<MergeIdentity> DecodeMergeIdentity(SnapshotReader& in) {
   return id;
 }
 
-// ------------------------------------------------------------- dispatch
+// ------------------------------------------------------------- the delta
+
+// One WMD2 codec for both sketches: the method tag and the lazy-scale list
+// (WM: α; AWM: α of the tail sketch, then α of the active set) are its only
+// per-method inputs.
 
 Status BeginDeltaWindow(Method method, BudgetedClassifier& impl) {
-  switch (method) {
-    case Method::kWmSketch:
-      detail::BeginWmDeltaWindow(static_cast<WmSketch&>(impl));
-      return Status::OK();
-    case Method::kAwmSketch:
-      detail::BeginAwmDeltaWindow(static_cast<AwmSketch&>(impl));
-      return Status::OK();
-    default:
-      return Status::Unimplemented(MethodName(method) + " does not support delta sync");
-  }
+  if (!IsLinearSketch(method)) return NoDeltaSync(method);
+  static_cast<LinearSketch&>(impl).table_.BeginDeltaWindow();
+  return Status::OK();
 }
 
 Status SaveDelta(Method method, const BudgetedClassifier& impl, std::string* out,
                  DeltaStats* stats) {
-  switch (method) {
-    case Method::kWmSketch:
-      return detail::SaveWmSketchDelta(static_cast<const WmSketch&>(impl), out, stats);
-    case Method::kAwmSketch:
-      return detail::SaveAwmSketchDelta(static_cast<const AwmSketch&>(impl), out, stats);
-    default:
-      return Status::Unimplemented(MethodName(method) + " does not support delta sync");
-  }
+  if (!IsLinearSketch(method)) return NoDeltaSync(method);
+  const auto& sketch = static_cast<const LinearSketch&>(impl);
+  WMS_RETURN_NOT_OK(CheckWindowOpen(sketch.table_));
+  WriteRaw(*out, kDeltaMagic);
+  WriteRaw(*out, static_cast<uint8_t>(method));
+  WriteRaw(*out, sketch.t_);
+  for (const double scale : sketch.lazy_scales()) WriteRaw(*out, scale);
+  // The heap ships in full: it is small (KBs) and its entries move between
+  // sketch and heap on every update, so diffing it would buy nothing.
+  detail::WriteHeapEntries(*out, sketch.heap_);
+  WriteWrittenCells(out, sketch.table_, stats);
+  return Status::OK();
 }
 
 Status ApplyDelta(Method method, BudgetedClassifier& impl, std::string_view payload) {
+  if (!IsLinearSketch(method)) return NoDeltaSync(method);
+  auto& sketch = static_cast<LinearSketch&>(impl);
   SnapshotReader in(payload);
-  switch (method) {
-    case Method::kWmSketch:
-      return detail::ApplyWmSketchDelta(static_cast<WmSketch&>(impl), in);
-    case Method::kAwmSketch:
-      return detail::ApplyAwmSketchDelta(static_cast<AwmSketch&>(impl), in);
-    default:
-      return Status::Unimplemented(MethodName(method) + " does not support delta sync");
-  }
-}
-
-namespace detail {
-
-// ------------------------------------------------------------ WM-Sketch
-
-void BeginWmDeltaWindow(WmSketch& sketch) { sketch.table_.BeginDeltaWindow(); }
-
-Status SaveWmSketchDelta(const WmSketch& sketch, std::string* out, DeltaStats* stats) {
-  WMS_RETURN_NOT_OK(CheckWindowOpen(sketch.table_));
-  WriteRaw(*out, kDeltaMagic);
-  WriteRaw(*out, static_cast<uint8_t>(Method::kWmSketch));
-  WriteRaw(*out, sketch.t_);
-  WriteRaw(*out, sketch.scale_);
-  // The heap ships in full: it is small (KBs) and its entries move between
-  // sketch and heap on every update, so diffing it would buy nothing.
-  WriteHeapEntries(*out, sketch.heap_);
-  WriteWrittenCells(out, sketch.table_, stats);
-  return Status::OK();
-}
-
-Status ApplyWmSketchDelta(WmSketch& sketch, SnapshotReader& in) {
-  WMS_RETURN_NOT_OK(CheckDeltaHeader(in, Method::kWmSketch));
+  WMS_RETURN_NOT_OK(CheckDeltaHeader(in, method));
   uint64_t t = 0;
-  double scale = 0.0;
-  if (!in.ReadRaw(&t) || !in.ReadRaw(&scale)) {
-    return Status::Corruption("truncated delta state");
+  std::array<double, 2> scales = sketch.scales_;
+  bool complete = in.ReadRaw(&t);
+  for (double& scale : std::span(scales).first(sketch.num_scales_)) {
+    complete = complete && in.ReadRaw(&scale);
   }
+  if (!complete) return Status::Corruption("truncated delta state");
   // Validate everything before touching the sketch: a Corruption anywhere
   // below leaves it byte-identical to its pre-call state. The heap section's
   // repeated-feature check is the last, made as it commits.
-  HeapSection heap;
-  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.config_.heap_capacity, &heap));
+  detail::HeapSection heap;
+  WMS_RETURN_NOT_OK(detail::ReadHeapSection(in, sketch.config_.heap_capacity, &heap));
   CellRecords cells;
   WMS_RETURN_NOT_OK(ReadCellRecords(in, sketch.table_, &cells));
-  WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
+  WMS_RETURN_NOT_OK(detail::AssignHeapSection(heap, sketch.heap_));
   sketch.t_ = t;
-  sketch.scale_ = scale;
+  sketch.scales_ = scales;
   CommitCellRecords(cells, &sketch.table_);
   return Status::OK();
 }
-
-// ----------------------------------------------------------- AWM-Sketch
-
-void BeginAwmDeltaWindow(AwmSketch& sketch) { sketch.table_.BeginDeltaWindow(); }
-
-Status SaveAwmSketchDelta(const AwmSketch& sketch, std::string* out, DeltaStats* stats) {
-  WMS_RETURN_NOT_OK(CheckWindowOpen(sketch.table_));
-  WriteRaw(*out, kDeltaMagic);
-  WriteRaw(*out, static_cast<uint8_t>(Method::kAwmSketch));
-  WriteRaw(*out, sketch.t_);
-  WriteRaw(*out, sketch.sketch_scale_);
-  WriteRaw(*out, sketch.heap_scale_);
-  WriteHeapEntries(*out, sketch.heap_);
-  WriteWrittenCells(out, sketch.table_, stats);
-  return Status::OK();
-}
-
-Status ApplyAwmSketchDelta(AwmSketch& sketch, SnapshotReader& in) {
-  WMS_RETURN_NOT_OK(CheckDeltaHeader(in, Method::kAwmSketch));
-  uint64_t t = 0;
-  double sketch_scale = 0.0, heap_scale = 0.0;
-  if (!in.ReadRaw(&t) || !in.ReadRaw(&sketch_scale) || !in.ReadRaw(&heap_scale)) {
-    return Status::Corruption("truncated delta state");
-  }
-  HeapSection heap;
-  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.config_.heap_capacity, &heap));
-  CellRecords cells;
-  WMS_RETURN_NOT_OK(ReadCellRecords(in, sketch.table_, &cells));
-  WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
-  sketch.t_ = t;
-  sketch.sketch_scale_ = sketch_scale;
-  sketch.heap_scale_ = heap_scale;
-  CommitCellRecords(cells, &sketch.table_);
-  return Status::OK();
-}
-
-}  // namespace detail
 
 }  // namespace wmsketch

@@ -10,8 +10,6 @@
 
 namespace wmsketch {
 
-class AwmSketch;
-class WmSketch;
 namespace snapshot {
 class SnapshotReader;
 }
@@ -38,8 +36,9 @@ class SnapshotReader;
 ///   table: u64 cell count, u64 record count, then (u32 offset, u32 raw
 ///   cell bits) records in strictly increasing offset order.
 ///
-/// Only the mergeable methods (WM/AWM) participate; the non-linear baselines
-/// return Unimplemented from every entry point.
+/// Only the mergeable methods (WM/AWM, the LinearSketch subclasses)
+/// participate, through one codec; the non-linear baselines return
+/// Unimplemented from every entry point.
 
 /// Counters from one delta serialization (for the sync bench and the
 /// worker's shipped-bytes accounting).
@@ -73,7 +72,7 @@ Result<MergeIdentity> MergeIdentityOf(Method method, const BudgetedClassifier& i
 
 /// OK iff a learner with identity `theirs` can sync into an aggregator with
 /// identity `mine`; otherwise InvalidArgument naming the first mismatching
-/// dimension (reusing sketch/merge_compat.h for the shape checks).
+/// dimension (the shape checks are CheckSummable's, core/linear_sketch.h).
 Status CheckIdentityCompatible(const MergeIdentity& mine, const MergeIdentity& theirs);
 
 /// Appends an identity to `*out` (fixed-size little-endian section).
@@ -92,9 +91,10 @@ Status BeginDeltaWindow(Method method, BudgetedClassifier& impl);
 /// full, and the table cells written since the last BeginDeltaWindow as raw
 /// bits. Appending lets the sync client write the payload once, straight
 /// into the frame it sends; the walk visits only the record words the
-/// window wrote, and nothing is allocated when `*out` has the capacity. `stats` (optional) receives the page and cell
-/// counters. FailedPrecondition, with nothing appended, when no window was
-/// ever opened on `impl`.
+/// window wrote, and nothing is allocated when `*out` has the capacity.
+/// `stats` (optional) receives the page and cell counters.
+/// FailedPrecondition, with nothing appended, when no window was ever
+/// opened on `impl`.
 Status SaveDelta(Method method, const BudgetedClassifier& impl, std::string* out,
                  DeltaStats* stats);
 
@@ -110,20 +110,5 @@ Status SaveDelta(Method method, const BudgetedClassifier& impl, std::string* out
 /// the heap's index only where a slot's feature changed. Once `impl`'s heap
 /// has held as many entries as the delta's, nothing is allocated.
 Status ApplyDelta(Method method, BudgetedClassifier& impl, std::string_view payload);
-
-namespace detail {
-
-// Per-method delta implementations (friends of the sketch classes, like the
-// snapshot payload savers in core/serialization.h).
-
-void BeginWmDeltaWindow(WmSketch& sketch);
-Status SaveWmSketchDelta(const WmSketch& sketch, std::string* out, DeltaStats* stats);
-Status ApplyWmSketchDelta(WmSketch& sketch, snapshot::SnapshotReader& in);
-
-void BeginAwmDeltaWindow(AwmSketch& sketch);
-Status SaveAwmSketchDelta(const AwmSketch& sketch, std::string* out, DeltaStats* stats);
-Status ApplyAwmSketchDelta(AwmSketch& sketch, snapshot::SnapshotReader& in);
-
-}  // namespace detail
 
 }  // namespace wmsketch

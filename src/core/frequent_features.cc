@@ -4,10 +4,6 @@
 
 namespace wmsketch {
 
-namespace {
-constexpr double kMinScale = 1e-25;
-}  // namespace
-
 // ------------------------------------------------------------ SpaceSavingFrequent
 
 SpaceSavingFrequent::SpaceSavingFrequent(size_t budget_entries, const LearnerOptions& opts)
@@ -49,7 +45,7 @@ double SpaceSavingFrequent::Update(const SparseVector& x, int8_t y) {
 }
 
 void SpaceSavingFrequent::MaybeRescale() {
-  if (scale_ >= kMinScale) return;
+  if (scale_ >= kMinLazyScale) return;
   const float f = static_cast<float>(scale_);
   for (auto& [feature, w] : weights_) w *= f;
   scale_ = 1.0;
@@ -123,7 +119,7 @@ double CountMinFrequent::Update(const SparseVector& x, int8_t y) {
 }
 
 void CountMinFrequent::MaybeRescale() {
-  if (scale_ >= kMinScale) return;
+  if (scale_ >= kMinLazyScale) return;
   const float f = static_cast<float>(scale_);
   // Weights scale; count priorities are untouched, so order is preserved.
   heap_.MutateAllOrderPreserving([f](IndexedMinHeap::Entry& e) { e.value *= f; });

@@ -86,6 +86,21 @@ Status ReadTableInto(SnapshotReader& in, PagedTable* table) {
   return Status::OK();
 }
 
+// The one WSM2/AWM2 payload takes from its method only the magic and the
+// names below; the lazy-scale list it carries (WM: α; AWM: α of the tail
+// sketch, then α of the active set) comes from the sketch.
+struct SketchFormat {
+  uint32_t magic;
+  const char* kind;         // SectionGuard's snapshot kind
+  const char* wrong_magic;  // the Corruption message for any other payload
+};
+constexpr SketchFormat kWmFormat{kWmMagic, "wm-sketch", "not a WM-Sketch snapshot"};
+constexpr SketchFormat kAwmFormat{kAwmMagic, "awm-sketch", "not an AWM-Sketch snapshot"};
+
+const SketchFormat& FormatOf(Method method) {
+  return method == Method::kAwmSketch ? kAwmFormat : kWmFormat;
+}
+
 // A declared heap/active-set/tracked capacity sizes an allocation that is
 // not stream-backed (an empty heap of capacity k occupies no stream bytes),
 // so it can't be bounded by remaining bytes; reject anything beyond the
@@ -118,110 +133,63 @@ Status AssignHeapSection(const HeapSection& section, TopKHeap& heap) {
   return Status::OK();
 }
 
-// ------------------------------------------------------------ WM-Sketch
+// ---------------------------------------------------- WM- and AWM-Sketch
 
-Status SaveWmSketchPayload(const WmSketch& sketch, std::ostream& out) {
-  WriteRaw(out, kWmMagic);
+Status SaveLinearSketchPayload(const LinearSketch& sketch, std::ostream& out) {
+  const SketchFormat& format = FormatOf(sketch.method_);
+  WriteRaw(out, format.magic);
   WriteRaw(out, sketch.config_.width);
   WriteRaw(out, sketch.config_.depth);
   WriteRaw(out, static_cast<uint64_t>(sketch.config_.heap_capacity));
   WriteRaw(out, sketch.opts_.lambda);
   WriteRaw(out, sketch.opts_.seed);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "wm-sketch", "config"));
+  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, format.kind, "config"));
   WriteRaw(out, sketch.t_);
-  WriteRaw(out, sketch.scale_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "wm-sketch", "state"));
+  for (const double scale : sketch.lazy_scales()) WriteRaw(out, scale);
+  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, format.kind, "state"));
   WritePagedTable(out, sketch.table_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "wm-sketch", "table"));
+  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, format.kind, "table"));
   WriteHeapEntries(out, sketch.heap_);
-  return snapshot::SectionGuard(out, "wm-sketch", "heap");
+  return snapshot::SectionGuard(out, format.kind, "heap");
 }
 
-Result<WmSketch> LoadWmSketchPayload(SnapshotReader& in, const LearnerOptions& opts) {
+Result<std::unique_ptr<BudgetedClassifier>> LoadLinearSketchPayload(SnapshotReader& in,
+                                                                    Method method,
+                                                                    const LearnerOptions& opts) {
+  const SketchFormat& format = FormatOf(method);
   uint32_t magic;
   if (!in.ReadRaw(&magic)) return Status::Corruption("truncated header");
-  if (magic != kWmMagic) return Status::Corruption("not a WM-Sketch snapshot");
-  WmSketchConfig config;
+  if (magic != format.magic) return Status::Corruption(format.wrong_magic);
+  BudgetConfig shape;
+  shape.method = method;
   uint64_t heap_capacity;
   LearnerOptions restored = opts;
-  if (!in.ReadRaw(&config.width) || !in.ReadRaw(&config.depth) ||
-      !in.ReadRaw(&heap_capacity) || !in.ReadRaw(&restored.lambda) ||
-      !in.ReadRaw(&restored.seed)) {
+  if (!in.ReadRaw(&shape.width) || !in.ReadRaw(&shape.depth) || !in.ReadRaw(&heap_capacity) ||
+      !in.ReadRaw(&restored.lambda) || !in.ReadRaw(&restored.seed)) {
     return Status::Corruption("truncated configuration");
   }
-  if (!IsPowerOfTwo(config.width) || config.depth < 1 ||
-      config.depth > WmSketch::kMaxDepth) {
-    return Status::Corruption("invalid sketch shape");
-  }
+  shape.heap_capacity = heap_capacity;
+  if (!shape.Validate().ok()) return Status::Corruption("invalid sketch shape");
   // Bound the declared shape before the constructor allocates it: the table
   // must fit in the bytes that actually follow, the capacity under the cap.
   if (!CapacityPlausible(heap_capacity) ||
-      !in.CanRead(uint64_t{config.width} * config.depth, sizeof(float))) {
+      !in.CanRead(uint64_t{shape.width} * shape.depth, sizeof(float))) {
     return Status::Corruption("declared sketch shape exceeds stream size");
   }
-  config.heap_capacity = heap_capacity;
-  WmSketch sketch(config, restored);
-  if (!in.ReadRaw(&sketch.t_) || !in.ReadRaw(&sketch.scale_)) {
-    return Status::Corruption("truncated state");
+  std::unique_ptr<BudgetedClassifier> model = MakeClassifier(shape, restored);
+  LinearSketch& sketch = static_cast<LinearSketch&>(*model);
+  if (!in.ReadRaw(&sketch.t_)) return Status::Corruption("truncated state");
+  for (double& scale : sketch.lazy_scales()) {
+    if (!in.ReadRaw(&scale)) return Status::Corruption("truncated state");
   }
   WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_));
+  // The configured capacity bounds the heap section, as it bounds a delta's:
+  // a WM without top-K tracking holds a one-slot placeholder heap that must
+  // stay empty.
   HeapSection heap;
-  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.heap_.capacity(), &heap));
+  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.config_.heap_capacity, &heap));
   WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
-  return sketch;
-}
-
-// ----------------------------------------------------------- AWM-Sketch
-
-Status SaveAwmSketchPayload(const AwmSketch& sketch, std::ostream& out) {
-  WriteRaw(out, kAwmMagic);
-  WriteRaw(out, sketch.config_.width);
-  WriteRaw(out, sketch.config_.depth);
-  WriteRaw(out, static_cast<uint64_t>(sketch.config_.heap_capacity));
-  WriteRaw(out, sketch.opts_.lambda);
-  WriteRaw(out, sketch.opts_.seed);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "awm-sketch", "config"));
-  WriteRaw(out, sketch.t_);
-  WriteRaw(out, sketch.sketch_scale_);
-  WriteRaw(out, sketch.heap_scale_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "awm-sketch", "state"));
-  WritePagedTable(out, sketch.table_);
-  WMS_RETURN_NOT_OK(snapshot::SectionGuard(out, "awm-sketch", "table"));
-  WriteHeapEntries(out, sketch.heap_);
-  return snapshot::SectionGuard(out, "awm-sketch", "heap");
-}
-
-Result<AwmSketch> LoadAwmSketchPayload(SnapshotReader& in, const LearnerOptions& opts) {
-  uint32_t magic;
-  if (!in.ReadRaw(&magic)) return Status::Corruption("truncated header");
-  if (magic != kAwmMagic) return Status::Corruption("not an AWM-Sketch snapshot");
-  AwmSketchConfig config;
-  uint64_t heap_capacity;
-  LearnerOptions restored = opts;
-  if (!in.ReadRaw(&config.width) || !in.ReadRaw(&config.depth) ||
-      !in.ReadRaw(&heap_capacity) || !in.ReadRaw(&restored.lambda) ||
-      !in.ReadRaw(&restored.seed)) {
-    return Status::Corruption("truncated configuration");
-  }
-  if (!IsPowerOfTwo(config.width) || config.depth < 1 ||
-      config.depth > AwmSketch::kMaxDepth || heap_capacity < 1) {
-    return Status::Corruption("invalid sketch shape");
-  }
-  if (!CapacityPlausible(heap_capacity) ||
-      !in.CanRead(uint64_t{config.width} * config.depth, sizeof(float))) {
-    return Status::Corruption("declared sketch shape exceeds stream size");
-  }
-  config.heap_capacity = heap_capacity;
-  AwmSketch sketch(config, restored);
-  if (!in.ReadRaw(&sketch.t_) || !in.ReadRaw(&sketch.sketch_scale_) ||
-      !in.ReadRaw(&sketch.heap_scale_)) {
-    return Status::Corruption("truncated state");
-  }
-  WMS_RETURN_NOT_OK(ReadTableInto(in, &sketch.table_));
-  HeapSection heap;
-  WMS_RETURN_NOT_OK(ReadHeapSection(in, sketch.heap_.capacity(), &heap));
-  WMS_RETURN_NOT_OK(AssignHeapSection(heap, sketch.heap_));
-  return sketch;
+  return model;
 }
 
 // ------------------------------------------------------------- baselines
@@ -439,8 +407,7 @@ Result<CountMinFrequent> LoadCountMinFrequentPayload(SnapshotReader& in,
       !in.ReadRaw(&restored.lambda) || !in.ReadRaw(&restored.seed)) {
     return Status::Corruption("truncated configuration");
   }
-  if (!IsPowerOfTwo(width) || depth < 1 || depth > CountMinSketch::kMaxDepth ||
-      capacity < 1) {
+  if (!BudgetConfig{Method::kCountMinFrequent, capacity, width, depth}.Validate().ok()) {
     return Status::Corruption("invalid CM-FF shape");
   }
   if (!CapacityPlausible(capacity) ||

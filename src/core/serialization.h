@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <iosfwd>
+#include <memory>
 #include <string_view>
 
 #include "core/awm_sketch.h"
@@ -47,13 +48,14 @@ namespace detail {
 /// facade header + envelope so the checksum covers the whole stream exactly
 /// once.
 
-Status SaveWmSketchPayload(const WmSketch& sketch, std::ostream& out);
-Result<WmSketch> LoadWmSketchPayload(snapshot::SnapshotReader& in,
-                                     const LearnerOptions& opts);
-
-Status SaveAwmSketchPayload(const AwmSketch& sketch, std::ostream& out);
-Result<AwmSketch> LoadAwmSketchPayload(snapshot::SnapshotReader& in,
-                                       const LearnerOptions& opts);
+/// The WM- and AWM-Sketch payload (WSM2/AWM2), written once for both: the
+/// shape, λ and seed, then the step count and the sketch's lazy scales,
+/// the table and the heap. The loader builds a sketch of `method` and
+/// rejects any other method's payload.
+Status SaveLinearSketchPayload(const LinearSketch& sketch, std::ostream& out);
+Result<std::unique_ptr<BudgetedClassifier>> LoadLinearSketchPayload(snapshot::SnapshotReader& in,
+                                                                    Method method,
+                                                                    const LearnerOptions& opts);
 
 Status SaveSimpleTruncationPayload(const SimpleTruncation& model, std::ostream& out);
 Result<SimpleTruncation> LoadSimpleTruncationPayload(snapshot::SnapshotReader& in,

@@ -6,10 +6,6 @@
 
 namespace wmsketch {
 
-namespace {
-constexpr double kMinScale = 1e-25;
-}  // namespace
-
 // ---------------------------------------------------------------- SimpleTruncation
 
 SimpleTruncation::SimpleTruncation(size_t budget_entries, const LearnerOptions& opts)
@@ -50,7 +46,7 @@ double SimpleTruncation::Update(const SparseVector& x, int8_t y) {
 }
 
 void SimpleTruncation::MaybeRescale() {
-  if (scale_ >= kMinScale) return;
+  if (scale_ >= kMinLazyScale) return;
   heap_.Scale(static_cast<float>(scale_));
   scale_ = 1.0;
 }
@@ -130,7 +126,7 @@ double ProbabilisticTruncation::Update(const SparseVector& x, int8_t y) {
 }
 
 void ProbabilisticTruncation::MaybeRescale() {
-  if (scale_ >= kMinScale) return;
+  if (scale_ >= kMinLazyScale) return;
   const float f = static_cast<float>(scale_);
   // Weights shrink by f; priorities -A/|w| grow by 1/f — both are global
   // positive monotone maps, so heap order is untouched.

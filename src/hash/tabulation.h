@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <vector>
 
 #include "util/random.h"
 
@@ -74,5 +75,17 @@ class SignedBucketHash {
   TabulationHash tab_;
   uint32_t mask_;
 };
+
+/// The most hash rows any sketch in the library has (WM, AWM, Count-Sketch,
+/// Count-Min; BudgetConfig::Validate() rejects deeper shapes). Per-key
+/// median buffers are sized by it.
+inline constexpr uint32_t kMaxSketchDepth = 64;
+
+/// The `depth` rows of `width` buckets that a sketch seeded with `seed`
+/// hashes through: row j takes the (j+1)-th SplitMix64 output of `seed` as
+/// its own seed. Sketches of equal (width, depth, seed) therefore hash
+/// identically, which is what lets their tables be summed. Requires width a
+/// power of two and 1 <= depth <= kMaxSketchDepth.
+std::vector<SignedBucketHash> SignedRows(uint64_t seed, uint32_t width, uint32_t depth);
 
 }  // namespace wmsketch

@@ -65,6 +65,12 @@ class ReadModel {
   virtual size_t ResidentBytes() const = 0;
 };
 
+/// Every learner keeps its weights as w = α·v under a lazy global scale α
+/// (Sec. 5.1), which ℓ2 decay shrinks in O(1). Once α falls below this it is
+/// folded into the stored values, which keeps them far from overflow while
+/// the true weights stay O(1).
+inline constexpr double kMinLazyScale = 1e-25;
+
 /// Hyperparameters shared by every online linear learner in the library.
 struct LearnerOptions {
   /// ℓ2-regularization strength λ (Eq. 1). The paper sweeps

@@ -7,9 +7,6 @@
 namespace wmsketch {
 
 namespace {
-// Rescale threshold: keeps raw float values far from overflow even though
-// the true weights stay O(1) as the scale shrinks.
-constexpr double kMinScale = 1e-25;
 
 /// The dense model frozen: a copy of w = α·v, with ReadModel's linear margin.
 class DenseReadModel final : public ReadModel {
@@ -66,7 +63,7 @@ std::unique_ptr<const ReadModel> DenseLinearModel::MakeReadModel() const {
 }
 
 void DenseLinearModel::MaybeRescale() {
-  if (scale_ >= kMinScale) return;
+  if (scale_ >= kMinLazyScale) return;
   const float f = static_cast<float>(scale_);
   for (float& w : weights_) w *= f;
   heap_.Scale(f);

@@ -1,25 +1,15 @@
 #include "linear/feature_hashing.h"
 
-#include <cassert>
 #include <memory>
 
 #include "sketch/hash_plan.h"
 #include "sketch/read_path.h"
-#include "util/math.h"
 #include "util/simd.h"
 
 namespace wmsketch {
 
-namespace {
-
-constexpr double kMinScale = 1e-25;
-
-}  // namespace
-
 FeatureHashingClassifier::FeatureHashingClassifier(uint32_t buckets, const LearnerOptions& opts)
-    : opts_(opts), hash_(SplitMix64(opts.seed).Next(), buckets), table_(buckets) {
-  assert(IsPowerOfTwo(buckets));
-}
+    : opts_(opts), hash_(SignedRows(opts.seed, buckets, /*depth=*/1).front()), table_(buckets) {}
 
 double FeatureHashingClassifier::PredictMargin(const SparseVector& x) const {
   // Updates ride the depth-1 plan so their hashes feed both the margin and
@@ -75,7 +65,7 @@ void FeatureHashingClassifier::UpdateBatch(std::span<const Example> batch, std::
 }
 
 void FeatureHashingClassifier::MaybeRescale() {
-  if (scale_ >= kMinScale) return;
+  if (scale_ >= kMinLazyScale) return;
   table_.MarkAllDirty();
   simd::ScaleTable(table_.data(), table_.size(), static_cast<float>(scale_));
   scale_ = 1.0;

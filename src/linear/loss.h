@@ -1,7 +1,5 @@
 #pragma once
 
-#include <string>
-
 namespace wmsketch {
 
 /// A margin-based classification loss ℓ(m), where m = y·(wᵀx).
@@ -15,22 +13,14 @@ class LossFunction {
  public:
   virtual ~LossFunction() = default;
 
-  /// Loss value at margin m.
-  virtual double Value(double margin) const = 0;
-
   /// Derivative dℓ/dm at margin m (non-positive for monotone losses).
   virtual double Derivative(double margin) const = 0;
-
-  /// Stable identifier for logs and bench output.
-  virtual std::string Name() const = 0;
 };
 
 /// Logistic loss ℓ(m) = log(1 + e^{−m}); defines logistic regression.
 class LogisticLoss final : public LossFunction {
  public:
-  double Value(double margin) const override;
   double Derivative(double margin) const override;
-  std::string Name() const override { return "logistic"; }
 };
 
 /// Process-lifetime singleton logistic loss (the default everywhere, as in

@@ -508,12 +508,12 @@ void ServingServer::ReaderLoop(Reader& r) {
           conn.in.erase(0, conn.pos);
           conn.pos = 0;
         }
-        if (conn.in.size() > 0 &&
-            (examples.size() >= options_.max_batch ||
-             features.size() >= options_.max_batch)) {
-          more = true;  // size cut hit with frames still buffered
-        }
-        if (conn.eof) {
+        // The size cut can leave complete frames buffered; they are served
+        // in the next round, and only then does an EOF say how it ended.
+        const bool cut = conn.in.size() > 0 && (examples.size() >= options_.max_batch ||
+                                                features.size() >= options_.max_batch);
+        more = more || cut;
+        if (conn.eof && !cut) {
           if (conn.in.empty()) {
             to_drop_clean.push_back(fd);  // clean close between frames
           } else {

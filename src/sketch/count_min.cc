@@ -4,20 +4,14 @@
 #include <cassert>
 #include <limits>
 
-#include "util/math.h"
-#include "util/random.h"
-
 namespace wmsketch {
 
 CountMinSketch::CountMinSketch(uint32_t width, uint32_t depth, uint64_t seed, bool conservative)
-    : width_(width), depth_(depth), conservative_(conservative) {
-  assert(IsPowerOfTwo(width));
-  assert(depth >= 1 && depth <= kMaxDepth);
-  SplitMix64 sm(seed);
-  rows_.reserve(depth);
-  for (uint32_t j = 0; j < depth; ++j) rows_.emplace_back(sm.Next(), width);
-  table_ = BasicPagedTable<double>(static_cast<size_t>(width) * depth);
-}
+    : width_(width),
+      depth_(depth),
+      conservative_(conservative),
+      rows_(SignedRows(seed, width, depth)),
+      table_(static_cast<size_t>(width) * depth) {}
 
 void CountMinSketch::Update(uint32_t key, double delta) { UpdateAndQuery(key, delta); }
 
@@ -28,7 +22,7 @@ double CountMinSketch::UpdateAndQuery(uint32_t key, double delta) {
   // counter write (the conservative path previously hashed twice — once in
   // its internal Query, once for the raise — and callers following with
   // Query(key) paid a third round).
-  uint32_t buckets[kMaxDepth];
+  uint32_t buckets[kMaxSketchDepth];
   for (uint32_t j = 0; j < depth_; ++j) {
     buckets[j] = rows_[j].Bucket(key);
     table_.MarkDirtyOffset(static_cast<size_t>(j) * width_ + buckets[j]);

@@ -20,10 +20,8 @@ namespace wmsketch {
 /// frequency filter in the Count-Min Frequent-Features classifier baseline.
 class CountMinSketch {
  public:
-  static constexpr uint32_t kMaxDepth = 64;
-
   /// Constructs the sketch. Requires width a power of two and
-  /// 1 <= depth <= kMaxDepth. Set `conservative` to enable conservative
+  /// 1 <= depth <= kMaxSketchDepth. Set `conservative` to enable conservative
   /// update (Estan–Varghese), which only raises the buckets that bound the
   /// current estimate — strictly tighter for increment-only streams.
   CountMinSketch(uint32_t width, uint32_t depth, uint64_t seed, bool conservative = false);

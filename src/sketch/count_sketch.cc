@@ -1,22 +1,14 @@
 #include "sketch/count_sketch.h"
 
-#include <cassert>
-
 #include "sketch/read_path.h"
-#include "util/math.h"
-#include "util/random.h"
 
 namespace wmsketch {
 
 CountSketch::CountSketch(uint32_t width, uint32_t depth, uint64_t seed)
-    : width_(width), depth_(depth) {
-  assert(IsPowerOfTwo(width));
-  assert(depth >= 1 && depth <= kMaxDepth);
-  SplitMix64 sm(seed);
-  rows_.reserve(depth);
-  for (uint32_t j = 0; j < depth; ++j) rows_.emplace_back(sm.Next(), width);
-  table_ = PagedTable(static_cast<size_t>(width) * depth);
-}
+    : width_(width),
+      depth_(depth),
+      rows_(SignedRows(seed, width, depth)),
+      table_(static_cast<size_t>(width) * depth) {}
 
 void CountSketch::Update(uint32_t key, float delta) {
   for (uint32_t j = 0; j < depth_; ++j) {

@@ -20,12 +20,10 @@ namespace wmsketch {
 /// against; no method trains on it.
 class CountSketch {
  public:
-  /// Maximum supported depth (rows).
-  static constexpr uint32_t kMaxDepth = 64;
-
   /// Constructs a sketch with `depth` independent rows of `width` buckets.
-  /// Requires: width a power of two, 1 <= depth <= kMaxDepth. Row hash
-  /// functions are derived deterministically from `seed`.
+  /// Requires: width a power of two, 1 <= depth <= kMaxSketchDepth. Row hash
+  /// functions are derived from `seed` exactly as the WM-Sketch derives its
+  /// own (SignedRows), so the two hash identically at equal seeds.
   CountSketch(uint32_t width, uint32_t depth, uint64_t seed);
 
   /// Adds `delta` to coordinate `key` of the sketched vector.

@@ -30,7 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/budget.h"
 #include "hash/tabulation.h"
 #include "linear/classifier.h"
 #include "stream/sparse_vector.h"

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 // Like src/util/simd.cc: the hardware kernel is compiled with a per-function
@@ -110,14 +109,9 @@ bool CpuHasSse42() {
 #endif
 }
 
-bool InitialEnabled() {
-  if (!CpuHasSse42()) return false;
-  return std::getenv("WMS_SIMD_DISABLE") == nullptr;
-}
-
 // Relaxed for the same reason as simd.cc's g_enabled: both paths compute
 // identical results, so the flag itself is the only shared state.
-std::atomic<bool> g_enabled{InitialEnabled()};
+std::atomic<bool> g_enabled{CpuHasSse42()};
 
 }  // namespace
 

@@ -26,9 +26,8 @@ inline uint32_t Value(const void* data, size_t n) { return Extend(0, data, n); }
 /// carries the hardware kernel).
 bool HardwareAvailable();
 
-/// Whether the hardware kernel is in use. Starts as HardwareAvailable()
-/// unless the WMS_SIMD_DISABLE environment variable is set (the same
-/// kill-switch util/simd.h honors).
+/// Whether the hardware kernel is in use. Starts as HardwareAvailable();
+/// only SetEnabled changes it.
 bool Enabled();
 
 /// Forces the scalar path (`false`) or re-enables hardware (`true`, ignored

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 
 // The AVX2 kernel is compiled with a per-function target attribute (no
 // global -mavx2 / -march=native), so a single binary carries both paths and
@@ -26,16 +25,11 @@ bool CpuHasAvx2Fma() {
 #endif
 }
 
-bool InitialEnabled() {
-  if (!CpuHasAvx2Fma()) return false;
-  return std::getenv("WMS_SIMD_DISABLE") == nullptr;
-}
-
 // Atomic because SetEnabled may be called (bench/test toggling) while
 // engine worker threads read the flag inside MedianLarge; relaxed order
 // suffices — both paths compute the same results, so there is nothing to
 // synchronize beyond the flag itself.
-std::atomic<bool> g_enabled{InitialEnabled()};
+std::atomic<bool> g_enabled{CpuHasAvx2Fma()};
 
 float MedianLargeScalar(float* v, size_t n) {
   const size_t mid = (n - 1) / 2;

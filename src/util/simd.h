@@ -22,9 +22,8 @@ struct PlanView {
 /// was compiled in, i.e. the build had WMS_SIMD on and targets x86-64.
 bool Available();
 
-/// True when the AVX2 kernel is actually dispatched to: Available(), not
-/// killed by the WMS_SIMD_DISABLE environment variable, and not turned off
-/// via SetEnabled(false).
+/// True when the AVX2 kernel is actually dispatched to: Available() and not
+/// turned off via SetEnabled(false).
 bool Enabled();
 
 /// Runtime toggle, used by bench_hot_path and the kernel tests to compare

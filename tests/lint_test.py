@@ -12,8 +12,9 @@ program and one `*_test` program each. TestOnlyRatchet compiles them at -O0
 with function sections, links with --gc-sections, and runs
 tools/lint/test_only.py over the result against the fixture's allowlist.
 
-The final test runs every rule over the real repository: the tree itself
-must hold the invariants the linter enforces.
+The final tests run every rule over the real repository, whose tree must
+hold the invariants the linter enforces, and check that every file the
+checked-io and simd-paired rules list exists.
 """
 
 import os
@@ -211,6 +212,19 @@ class RealTree(unittest.TestCase):
         self.assertEqual(r.returncode, 0,
                          "the tree violates its own lint rules:\n" +
                          r.stdout + r.stderr)
+
+    def test_every_listed_file_exists(self):
+        # checked-io and simd-paired skip a listed file that is missing, as
+        # fixture roots need; in the real tree a missing entry means a
+        # rename took the file out of the rule's scope without a finding.
+        sys.path.insert(0, os.path.dirname(LINT))
+        try:
+            import wms_lint
+        finally:
+            sys.path.pop(0)
+        for rel in wms_lint.CHECKED_IO_FILES + wms_lint.SIMD_SOURCES:
+            self.assertTrue(os.path.isfile(os.path.join(REPO, rel)),
+                            f"{rel} is listed in wms_lint.py but does not exist")
 
 
 if __name__ == "__main__":

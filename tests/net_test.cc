@@ -5,9 +5,10 @@
 // costs exactly one connection, never the daemon), the version-keyed top-K
 // response cache (hit bytes identical, one invalidation per publish), the
 // micro-batch dispatch structure (pipelined requests coalesce into one
-// PredictBatch call), one snapshot pin per dispatch round (versions on a
-// pipelined connection never step back), and seeded mutation of every
-// payload decoder.
+// PredictBatch call, and a half-closed pipeline is served past the size
+// cut), one snapshot pin per dispatch round (versions on a pipelined
+// connection never step back), and seeded mutation of every payload
+// decoder.
 
 #include <gtest/gtest.h>
 
@@ -699,6 +700,56 @@ TEST_F(NetTest, MixedPipelinePreservesPerConnectionOrder) {
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply.value().type, static_cast<uint8_t>(want));
   }
+}
+
+// A client that pipelines more requests than one dispatch round takes (the
+// max_batch size cut) and then half-closes its socket still gets every
+// reply: complete frames left behind the cut are served in the next rounds,
+// and only then does the EOF count as a clean close. Each connection sends
+// its frames and its FIN back to back, so the reader almost always finds
+// both in one drain; the scenario runs on several connections in turn.
+TEST_F(NetTest, HalfClosedPipelineIsServedPastTheSizeCut) {
+  Learner learner = TrainedLearner(Method::kWmSketch);
+  const std::string path = UniqueSocket("halfclose");
+  ServerOptions options;
+  options.unix_path = path;
+  options.readers = 1;
+  options.max_batch = 4;
+  auto server = StartServer(learner, options);
+
+  const std::vector<Example> queries = MakeStream(20, /*seed=*/51);
+  std::string pipelined;
+  for (const Example& ex : queries) {
+    net::PredictRequest req;
+    req.examples.push_back(ex);
+    pipelined += net::EncodeFrame(static_cast<uint8_t>(MsgType::kPredictRequest),
+                                  net::EncodePredictRequest(req));
+  }
+  Result<ServingHandle> direct = learner.AcquireServingHandle();
+  ASSERT_TRUE(direct.ok());
+
+  constexpr int kConnections = 5;
+  for (int c = 0; c < kConnections; ++c) {
+    Result<ServingClient> connected = ServingClient::ConnectUnix(path);
+    ASSERT_TRUE(connected.ok());
+    ServingClient client = std::move(connected).value();
+    ASSERT_TRUE(net::WriteAll(client.fd(), pipelined.data(), pipelined.size()).ok());
+    ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+      Result<net::TypedFrame> reply =
+          net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
+      ASSERT_TRUE(reply.ok()) << "connection " << c << ", reply " << i << " of "
+                              << queries.size() << ": " << reply.status().ToString();
+      ASSERT_EQ(reply.value().type, static_cast<uint8_t>(MsgType::kPredictResponse));
+      Result<net::PredictResponse> resp = net::DecodePredictResponse(reply.value().payload);
+      ASSERT_TRUE(resp.ok());
+      ASSERT_EQ(resp.value().margins.size(), 1u);
+      EXPECT_EQ(resp.value().margins[0], direct.value().PredictMargin(queries[i].x));
+    }
+    EXPECT_TRUE(DrainUntilEof(client.fd()));  // then a clean close
+  }
+  EXPECT_EQ(server->stats().frames_corrupt, 0u);
 }
 
 // One pin per dispatch round: while a writer publishes continuously, a

@@ -218,5 +218,65 @@ TEST(SerializationTest, InvalidPageSizeRejected) {
   EXPECT_EQ(CorruptionMessage(Reseal(payload)), "invalid page size");
 }
 
+// A WM without top-K tracking (heap capacity 0) keeps its shape and every
+// estimate through the facade's snapshot.
+TEST(SerializationTest, HeaplessWmRoundTripsThroughTheFacade) {
+  Result<Learner> built = LearnerBuilder()
+                              .SetMethod(Method::kWmSketch)
+                              .SetWidth(64)
+                              .SetDepth(3)
+                              .SetHeapCapacity(0)
+                              .SetSeed(31)
+                              .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Learner original = std::move(built).value();
+  Rng rng(33);
+  for (int i = 0; i < 500; ++i) {
+    const uint32_t f = static_cast<uint32_t>(rng.Bounded(2048));
+    const int8_t y = (f % 3 == 0) ? 1 : -1;
+    original.Update(Example{SparseVector::OneHot(f), y});
+  }
+  std::ostringstream out(std::ios::binary);
+  ASSERT_TRUE(SaveLearner(original, out).ok());
+  std::istringstream in(std::move(out).str(), std::ios::binary);
+  Result<Learner> restored = LoadLearner(in, LearnerOptions{});
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().config().heap_capacity, 0u);
+  EXPECT_EQ(restored.value().steps(), original.steps());
+  EXPECT_TRUE(restored.value().TopK(8).empty());
+  for (uint32_t f = 0; f < 2048; ++f) {
+    EXPECT_EQ(restored.value().WeightEstimate(f), original.WeightEstimate(f)) << f;
+  }
+}
+
+// The configured heap capacity bounds a snapshot's heap section, as it
+// bounds a delta's: a CRC-valid snapshot of a heap-0 WM that carries a heap
+// entry must not load (it would report a feature the model never tracked).
+TEST(SerializationTest, ForgedHeapEntryBeyondConfiguredCapacityIsRejected) {
+  WmSketch original(WmSketchConfig{64, 3, 0}, Opts());
+  Train(original, 35, 300);
+  std::string payload = Unwrap(Save(Method::kWmSketch, original));
+  // The heap section ends the payload: its u64 count (0) and no entries.
+  const uint64_t one = 1;
+  std::memcpy(payload.data() + payload.size() - sizeof(one), &one, sizeof(one));
+  const uint32_t feature = 777;
+  const float weight = 0.5f;
+  payload.append(reinterpret_cast<const char*>(&feature), sizeof(feature));
+  payload.append(reinterpret_cast<const char*>(&weight), sizeof(weight));
+  EXPECT_EQ(CorruptionMessage(Reseal(payload)), "heap entries exceed capacity");
+}
+
+// An AWM needs at least one active-set slot: the loader takes its shape
+// rules from BudgetConfig::Validate().
+TEST(SerializationTest, AwmWithoutActiveSetIsRejected) {
+  AwmSketch original(AwmSketchConfig{64, 1, 8}, Opts(37));
+  Train(original, 39, 200);
+  std::string payload = Unwrap(Save(Method::kAwmSketch, original));
+  // AWM payload: magic(4) width(4) depth(4), then the u64 active-set capacity.
+  const uint64_t zero = 0;
+  std::memcpy(payload.data() + kFacadeHeaderBytes + 12, &zero, sizeof(zero));
+  EXPECT_EQ(CorruptionMessage(Reseal(payload)), "invalid sketch shape");
+}
+
 }  // namespace
 }  // namespace wmsketch

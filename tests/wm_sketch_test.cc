@@ -49,9 +49,7 @@ TEST(WmSketchTest, DepthScalingCancelsInEstimate) {
 // match a Count-Sketch fed the same stream (up to the η scaling).
 class ConstantGradientLoss final : public LossFunction {
  public:
-  double Value(double margin) const override { return -margin; }
   double Derivative(double) const override { return -1.0; }
-  std::string Name() const override { return "linear"; }
 };
 
 TEST(WmSketchTest, ReducesToCountSketchForCountUpdates) {
