@@ -1,6 +1,7 @@
 #include "core/snapshot_io.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <istream>
 #include <optional>
@@ -15,14 +16,6 @@ namespace {
 // Payload bytes read per chunk when the stream can't report its size:
 // bounds transient over-allocation for a lying length field to one chunk.
 constexpr size_t kReadChunkBytes = size_t{1} << 20;
-
-void EncodeHeader(char (&header)[16], uint64_t payload_length) {
-  const uint32_t magic = kEnvelopeMagic;
-  const uint32_t version = kEnvelopeVersion;
-  std::memcpy(header + 0, &magic, sizeof(magic));
-  std::memcpy(header + 4, &version, sizeof(version));
-  std::memcpy(header + 8, &payload_length, sizeof(payload_length));
-}
 
 // Bytes from the stream's current position to its end, or nullopt when the
 // stream can't seek.
@@ -45,17 +38,52 @@ std::optional<uint64_t> ProbeRemaining(std::istream& in) {
 
 }  // namespace
 
+void WriteEnvelopeHeader(std::string_view payload, char* header) {
+  const uint32_t magic = kEnvelopeMagic;
+  const uint32_t version = kEnvelopeVersion;
+  const uint64_t length = payload.size();
+  std::memcpy(header + 0, &magic, sizeof(magic));
+  std::memcpy(header + 4, &version, sizeof(version));
+  std::memcpy(header + 8, &length, sizeof(length));
+  const uint32_t crc = crc32c::Extend(crc32c::Value(header, 16), payload.data(), payload.size());
+  std::memcpy(header + 16, &crc, sizeof(crc));
+}
+
+Status CheckEnvelope(std::string_view bytes, const char* what, uint64_t max_length,
+                     const char* limit, size_t* total) {
+  *total = 0;
+  if (bytes.size() < 4) return Status::OK();
+  uint32_t field;
+  std::memcpy(&field, bytes.data(), sizeof(field));
+  if (field != kEnvelopeMagic) return Status::Corruption(std::string("not an enveloped ") + what);
+  if (bytes.size() < 8) return Status::OK();
+  std::memcpy(&field, bytes.data() + 4, sizeof(field));
+  if (field != kEnvelopeVersion) {
+    return Status::Corruption(std::string("unsupported ") + what + " envelope version");
+  }
+  if (bytes.size() < kEnvelopeHeaderBytes) return Status::OK();
+  uint64_t length;
+  std::memcpy(&length, bytes.data() + 8, sizeof(length));
+  if (length > std::min<uint64_t>(max_length, SIZE_MAX - kEnvelopeHeaderBytes)) {
+    return Status::Corruption(std::string(what) + " payload length exceeds " + limit);
+  }
+  *total = kEnvelopeHeaderBytes + static_cast<size_t>(length);
+  if (bytes.size() < *total) return Status::OK();
+  std::memcpy(&field, bytes.data() + 16, sizeof(field));
+  const uint32_t crc = crc32c::Extend(crc32c::Value(bytes.data(), 16),
+                                      bytes.data() + kEnvelopeHeaderBytes, length);
+  if (crc != field) return Status::Corruption(std::string(what) + " checksum mismatch");
+  return Status::OK();
+}
+
 Status WriteEnveloped(std::ostream& out, std::string_view payload) {
   const failpoint::Action act = WMS_FAILPOINT("envelope:write");
   if (act == failpoint::Action::kError) {
     return Status::IOError("injected write failure in snapshot envelope");
   }
-  char header[16];
-  EncodeHeader(header, payload.size());
-  const uint32_t crc = crc32c::Extend(crc32c::Value(header, sizeof(header)),
-                                      payload.data(), payload.size());
+  char header[kEnvelopeHeaderBytes];
+  WriteEnvelopeHeader(payload, header);
   out.write(header, sizeof(header));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
   if (act == failpoint::Action::kShortWrite) {
     out.write(payload.data(), static_cast<std::streamsize>(payload.size() / 2));
     out.flush();
@@ -102,59 +130,34 @@ bool SnapshotReader::ReadView(size_t n, std::string_view* view) {
 
 Result<SnapshotReader> OpenSnapshot(std::string_view bytes) {
   if (bytes.size() < 4) return Status::Corruption("truncated snapshot header");
-  uint32_t magic;
-  std::memcpy(&magic, bytes.data(), sizeof(magic));
-  if (magic != kEnvelopeMagic) return Status::Corruption("not an enveloped snapshot");
-  if (bytes.size() < kEnvelopeHeaderBytes) {
-    return Status::Corruption("truncated snapshot envelope");
-  }
-  uint32_t version;
-  uint64_t length;
-  uint32_t declared_crc;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  std::memcpy(&length, bytes.data() + 8, sizeof(length));
-  std::memcpy(&declared_crc, bytes.data() + 16, sizeof(declared_crc));
-  if (version != kEnvelopeVersion) {
-    return Status::Corruption("unsupported snapshot envelope version");
-  }
-  if (length > bytes.size() - kEnvelopeHeaderBytes) {
-    return Status::Corruption("truncated snapshot payload");
-  }
-  const std::string_view payload = bytes.substr(kEnvelopeHeaderBytes, length);
-  const uint32_t actual_crc =
-      crc32c::Extend(crc32c::Value(bytes.data(), 16), payload.data(), payload.size());
-  if (actual_crc != declared_crc) {
-    return Status::Corruption("snapshot checksum mismatch");
-  }
-  return SnapshotReader(payload);
+  size_t total = 0;
+  WMS_RETURN_NOT_OK(CheckEnvelope(bytes, "snapshot",
+                                  bytes.size() - std::min(bytes.size(), kEnvelopeHeaderBytes),
+                                  "the bytes given", &total));
+  if (total == 0) return Status::Corruption("truncated snapshot envelope");
+  return SnapshotReader(bytes.substr(kEnvelopeHeaderBytes, total - kEnvelopeHeaderBytes));
 }
 
 Status ReadEnvelope(std::istream& in, std::string* bytes) {
   bytes->resize(kEnvelopeHeaderBytes);
   in.read(bytes->data(), 4);
   if (!in) return Status::Corruption("truncated snapshot header");
-  uint32_t magic;
-  std::memcpy(&magic, bytes->data(), sizeof(magic));
-  if (magic != kEnvelopeMagic) return Status::Corruption("not an enveloped snapshot");
+  size_t total = 0;
+  WMS_RETURN_NOT_OK(
+      CheckEnvelope(std::string_view(*bytes).substr(0, 4), "snapshot", 0, "", &total));
   in.read(bytes->data() + 4, kEnvelopeHeaderBytes - 4);
   if (!in) return Status::Corruption("truncated snapshot envelope");
-  uint64_t length;
-  std::memcpy(&length, bytes->data() + 8, sizeof(length));
 
   // Bound the declared payload length by the actual stream size *before*
   // allocating: a corrupt header claiming 2^60 bytes must be Corruption,
   // not an allocation attempt. Unseekable streams fall back to chunked
   // reads, so even there over-allocation is bounded to one chunk.
-  if (const std::optional<uint64_t> left = ProbeRemaining(in)) {
-    if (length > *left) {
-      return Status::Corruption("snapshot payload length exceeds stream size");
-    }
-    bytes->reserve(kEnvelopeHeaderBytes + static_cast<size_t>(length));
-  }
-  const uint64_t total = kEnvelopeHeaderBytes + length;
+  const std::optional<uint64_t> left = ProbeRemaining(in);
+  WMS_RETURN_NOT_OK(
+      CheckEnvelope(*bytes, "snapshot", left.value_or(UINT64_MAX), "stream size", &total));
+  if (left.has_value()) bytes->reserve(total);
   while (bytes->size() < total) {
-    const size_t chunk =
-        static_cast<size_t>(std::min<uint64_t>(kReadChunkBytes, total - bytes->size()));
+    const size_t chunk = std::min(kReadChunkBytes, total - bytes->size());
     const size_t old_size = bytes->size();
     bytes->resize(old_size + chunk);
     in.read(bytes->data() + old_size, static_cast<std::streamsize>(chunk));

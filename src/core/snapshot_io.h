@@ -109,6 +109,22 @@ class PairWriter {
   uint32_t used_ = 0;
 };
 
+/// The one envelope-header writer, for snapshot files and frames alike:
+/// fills header[0, kEnvelopeHeaderBytes) with the magic, the version,
+/// `payload`'s length and the CRC32C over those 16 bytes and `payload`.
+void WriteEnvelopeHeader(std::string_view payload, char* header);
+
+/// The one envelope parser. Checks the envelope at the front of `bytes` as
+/// far as `bytes` holds it, so a reader can reject a bad header before the
+/// payload arrives: the magic, the version, a declared payload length of at
+/// most `max_length` (named `limit` in the message), and, once `bytes`
+/// holds the whole payload, its CRC32C. Corruption, naming `what`
+/// ("snapshot", "frame"), at the first field that fails. Otherwise OK, with
+/// *total the envelope's size (header and payload) once `bytes` holds the
+/// header, and 0 before. Bytes past *total are not read.
+Status CheckEnvelope(std::string_view bytes, const char* what, uint64_t max_length,
+                     const char* limit, size_t* total);
+
 /// Wraps a fully serialized snapshot payload in the checksummed envelope
 /// and writes it to `out`. Failpoint site "envelope:write" can force an
 /// IOError or a torn (short) write.

@@ -1,8 +1,6 @@
 #include "dist/aggregator.h"
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -14,12 +12,9 @@
 #include <sstream>
 #include <utility>
 
-#include "net/wire.h"
 #include "util/failpoint.h"
 
 namespace wmsketch::dist {
-
-using net::SetIoTimeouts;
 
 namespace {
 
@@ -76,87 +71,10 @@ Result<Aggregator> Aggregator::Create(const AggregatorOptions& options) {
   return agg;
 }
 
-Aggregator::Aggregator(Aggregator&& other) noexcept { *this = std::move(other); }
-
-Aggregator& Aggregator::operator=(Aggregator&& other) noexcept {
-  if (this == &other) return *this;
-  CloseAll();
-  options_ = std::move(other.options_);
-  identity_ = other.identity_;
-  session_token_ = other.session_token_;
-  listen_fd_ = std::exchange(other.listen_fd_, -1);
-  socket_path_ = std::move(other.socket_path_);
-  shutdown_ = other.shutdown_;
-  conns_ = std::move(other.conns_);
-  other.conns_.clear();
-  pollfds_ = std::move(other.pollfds_);
-  ack_frame_ = std::move(other.ack_frame_);
-  last_served_ = other.last_served_;
-  workers_ = std::move(other.workers_);
-  baseline_ = std::move(other.baseline_);
-  checkpointer_ = std::move(other.checkpointer_);
-  recovery_skipped_ = std::move(other.recovery_skipped_);
-  return *this;
-}
-
-Aggregator::~Aggregator() { CloseAll(); }
-
-void Aggregator::CloseAll() {
-  for (Connection& conn : conns_) {
-    if (conn.fd >= 0) ::close(conn.fd);
-  }
-  conns_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    if (!socket_path_.empty()) ::unlink(socket_path_.c_str());
-  }
-}
-
 Status Aggregator::Bind(const std::string& socket_path) {
-  if (listen_fd_ >= 0) return Status::FailedPrecondition("aggregator already bound");
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long: " + socket_path);
-  }
-  std::memcpy(addr.sun_path, socket_path.c_str(), socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError(std::string("socket failed: ") + std::strerror(errno));
-  ::unlink(socket_path.c_str());  // stale socket from a previous incarnation
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status st =
-        Status::IOError("bind failed for '" + socket_path + "': " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (::listen(fd, 16) != 0) {
-    const Status st = Status::IOError(std::string("listen failed: ") + std::strerror(errno));
-    ::close(fd);
-    ::unlink(socket_path.c_str());
-    return st;
-  }
-  listen_fd_ = fd;
-  socket_path_ = socket_path;
+  if (listener_.fd() >= 0) return Status::FailedPrecondition("aggregator already bound");
+  WMS_ASSIGN_OR_RETURN(listener_, net::Listener::Unix(socket_path, 16));
   return Status::OK();
-}
-
-Status Aggregator::AcceptPending() {
-  for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::OK();
-      return Status::IOError(std::string("accept failed: ") + std::strerror(errno));
-    }
-    const Status st = SetIoTimeouts(fd, options_.io_timeout_ms);
-    if (!st.ok()) {
-      ::close(fd);
-      return st;
-    }
-    conns_.emplace_back().fd = fd;
-    return Status::OK();  // one accept per poll round keeps the loop fair
-  }
 }
 
 int Aggregator::Wait(int timeout_ms) {
@@ -172,7 +90,7 @@ int Aggregator::Wait(int timeout_ms) {
   // stalled mid-frame is dropped on time even when nothing else happens.
   if (options_.io_timeout_ms > 0) {
     for (const Connection& conn : conns_) {
-      if (!conn.in.empty()) {
+      if (!conn.inbox.empty()) {
         until = std::min(until,
                          conn.partial_since + std::chrono::milliseconds(options_.io_timeout_ms));
       }
@@ -188,20 +106,24 @@ int Aggregator::Wait(int timeout_ms) {
 }
 
 Status Aggregator::PollOnce(int timeout_ms) {
-  if (listen_fd_ < 0) return Status::FailedPrecondition("aggregator not bound");
+  if (listener_.fd() < 0) return Status::FailedPrecondition("aggregator not bound");
   std::vector<pollfd>& fds = pollfds_;
   fds.clear();
-  fds.push_back(pollfd{listen_fd_, POLLIN, 0});
-  for (const Connection& conn : conns_) fds.push_back(pollfd{conn.fd, POLLIN, 0});
+  fds.push_back(pollfd{listener_.fd(), POLLIN, 0});
+  for (const Connection& conn : conns_) fds.push_back(pollfd{conn.fd.get(), POLLIN, 0});
   const int ready = Wait(timeout_ms);
   if (ready < 0) {
     if (errno == EINTR) return Status::OK();
     return Status::IOError(std::string("poll failed: ") + std::strerror(errno));
   }
-  // Only the connections polled this round may be served: AcceptPending()
-  // appends past this prefix, and those newcomers have no pollfd entry yet.
+  // Only the connections polled this round may be served: the accept
+  // appends past this prefix, and a newcomer has no pollfd entry yet. One
+  // accept per poll round keeps the loop fair.
   const size_t polled = conns_.size();
-  if ((fds[0].revents & POLLIN) != 0) WMS_RETURN_NOT_OK(AcceptPending());
+  if ((fds[0].revents & POLLIN) != 0) {
+    const int fd = listener_.Accept(options_.io_timeout_ms);
+    if (fd >= 0) conns_.emplace_back().fd.reset(fd);
+  }
   // Serve back-to-front so erasing a dropped connection stays O(1) and does
   // not shift the pollfd/conn correspondence of entries not yet visited. A
   // connection whose unfinished frame has outlived io_timeout_ms drops too.
@@ -213,14 +135,11 @@ Status Aggregator::PollOnce(int timeout_ms) {
     if ((fds[i + 1].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
       st = ServeConnection(conn, &close_conn);
     }
-    if (options_.io_timeout_ms > 0 && !conn.in.empty() &&
+    if (options_.io_timeout_ms > 0 && !conn.inbox.empty() &&
         now - conn.partial_since >= std::chrono::milliseconds(options_.io_timeout_ms)) {
       close_conn = true;
     }
-    if (close_conn || !st.ok()) {
-      ::close(conn.fd);
-      conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(i));
-    }
+    if (close_conn || !st.ok()) conns_.erase(conns_.begin() + static_cast<ptrdiff_t>(i));
     // Per-connection failures are absorbed: a misbehaving worker drops its
     // connection, it does not stop the daemon.
   }
@@ -237,44 +156,38 @@ Status Aggregator::SendError(int fd, const Status& status) {
 }
 
 Status Aggregator::ServeConnection(Connection& conn, bool* close_conn) {
-  const bool had_partial = !conn.in.empty();
+  const bool had_partial = !conn.inbox.empty();
+  bool served = false;
   bool served_full = false;
-  if (!net::ReadAvailable(conn.fd, &conn.in, &conn.eof, "dist:recv")) {
+  if (!conn.inbox.Fill(conn.fd.get())) {
     // A read error or an injected fault: the connection is unusable. The
     // worker's replica is untouched — it keeps its last fully-validated
     // sync.
     *close_conn = true;
     return Status::OK();
   }
-  size_t pos = 0;
   while (!*close_conn) {
-    FrameType type{};
-    std::string_view payload;
-    size_t consumed = 0;
-    if (!TryDecodeFrame(std::string_view(conn.in).substr(pos), &type, &payload, &consumed).ok()) {
+    net::FrameView frame;
+    bool cut = false;
+    if (!conn.inbox.Next(&frame, &cut).ok()) {
       // Bad type byte, envelope or checksum: the framing is lost.
       *close_conn = true;
       return Status::OK();
     }
-    if (consumed == 0) break;
-    pos += consumed;
+    if (!cut) break;
+    const auto type = static_cast<FrameType>(frame.type);
+    served = true;
     served_full = served_full || type == FrameType::kFullState;
-    const Status st = ServeFrame(conn, type, payload, close_conn);
+    const Status st = ServeFrame(conn, type, frame.payload, close_conn);
     last_served_ = Clock::now();
     WMS_RETURN_NOT_OK(st);
   }
-  conn.in.erase(0, pos);
-  if (served_full && conn.in.capacity() > kKeptBufferBytes) {
-    std::string kept;
-    kept.reserve(std::max(kKeptBufferBytes, conn.in.size()));
-    kept.append(conn.in);
-    conn.in.swap(kept);
-  }
+  if (served_full) conn.inbox.ShrinkTo(kKeptBufferBytes);
   // EOF between frames is a clean close, inside one a torn frame: either
   // way the connection is done once its complete frames are served.
-  if (conn.eof) *close_conn = true;
+  if (conn.inbox.eof()) *close_conn = true;
   // A frame that began to arrive in this read starts its deadline now.
-  if (!conn.in.empty() && (pos > 0 || !had_partial)) conn.partial_since = Clock::now();
+  if (!conn.inbox.empty() && (served || !had_partial)) conn.partial_since = Clock::now();
   return Status::OK();
 }
 
@@ -288,16 +201,16 @@ Status Aggregator::ServeFrame(Connection& conn, FrameType type, std::string_view
       return HandleSync(conn, type, payload, close_conn);
     case FrameType::kFetchMerged: {
       Result<std::string> merged = MergedModelBytes();
-      if (!merged.ok()) return SendError(conn.fd, merged.status());
-      return SendFrame(conn.fd, FrameType::kMergedState, merged.value());
+      if (!merged.ok()) return SendError(conn.fd.get(), merged.status());
+      return SendFrame(conn.fd.get(), FrameType::kMergedState, merged.value());
     }
     case FrameType::kShutdown:
       shutdown_ = true;
       *close_conn = true;
-      return SendAck(conn.fd, 0);
+      return SendAck(conn.fd.get(), 0);
     default:
       *close_conn = true;
-      return SendError(conn.fd,
+      return SendError(conn.fd.get(),
                        Status::InvalidArgument(std::string("unexpected frame type ") +
                                                FrameTypeName(type)));
   }
@@ -307,7 +220,7 @@ Status Aggregator::HandleHello(Connection& conn, std::string_view payload, bool*
   Result<HelloPayload> decoded = DecodeHello(payload);
   if (!decoded.ok()) {
     *close_conn = true;
-    return SendError(conn.fd, decoded.status());
+    return SendError(conn.fd.get(), decoded.status());
   }
   const HelloPayload& hello = decoded.value();
   // The merge-compatibility gate: a worker whose method, shape, seed, or
@@ -315,7 +228,7 @@ Status Aggregator::HandleHello(Connection& conn, std::string_view payload, bool*
   // even be looked at.
   if (const Status st = CheckIdentityCompatible(identity_, hello.identity); !st.ok()) {
     *close_conn = true;
-    return SendError(conn.fd, st);
+    return SendError(conn.fd.get(), st);
   }
   conn.has_worker = true;
   conn.worker_id = hello.worker_id;
@@ -327,31 +240,31 @@ Status Aggregator::HandleHello(Connection& conn, std::string_view payload, bool*
   ack.session_token = session_token_;
   ack.resume_ok = resume_ok ? 1 : 0;
   ack.next_sync_seq = ws.acked_seq + 1;
-  return SendFrame(conn.fd, FrameType::kHelloAck, EncodeHelloAck(ack));
+  return SendFrame(conn.fd.get(), FrameType::kHelloAck, EncodeHelloAck(ack));
 }
 
 Status Aggregator::HandleSync(Connection& conn, FrameType type, std::string_view payload,
                               bool* close_conn) {
   if (!conn.has_worker) {
     *close_conn = true;
-    return SendError(conn.fd, Status::FailedPrecondition("sync before handshake"));
+    return SendError(conn.fd.get(), Status::FailedPrecondition("sync before handshake"));
   }
   std::string_view body;
   Result<SyncHeader> decoded = DecodeSyncHeader(payload, &body);
   if (!decoded.ok()) {
     *close_conn = true;
-    return SendError(conn.fd, decoded.status());
+    return SendError(conn.fd.get(), decoded.status());
   }
   const SyncHeader& header = decoded.value();
   if (header.worker_id != conn.worker_id) {
     *close_conn = true;
-    return SendError(conn.fd, Status::InvalidArgument("sync worker id does not match hello"));
+    return SendError(conn.fd.get(), Status::InvalidArgument("sync worker id does not match hello"));
   }
   if (header.session_token != session_token_) {
     // A frame from a previous aggregator incarnation: the baseline it was
     // built against no longer exists. The worker must re-handshake and full-
     // resync; its replica here (if any) is untouched.
-    return SendError(conn.fd,
+    return SendError(conn.fd.get(),
                      Status::FailedPrecondition("stale session token; re-handshake"));
   }
   WorkerState& ws = workers_[conn.worker_id];
@@ -359,7 +272,7 @@ Status Aggregator::HandleSync(Connection& conn, FrameType type, std::string_view
   // worker resend; applying again is an idempotent overwrite) or the next.
   if (header.sync_seq != ws.acked_seq && header.sync_seq != ws.acked_seq + 1) {
     ws.needs_full = true;
-    return SendError(conn.fd,
+    return SendError(conn.fd.get(),
                      Status::FailedPrecondition(
                          "sync sequence mismatch (got " + std::to_string(header.sync_seq) +
                          ", expected " + std::to_string(ws.acked_seq + 1) + ")"));
@@ -368,12 +281,12 @@ Status Aggregator::HandleSync(Connection& conn, FrameType type, std::string_view
   const failpoint::Action act = WMS_FAILPOINT("dist:merge_apply");
   if (act != failpoint::Action::kOff) {
     ws.needs_full = true;
-    return SendError(conn.fd, Status::IOError("injected merge-apply failure"));
+    return SendError(conn.fd.get(), Status::IOError("injected merge-apply failure"));
   }
 
   if (type == FrameType::kDelta) {
     if (ws.needs_full || ws.replica == nullptr) {
-      return SendError(conn.fd,
+      return SendError(conn.fd.get(),
                        Status::FailedPrecondition(
                            "full snapshot required before deltas can be applied"));
     }
@@ -382,7 +295,7 @@ Status Aggregator::HandleSync(Connection& conn, FrameType type, std::string_view
     // previous sync, byte for byte.
     if (const Status st = ApplyDelta(options_.config.method, *ws.replica, body); !st.ok()) {
       ws.needs_full = true;
-      return SendError(conn.fd, st);
+      return SendError(conn.fd.get(), st);
     }
   } else {  // kFullState
     // Loaded where it lies in the connection's buffer, which keeps its size
@@ -390,17 +303,17 @@ Status Aggregator::HandleSync(Connection& conn, FrameType type, std::string_view
     Method method;
     Result<std::unique_ptr<BudgetedClassifier>> loaded =
         LoadClassifier(body, options_.opts, &method);
-    if (!loaded.ok()) return SendError(conn.fd, loaded.status());
+    if (!loaded.ok()) return SendError(conn.fd.get(), loaded.status());
     Result<MergeIdentity> loaded_id = MergeIdentityOf(method, *loaded.value());
-    if (!loaded_id.ok()) return SendError(conn.fd, loaded_id.status());
+    if (!loaded_id.ok()) return SendError(conn.fd.get(), loaded_id.status());
     if (const Status st = CheckIdentityCompatible(identity_, loaded_id.value()); !st.ok()) {
-      return SendError(conn.fd, st);
+      return SendError(conn.fd.get(), st);
     }
     ws.replica = std::move(loaded).value();
     ws.needs_full = false;
   }
   ws.acked_seq = header.sync_seq;
-  return SendAck(conn.fd, header.sync_seq);
+  return SendAck(conn.fd.get(), header.sync_seq);
 }
 
 Status Aggregator::SendAck(int fd, uint64_t sync_seq) {

@@ -16,6 +16,8 @@
 #include "dist/frame.h"
 #include "dist/protocol.h"
 #include "engine/checkpoint.h"
+#include "net/socket.h"
+#include "net/wire.h"
 
 namespace wmsketch::dist {
 
@@ -62,13 +64,8 @@ struct AggregatorOptions {
 ///    leaves the replica at its previous sync, byte for byte.
 class Aggregator {
  public:
+  /// Move-only; destroying it closes its connections and its socket.
   static Result<Aggregator> Create(const AggregatorOptions& options);
-
-  Aggregator(Aggregator&& other) noexcept;
-  Aggregator& operator=(Aggregator&& other) noexcept;
-  Aggregator(const Aggregator&) = delete;
-  Aggregator& operator=(const Aggregator&) = delete;
-  ~Aggregator();
 
   /// Binds and listens on `socket_path` (unlinking any stale socket file).
   Status Bind(const std::string& socket_path);
@@ -109,16 +106,12 @@ class Aggregator {
   using Clock = std::chrono::steady_clock;
 
   struct Connection {
-    int fd = -1;
+    net::UniqueFd fd;
     bool has_worker = false;
     uint64_t worker_id = 0;
-    /// Bytes received and not yet served; frames are served in place, then
-    /// cut off the front.
-    std::string in;
-    /// Peer closed its write side; what is buffered is served, then the
-    /// connection closes.
-    bool eof = false;
-    /// When the unfinished frame at the front of `in` began to arrive.
+    /// Bytes received and not yet served; frames are served where they lie.
+    net::Inbox inbox{kFrameRules};
+    /// When the unfinished frame at the front of `inbox` began to arrive.
     Clock::time_point partial_since;
   };
   struct WorkerState {
@@ -134,15 +127,13 @@ class Aggregator {
 
   Aggregator() = default;
 
-  void CloseAll();
-  Status AcceptPending();
   // Waits for an event on pollfds_ (see PollOnce); poll(2)'s result.
   int Wait(int timeout_ms);
   // Reads what has arrived on `conn` and serves every complete frame; sets
   // *close_conn when the connection must drop (bad frame, rejected
   // handshake, EOF).
   Status ServeConnection(Connection& conn, bool* close_conn);
-  // Serves one frame of `conn`'s; `payload` views its bytes in conn.in.
+  // Serves one frame of `conn`'s; `payload` views its bytes in conn.inbox.
   Status ServeFrame(Connection& conn, FrameType type, std::string_view payload,
                     bool* close_conn);
   Status HandleHello(Connection& conn, std::string_view payload, bool* close_conn);
@@ -155,8 +146,7 @@ class Aggregator {
   AggregatorOptions options_;
   MergeIdentity identity_;
   uint64_t session_token_ = 0;
-  int listen_fd_ = -1;
-  std::string socket_path_;
+  net::Listener listener_;
   bool shutdown_ = false;
   std::vector<Connection> conns_;
   // Kept across rounds so a served sync allocates nothing: the poll set,

@@ -1,25 +1,22 @@
 #include "dist/worker.h"
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <thread>
 
 #include "api/learner.h"
-#include "net/wire.h"
+#include "net/socket.h"
 
 namespace wmsketch::dist {
 
-using net::SetIoTimeouts;
-
 namespace {
+
+constexpr auto kHelloAck = static_cast<uint8_t>(FrameType::kHelloAck);
+constexpr auto kAck = static_cast<uint8_t>(FrameType::kAck);
+constexpr auto kMergedState = static_cast<uint8_t>(FrameType::kMergedState);
 
 // An identity rejection can never succeed on retry; everything else
 // (timeouts, torn frames, stale sessions, injected faults) is worth another
@@ -38,13 +35,9 @@ SyncClient::SyncClient(Method method, SyncClientOptions options)
                ? options_.jitter_seed
                : options_.worker_id * 0x9e3779b97f4a7c15ULL + 0x2545f4914f6cdd1dULL) {}
 
-SyncClient::~SyncClient() { Close(); }
-
 void SyncClient::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  fd_.reset();
+  inbox_.Clear();
   handshaken_ = false;
 }
 
@@ -61,25 +54,7 @@ void SyncClient::Backoff(int attempt) {
 
 Status SyncClient::Dial() {
   Close();
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("socket path too long: " + options_.socket_path);
-  }
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(), options_.socket_path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError(std::string("socket failed: ") + std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status st = Status::IOError("connect failed for '" + options_.socket_path +
-                                      "': " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (const Status st = SetIoTimeouts(fd, options_.io_timeout_ms); !st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  fd_ = fd;
+  WMS_ASSIGN_OR_RETURN(fd_, net::DialUnix(options_.socket_path, options_.io_timeout_ms));
   return Status::OK();
 }
 
@@ -89,14 +64,9 @@ Status SyncClient::Handshake(const BudgetedClassifier& model) {
   hello.session_token = session_token_;
   hello.acked_sync_seq = acked_seq_;
   WMS_ASSIGN_OR_RETURN(hello.identity, MergeIdentityOf(method_, model));
-  WMS_RETURN_NOT_OK(SendFrame(fd_, FrameType::kHello, EncodeHello(hello)));
-  WMS_ASSIGN_OR_RETURN(const Frame reply, RecvFrame(fd_));
-  if (reply.type == FrameType::kError) return net::DecodeErrorStatus(reply.payload);
-  if (reply.type != FrameType::kHelloAck) {
-    return Status::Corruption(std::string("expected hello-ack, got ") +
-                              FrameTypeName(reply.type));
-  }
-  WMS_ASSIGN_OR_RETURN(const HelloAckPayload ack, DecodeHelloAck(reply.payload));
+  WMS_RETURN_NOT_OK(SendFrame(fd_.get(), FrameType::kHello, EncodeHello(hello)));
+  WMS_ASSIGN_OR_RETURN(const std::string_view reply, inbox_.RecvReply(fd_.get(), kHelloAck));
+  WMS_ASSIGN_OR_RETURN(const HelloAckPayload ack, DecodeHelloAck(reply));
   session_token_ = ack.session_token;
   if (ack.resume_ok == 0) {
     // The aggregator has no baseline matching our acked state (restart, lost
@@ -110,7 +80,7 @@ Status SyncClient::Handshake(const BudgetedClassifier& model) {
 
 Status SyncClient::EnsureConnected(const BudgetedClassifier& model) {
   if (connected()) return Status::OK();
-  if (fd_ < 0) {
+  if (fd_.get() < 0) {
     WMS_RETURN_NOT_OK(Dial());
     ++stats_.reconnects;
   }
@@ -155,18 +125,14 @@ Status SyncClient::TrySyncOnce(BudgetedClassifier& model) {
   }
   const size_t body_bytes = frame_.size() - body_at;
   net::SealFrame(&frame_);
-  WMS_RETURN_NOT_OK(SendEncodedFrame(fd_, frame_));
+  WMS_RETURN_NOT_OK(SendEncodedFrame(fd_.get(), frame_));
   // The ack usually follows within microseconds: poll for it before the
   // blocking read, so the thread is not put to sleep and woken again.
-  pollfd reply_ready{fd_, POLLIN, 0};
+  pollfd reply_ready{fd_.get(), POLLIN, 0};
   const bool ack_within_spin =
       net::SpinPoll(&reply_ready, 1, std::chrono::steady_clock::now() + kSyncSpinBudget) > 0;
-  WMS_ASSIGN_OR_RETURN(const Frame reply, RecvFrame(fd_));
-  if (reply.type == FrameType::kError) return net::DecodeErrorStatus(reply.payload);
-  if (reply.type != FrameType::kAck) {
-    return Status::Corruption(std::string("expected ack, got ") + FrameTypeName(reply.type));
-  }
-  WMS_ASSIGN_OR_RETURN(const AckPayload ack, DecodeAck(reply.payload));
+  WMS_ASSIGN_OR_RETURN(const std::string_view reply, inbox_.RecvReply(fd_.get(), kAck));
+  WMS_ASSIGN_OR_RETURN(const AckPayload ack, DecodeAck(reply));
   if (ack.sync_seq != header.sync_seq) {
     return Status::Corruption("ack for wrong sync sequence");
   }
@@ -221,26 +187,21 @@ Result<std::string> SyncClient::FetchMergedBytes() {
       ++stats_.retries;
       Backoff(attempt - 1);
     }
-    if (fd_ < 0) {
+    if (fd_.get() < 0) {
       // kFetchMerged needs no handshake, so a bare redial suffices here.
       last = Dial();
       if (!last.ok()) continue;
       ++stats_.reconnects;
     }
-    last = SendFrame(fd_, FrameType::kFetchMerged, "");
+    last = SendFrame(fd_.get(), FrameType::kFetchMerged, "");
+    net::FrameView reply;
+    if (last.ok()) last = inbox_.Recv(fd_.get(), &reply);
     if (last.ok()) {
-      Result<Frame> reply = RecvFrame(fd_);
-      if (reply.ok()) {
-        if (reply.value().type == FrameType::kError) {
-          return net::DecodeErrorStatus(reply.value().payload);
-        }
-        if (reply.value().type != FrameType::kMergedState) {
-          return Status::Corruption(std::string("expected merged-state, got ") +
-                                    FrameTypeName(reply.value().type));
-        }
-        return std::move(reply.value().payload);
-      }
-      last = reply.status();
+      // The reply came whole: an error in it is the aggregator's answer,
+      // not a transport failure worth a retry.
+      WMS_ASSIGN_OR_RETURN(const std::string_view merged,
+                           inbox_.CheckReply(reply, kMergedState));
+      return std::string(merged);
     }
     Close();
   }
@@ -248,13 +209,12 @@ Result<std::string> SyncClient::FetchMergedBytes() {
 }
 
 Status SyncClient::SendShutdown() {
-  if (fd_ < 0) WMS_RETURN_NOT_OK(Dial());
-  WMS_RETURN_NOT_OK(SendFrame(fd_, FrameType::kShutdown, ""));
-  Result<Frame> reply = RecvFrame(fd_);  // best-effort ack
+  if (fd_.get() < 0) WMS_RETURN_NOT_OK(Dial());
+  WMS_RETURN_NOT_OK(SendFrame(fd_.get(), FrameType::kShutdown, ""));
+  net::FrameView reply;
+  const Status st = inbox_.Recv(fd_.get(), &reply);  // best-effort ack
   Close();
-  if (!reply.ok() && reply.status().code() != StatusCode::kNotFound) {
-    return reply.status();
-  }
+  if (!st.ok() && st.code() != StatusCode::kNotFound) return st;
   return Status::OK();
 }
 

@@ -8,6 +8,7 @@
 #include "core/delta_io.h"
 #include "dist/frame.h"
 #include "dist/protocol.h"
+#include "net/socket.h"
 
 namespace wmsketch::dist {
 
@@ -54,7 +55,6 @@ struct SyncStats {
 class SyncClient {
  public:
   SyncClient(Method method, SyncClientOptions options);
-  ~SyncClient();
   SyncClient(const SyncClient&) = delete;
   SyncClient& operator=(const SyncClient&) = delete;
 
@@ -83,7 +83,7 @@ class SyncClient {
   /// Drops the connection (next operation reconnects).
   void Close();
 
-  bool connected() const { return fd_ >= 0 && handshaken_; }
+  bool connected() const { return fd_.get() >= 0 && handshaken_; }
   const SyncStats& stats() const { return stats_; }
   uint64_t session_token() const { return session_token_; }
 
@@ -96,7 +96,7 @@ class SyncClient {
 
   Method method_;
   SyncClientOptions options_;
-  int fd_ = -1;
+  net::UniqueFd fd_;
   bool handshaken_ = false;
   uint64_t session_token_ = 0;
   uint64_t acked_seq_ = 0;
@@ -106,6 +106,8 @@ class SyncClient {
   /// The outgoing sync frame, kept across syncs so its capacity is reused:
   /// each sync writes the frame header, sync header and body into it once.
   std::string frame_;
+  /// The replies received and not yet read, kept across syncs too.
+  net::Inbox inbox_{kFrameRules};
 };
 
 }  // namespace wmsketch::dist

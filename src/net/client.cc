@@ -1,132 +1,71 @@
 #include "net/client.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 #include <utility>
-#include <vector>
-
-#include "net/wire.h"
 
 namespace wmsketch::net {
 
+namespace {
+
+/// What a serving client accepts, and its receive site.
+constexpr FrameRules kReplyRules{kMinMsgType, kMaxMsgType,
+                                 static_cast<uint8_t>(MsgType::kErrorResponse),
+                                 "net:client_recv"};
+
+}  // namespace
+
 Result<ServingClient> ServingClient::ConnectUnix(const std::string& path,
                                                  int io_timeout_ms) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument("unix socket path too long: " + path);
-  }
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError(std::string("socket failed: ") + std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status st =
-        Status::IOError("connect " + path + " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (const Status st = SetIoTimeouts(fd, io_timeout_ms); !st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  return ServingClient(fd);
+  WMS_ASSIGN_OR_RETURN(UniqueFd fd, DialUnix(path, io_timeout_ms));
+  return ServingClient(std::move(fd));
 }
 
 Result<ServingClient> ServingClient::ConnectTcp(const std::string& host, int port,
                                                 int io_timeout_ms) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument("not an IPv4 address: " + host);
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Status::IOError(std::string("socket failed: ") + std::strerror(errno));
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status st = Status::IOError("connect " + host + ":" + std::to_string(port) +
-                                      " failed: " + std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  if (const Status st = SetIoTimeouts(fd, io_timeout_ms); !st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  return ServingClient(fd);
+  WMS_ASSIGN_OR_RETURN(UniqueFd fd, DialTcp(host, port, io_timeout_ms));
+  return ServingClient(std::move(fd));
 }
 
-ServingClient::ServingClient(ServingClient&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
+ServingClient::ServingClient(UniqueFd fd) : fd_(std::move(fd)), inbox_(kReplyRules) {}
 
-ServingClient& ServingClient::operator=(ServingClient&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-  }
-  return *this;
-}
-
-ServingClient::~ServingClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Result<TypedFrame> ServingClient::Call(MsgType request, std::string_view payload,
-                                       MsgType expected_response) {
-  if (fd_ < 0) return Status::FailedPrecondition("client not connected");
-  WMS_RETURN_NOT_OK(SendFrame(fd_, static_cast<uint8_t>(request), payload,
+Result<std::string_view> ServingClient::Call(MsgType request, std::string_view payload,
+                                             MsgType expected_response) {
+  if (fd_.get() < 0) return Status::FailedPrecondition("client not connected");
+  WMS_RETURN_NOT_OK(SendFrame(fd_.get(), static_cast<uint8_t>(request), payload,
                               "net:client_send"));
-  WMS_ASSIGN_OR_RETURN(
-      TypedFrame reply,
-      RecvFrame(fd_, kMinMsgType, kMaxMsgType, "net:client_recv"));
-  if (reply.type == static_cast<uint8_t>(MsgType::kErrorResponse)) {
-    return DecodeErrorStatus(reply.payload);
-  }
-  if (reply.type != static_cast<uint8_t>(expected_response)) {
-    return Status::Corruption(std::string("unexpected reply type ") +
-                              MsgTypeName(static_cast<MsgType>(reply.type)) +
-                              " to a " + MsgTypeName(request) + " request");
-  }
-  return reply;
+  return inbox_.RecvReply(fd_.get(), static_cast<uint8_t>(expected_response));
 }
 
 Result<PredictResponse> ServingClient::Predict(std::span<const Example> batch) {
   PredictRequest req;
   req.examples.assign(batch.begin(), batch.end());
-  WMS_ASSIGN_OR_RETURN(const TypedFrame reply,
+  WMS_ASSIGN_OR_RETURN(const std::string_view reply,
                        Call(MsgType::kPredictRequest, EncodePredictRequest(req),
                             MsgType::kPredictResponse));
-  return DecodePredictResponse(reply.payload);
+  return DecodePredictResponse(reply);
 }
 
 Result<EstimateResponse> ServingClient::Estimate(std::span<const uint32_t> features) {
   EstimateRequest req;
   req.features.assign(features.begin(), features.end());
-  WMS_ASSIGN_OR_RETURN(const TypedFrame reply,
+  WMS_ASSIGN_OR_RETURN(const std::string_view reply,
                        Call(MsgType::kEstimateRequest, EncodeEstimateRequest(req),
                             MsgType::kEstimateResponse));
-  return DecodeEstimateResponse(reply.payload);
+  return DecodeEstimateResponse(reply);
 }
 
 Result<TopKResponse> ServingClient::TopK(uint32_t k) {
   TopKRequest req;
   req.k = k;
-  WMS_ASSIGN_OR_RETURN(const TypedFrame reply,
+  WMS_ASSIGN_OR_RETURN(const std::string_view reply,
                        Call(MsgType::kTopKRequest, EncodeTopKRequest(req),
                             MsgType::kTopKResponse));
-  return DecodeTopKResponse(reply.payload);
+  return DecodeTopKResponse(reply);
 }
 
 Result<ModelInfoResponse> ServingClient::ModelInfo() {
-  WMS_ASSIGN_OR_RETURN(
-      const TypedFrame reply,
-      Call(MsgType::kModelInfoRequest, {}, MsgType::kModelInfoResponse));
-  return DecodeModelInfoResponse(reply.payload);
+  WMS_ASSIGN_OR_RETURN(const std::string_view reply,
+                       Call(MsgType::kModelInfoRequest, {}, MsgType::kModelInfoResponse));
+  return DecodeModelInfoResponse(reply);
 }
 
 Status ServingClient::Shutdown() {

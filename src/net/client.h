@@ -4,6 +4,7 @@
 #include <string>
 
 #include "net/protocol.h"
+#include "net/socket.h"
 #include "net/wire.h"
 #include "util/status.h"
 
@@ -14,6 +15,7 @@ namespace wmsketch::net {
 /// daemon's tests, the load-generator bench, and as the reference
 /// implementation for external clients. Single-threaded per instance
 /// (requests are serialized on one socket); open one client per thread.
+/// Move-only; destroying it closes the connection.
 ///
 /// Failpoint sites "net:client_send" / "net:client_recv" tear the client
 /// side of the protocol — distinct from the server's "net:send"/"net:recv"
@@ -24,12 +26,6 @@ class ServingClient {
                                            int io_timeout_ms = 5000);
   static Result<ServingClient> ConnectTcp(const std::string& host, int port,
                                           int io_timeout_ms = 5000);
-
-  ServingClient(ServingClient&& other) noexcept;
-  ServingClient& operator=(ServingClient&& other) noexcept;
-  ServingClient(const ServingClient&) = delete;
-  ServingClient& operator=(const ServingClient&) = delete;
-  ~ServingClient();
 
   /// Batched margins under one snapshot: margins[e] = wᵀ·batch[e].
   Result<PredictResponse> Predict(std::span<const Example> batch);
@@ -42,17 +38,19 @@ class ServingClient {
   Status Shutdown();
 
   /// The connected socket (tests only — e.g. writing hand-assembled bytes).
-  int fd() const { return fd_; }
+  int fd() const { return fd_.get(); }
 
  private:
-  explicit ServingClient(int fd) : fd_(fd) {}
+  explicit ServingClient(UniqueFd fd);
 
-  /// One request/response exchange; checks the reply type and unwraps
-  /// kErrorResponse into its carried Status.
-  Result<TypedFrame> Call(MsgType request, std::string_view payload,
-                          MsgType expected_response);
+  /// One request/response exchange through the inbox's reply check: the
+  /// payload of a reply of type `expected_response`, viewed in the inbox;
+  /// a kErrorResponse comes back as its carried Status.
+  Result<std::string_view> Call(MsgType request, std::string_view payload,
+                                MsgType expected_response);
 
-  int fd_ = -1;
+  UniqueFd fd_;
+  Inbox inbox_;
 };
 
 }  // namespace wmsketch::net

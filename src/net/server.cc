@@ -1,12 +1,8 @@
 #include "net/server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,17 +17,9 @@ namespace wmsketch::net {
 
 namespace {
 
-/// One accepted connection, owned by exactly one reader thread.
-struct Conn {
-  int fd = -1;
-  /// Raw bytes received and not yet decoded; frames are cut off the front
-  /// via TryDecodeFrame. `pos` defers the erase so a drain pass over many
-  /// frames is O(bytes), not O(bytes · frames).
-  std::string in;
-  size_t pos = 0;
-  /// Peer closed its write side; serve what is buffered, then close.
-  bool eof = false;
-};
+/// What a serving connection accepts, and its receive site.
+constexpr FrameRules kRequestRules{kMinMsgType, kMaxMsgType,
+                                   static_cast<uint8_t>(MsgType::kErrorResponse), "net:recv"};
 
 /// One request decoded in a dispatch round, in per-connection arrival
 /// order. Predict/estimate requests carry their slice of the round's
@@ -65,7 +53,8 @@ struct ServingServer::Reader {
   Mutex mu;
   std::vector<int> mailbox WMS_GUARDED_BY(mu);
 
-  std::unordered_map<int, Conn> conns;
+  /// The accepted connections, by fd, each with its inbox.
+  std::unordered_map<int, Inbox> conns;
 
   /// Version-keyed top-K response cache: encoded response bytes per k,
   /// valid for exactly one snapshot version. A publish invalidates the
@@ -137,48 +126,10 @@ Status ServingServer::Bind(const ServerOptions& options) {
     return Status::IOError(std::string("eventfd failed: ") + std::strerror(errno));
   }
   if (!options.unix_path.empty()) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options.unix_path.size() >= sizeof(addr.sun_path)) {
-      return Status::InvalidArgument("unix socket path too long: " + options.unix_path);
-    }
-    std::memcpy(addr.sun_path, options.unix_path.c_str(), options.unix_path.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return Status::IOError(std::string("socket failed: ") + std::strerror(errno));
-    ::unlink(options.unix_path.c_str());  // a stale path from a dead daemon
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-      const Status st =
-          Status::IOError("bind/listen " + options.unix_path + " failed: " + std::strerror(errno));
-      ::close(fd);
-      return st;
-    }
-    unix_listen_fd_ = fd;
+    WMS_ASSIGN_OR_RETURN(unix_listener_, Listener::Unix(options.unix_path, 64));
   }
   if (options.tcp_port >= 0) {
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<uint16_t>(options.tcp_port));
-    addr.sin_addr.s_addr = htonl(options.tcp_any ? INADDR_ANY : INADDR_LOOPBACK);
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return Status::IOError(std::string("socket failed: ") + std::strerror(errno));
-    const int one = 1;
-    (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-        ::listen(fd, 64) != 0) {
-      const Status st = Status::IOError(std::string("bind/listen tcp failed: ") +
-                                        std::strerror(errno));
-      ::close(fd);
-      return st;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) != 0) {
-      ::close(fd);
-      return Status::IOError(std::string("getsockname failed: ") + std::strerror(errno));
-    }
-    tcp_port_ = static_cast<int>(ntohs(bound.sin_port));
-    tcp_listen_fd_ = fd;
+    WMS_ASSIGN_OR_RETURN(tcp_listener_, Listener::Tcp(options.tcp_port, options.tcp_any, 64));
   }
   return Status::OK();
 }
@@ -218,11 +169,8 @@ void ServingServer::Stop() {
     if (r->wake_fd >= 0) ::close(std::exchange(r->wake_fd, -1));
     if (r->epoll_fd >= 0) ::close(std::exchange(r->epoll_fd, -1));
   }
-  if (unix_listen_fd_ >= 0) {
-    ::close(std::exchange(unix_listen_fd_, -1));
-    ::unlink(options_.unix_path.c_str());
-  }
-  if (tcp_listen_fd_ >= 0) ::close(std::exchange(tcp_listen_fd_, -1));
+  unix_listener_ = Listener();
+  tcp_listener_ = Listener();
   if (accept_wake_fd_ >= 0) ::close(std::exchange(accept_wake_fd_, -1));
   {
     MutexLock lock(shutdown_mu_);
@@ -260,45 +208,33 @@ ServerStats ServingServer::stats() const {
 // ------------------------------------------------------------- acceptor
 
 void ServingServer::AcceptLoop() {
+  Listener* const listeners[] = {&unix_listener_, &tcp_listener_};
   while (!stopping_.load(std::memory_order_acquire)) {
-    pollfd fds[3];
-    nfds_t n = 0;
-    fds[n++] = pollfd{accept_wake_fd_, POLLIN, 0};
-    if (unix_listen_fd_ >= 0) fds[n++] = pollfd{unix_listen_fd_, POLLIN, 0};
-    if (tcp_listen_fd_ >= 0) fds[n++] = pollfd{tcp_listen_fd_, POLLIN, 0};
-    const int ready = ::poll(fds, n, -1);
-    if (ready < 0) {
+    // poll(2) skips the entry of a listener that is not open (fd -1).
+    pollfd fds[] = {{accept_wake_fd_, POLLIN, 0},
+                    {unix_listener_.fd(), POLLIN, 0},
+                    {tcp_listener_.fd(), POLLIN, 0}};
+    if (::poll(fds, 3, -1) < 0) {
       if (errno == EINTR) continue;
       return;  // acceptor down; existing connections keep serving
     }
-    for (nfds_t i = 1; i < n; ++i) {
-      if ((fds[i].revents & POLLIN) != 0) (void)AcceptOne(fds[i].fd);
+    for (int i = 0; i < 2; ++i) {
+      if ((fds[i + 1].revents & POLLIN) == 0) continue;
+      const int fd = listeners[i]->Accept(options_.io_timeout_ms);
+      if (fd < 0) continue;
+      // Round-robin deal to a reader; the reader adopts the fd into its
+      // epoll set at the next wake.
+      Reader& r = *readers_[next_reader_];
+      next_reader_ = (next_reader_ + 1) % readers_.size();
+      {
+        MutexLock lock(r.mu);
+        r.mailbox.push_back(fd);
+      }
+      r.accepted.fetch_add(1, std::memory_order_relaxed);
+      const uint64_t one = 1;
+      (void)!::write(r.wake_fd, &one, sizeof(one));
     }
   }
-}
-
-Status ServingServer::AcceptOne(int listen_fd) {
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd < 0) {
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return Status::OK();
-    return Status::IOError(std::string("accept failed: ") + std::strerror(errno));
-  }
-  if (const Status st = SetIoTimeouts(fd, options_.io_timeout_ms); !st.ok()) {
-    ::close(fd);
-    return st;
-  }
-  // Round-robin deal to a reader; the reader adopts the fd into its epoll
-  // set at the next wake.
-  Reader& r = *readers_[next_reader_];
-  next_reader_ = (next_reader_ + 1) % readers_.size();
-  {
-    MutexLock lock(r.mu);
-    r.mailbox.push_back(fd);
-  }
-  r.accepted.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t one = 1;
-  (void)!::write(r.wake_fd, &one, sizeof(one));
-  return Status::OK();
 }
 
 // -------------------------------------------------------------- readers
@@ -343,9 +279,7 @@ void ServingServer::ReaderLoop(Reader& r) {
         r.dropped.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      Conn conn;
-      conn.fd = fd;
-      r.conns.emplace(fd, std::move(conn));
+      r.conns.emplace(fd, Inbox(kRequestRules));
     }
   };
 
@@ -399,8 +333,7 @@ void ServingServer::ReaderLoop(Reader& r) {
         const auto it = r.conns.find(fd);
         if (it == r.conns.end()) continue;
         any_conn = true;
-        Conn& conn = it->second;
-        if (!ReadAvailable(fd, &conn.in, &conn.eof, "net:recv")) dropped_fds.push_back(fd);
+        if (!it->second.Fill(fd)) dropped_fds.push_back(fd);
       }
       if (stopping_.load(std::memory_order_acquire)) break;
       if (!any_conn && pass > 0) break;
@@ -429,16 +362,13 @@ void ServingServer::ReaderLoop(Reader& r) {
       std::vector<int> to_drop;
       std::vector<int> to_drop_clean;
 
-      for (auto& [fd, conn] : r.conns) {
+      for (auto& [fd, inbox] : r.conns) {
         bool conn_dead = false;
         while (examples.size() < options_.max_batch &&
                features.size() < options_.max_batch) {
-          TypedFrame frame;
-          size_t consumed = 0;
-          const std::string_view buffered(conn.in.data() + conn.pos,
-                                          conn.in.size() - conn.pos);
-          const Status st =
-              TryDecodeFrame(buffered, kMinMsgType, kMaxMsgType, &frame, &consumed);
+          FrameView frame;
+          bool got = false;
+          const Status st = inbox.Next(&frame, &got);
           if (!st.ok()) {
             // Framing is lost: answer (best-effort) and drop the connection.
             r.corrupt.fetch_add(1, std::memory_order_relaxed);
@@ -448,8 +378,7 @@ void ServingServer::ReaderLoop(Reader& r) {
             conn_dead = true;
             break;
           }
-          if (consumed == 0) break;  // incomplete frame: wait for more bytes
-          conn.pos += consumed;
+          if (!got) break;  // incomplete frame: wait for more bytes
 
           RoundRequest req;
           req.fd = fd;
@@ -503,18 +432,13 @@ void ServingServer::ReaderLoop(Reader& r) {
           round.push_back(std::move(req));
         }
         if (conn_dead) continue;
-        // Compact the consumed prefix once per round, not once per frame.
-        if (conn.pos > 0) {
-          conn.in.erase(0, conn.pos);
-          conn.pos = 0;
-        }
         // The size cut can leave complete frames buffered; they are served
         // in the next round, and only then does an EOF say how it ended.
-        const bool cut = conn.in.size() > 0 && (examples.size() >= options_.max_batch ||
-                                                features.size() >= options_.max_batch);
+        const bool cut = !inbox.empty() && (examples.size() >= options_.max_batch ||
+                                            features.size() >= options_.max_batch);
         more = more || cut;
-        if (conn.eof && !cut) {
-          if (conn.in.empty()) {
+        if (inbox.eof() && !cut) {
+          if (inbox.empty()) {
             to_drop_clean.push_back(fd);  // clean close between frames
           } else {
             // EOF inside a frame: the peer died mid-send (torn frame).

@@ -10,6 +10,7 @@
 
 #include "engine/serving.h"
 #include "net/protocol.h"
+#include "net/socket.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -53,7 +54,7 @@ namespace wmsketch::net {
 /// inject per-connection faults for the chaos tests.
 struct ServerOptions {
   /// Unix-domain socket path ("" = no unix listener). Paths are capped at
-  /// sizeof(sockaddr_un::sun_path)-1 (~107 bytes).
+  /// 107 bytes, the Unix-domain address limit.
   std::string unix_path;
   /// TCP listen port (-1 = no TCP listener, 0 = kernel-assigned; read the
   /// bound port back via ServingServer::tcp_port()). Binds 127.0.0.1 unless
@@ -65,7 +66,10 @@ struct ServerOptions {
   /// Size cut for micro-batches: a dispatch fires once this many examples
   /// (or estimate keys) are pending on a reader.
   size_t max_batch = 256;
-  /// SO_RCVTIMEO/SO_SNDTIMEO on accepted connections (<= 0: none).
+  /// SO_RCVTIMEO/SO_SNDTIMEO on accepted connections (<= 0: none). The
+  /// readers never block on a read (they drain with MSG_DONTWAIT), so this
+  /// bounds only the blocking send of a reply to a client that stopped
+  /// reading.
   int io_timeout_ms = 5000;
 };
 
@@ -119,7 +123,7 @@ class ServingServer {
   void WaitForShutdown();
 
   /// Bound TCP port (meaningful when options.tcp_port >= 0).
-  int tcp_port() const { return tcp_port_; }
+  int tcp_port() const { return tcp_listener_.port(); }
 
   /// Aggregated counters across all readers (weakly consistent — each
   /// counter is internally exact, reads between them are unordered).
@@ -132,13 +136,11 @@ class ServingServer {
 
   Status Bind(const ServerOptions& options);
   void AcceptLoop();
-  Status AcceptOne(int listen_fd);
   void ReaderLoop(Reader& reader);
 
   ServerOptions options_;
-  int unix_listen_fd_ = -1;
-  int tcp_listen_fd_ = -1;
-  int tcp_port_ = -1;
+  Listener unix_listener_;
+  Listener tcp_listener_;
   /// Wakes the acceptor poll on Stop().
   int accept_wake_fd_ = -1;
 

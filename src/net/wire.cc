@@ -1,68 +1,158 @@
 #include "net/wire.h"
 
 #include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include "core/snapshot_io.h"
-#include "util/crc32c.h"
 #include "util/failpoint.h"
 
 namespace wmsketch::net {
 
 namespace {
 
-/// Payload bytes a receive buffer grows by ahead of the bytes that fill
-/// it. A header that lies about its length therefore costs at most one chunk
-/// of memory before the missing bytes surface as a torn frame, however large
-/// the declared length. One chunk holds a full snapshot of the sync
-/// workload's model (~260 kB), so receiving it takes one allocation, not a
-/// grow-and-copy.
+/// The first storage an inbox takes: one read of a request, a reply or a
+/// sync delta fits it.
+constexpr size_t kMinInboxBytes = size_t{8} << 10;
+
+/// How far past the bytes at hand an inbox grows for the declared size of
+/// the frame at its front. A header that lies about its length therefore
+/// costs at most one chunk of memory before the missing bytes surface as a
+/// torn frame, however large the declared length. One chunk holds a full
+/// snapshot of the sync workload's model (~260 kB), so receiving it takes
+/// one allocation, not a grow-and-copy.
 constexpr size_t kRecvChunkBytes = size_t{512} << 10;
 
-/// Called before `n` received bytes at `data` are appended to `*in`: once
-/// the two hold the header of the frame at the front of `*in` but not the
-/// whole frame, reserves room for the frame's declared size, so a large
-/// frame takes one allocation instead of a doubling per read. The reserve
-/// stops kRecvChunkBytes beyond the bytes at hand, so a header that lies
-/// about its length costs at most one chunk, as in ReadPayload.
-void ReserveDeclaredFrame(std::string* in, const char* data, size_t n) {
-  const size_t have = in->size() + n;
-  if (have < kFrameHeaderBytes) return;
-  char head[kFrameHeaderBytes];
-  const size_t buffered = std::min(in->size(), kFrameHeaderBytes);
-  std::memcpy(head, in->data(), buffered);
-  std::memcpy(head + buffered, data, kFrameHeaderBytes - buffered);
-  uint64_t length;
-  std::memcpy(&length, head + 9, sizeof(length));
-  if (length > kMaxFramePayloadBytes) return;  // the decoder rejects the frame
-  const size_t frame = kFrameHeaderBytes + static_cast<size_t>(length);
-  if (have < frame) in->reserve(std::min(frame, have + kRecvChunkBytes));
+// The <site-recv> failpoint of Fill and Recv; `flags` are the reads'.
+Status InjectedRecvFault(const char* site, int fd, int flags) {
+  const failpoint::Action act = WMS_FAILPOINT(site);
+  if (act == failpoint::Action::kError) return Status::IOError("injected recv failure");
+  if (act == failpoint::Action::kShortWrite) {
+    // Consume a few bytes, then fail: the connection is torn mid-frame.
+    char tear[8];
+    (void)::recv(fd, tear, sizeof(tear), flags);
+    return Status::IOError("injected torn read mid-frame");
+  }
+  return Status::OK();
 }
 
-// One read(2) of at most `n` bytes: blocks until some arrive, then takes
-// what has arrived. `*got` is 0 only at EOF.
-Status ReadSome(int fd, char* dst, size_t n, size_t* got) {
+}  // namespace
+
+bool Inbox::Fill(int fd) {
+  if (!InjectedRecvFault(rules_.recv_site, fd, MSG_DONTWAIT).ok()) return false;
   for (;;) {
-    const ssize_t r = ::read(fd, dst, n);
-    if (r >= 0) {
-      *got = static_cast<size_t>(r);
-      return Status::OK();
+    const ssize_t r = ReadOnce(fd, MSG_DONTWAIT);
+    if (r > 0) continue;
+    if (r == 0) {
+      eof_ = true;
+      return true;
     }
-    if (errno == EINTR) continue;
-    *got = 0;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      return Status::IOError("frame read timed out");
+    return errno == EAGAIN || errno == EWOULDBLOCK;
+  }
+}
+
+Status Inbox::Next(FrameView* frame, bool* cut) {
+  *cut = false;
+  if (empty()) return Status::OK();
+  size_t consumed = 0;
+  WMS_RETURN_NOT_OK(TryDecodeFrame(std::string_view(bytes_.get() + begin_, size()),
+                                   rules_.min_type, rules_.max_type, &frame->type,
+                                   &frame->payload, &consumed));
+  if (consumed == 0) return Status::OK();
+  begin_ += consumed;
+  if (begin_ == end_) begin_ = end_ = 0;  // the next read starts at the front
+  *cut = true;
+  if (rules_.decode_site != nullptr &&
+      WMS_FAILPOINT(rules_.decode_site) != failpoint::Action::kOff) {
+    return Status::Corruption("injected frame decode failure");
+  }
+  return Status::OK();
+}
+
+Status Inbox::Recv(int fd, FrameView* frame) {
+  WMS_RETURN_NOT_OK(InjectedRecvFault(rules_.recv_site, fd, 0));
+  for (;;) {
+    bool cut = false;
+    WMS_RETURN_NOT_OK(Next(frame, &cut));
+    if (cut) return Status::OK();
+    const ssize_t r = ReadOnce(fd, 0);
+    if (r > 0) continue;
+    if (r == 0) {
+      if (empty()) return Status::NotFound("connection closed");
+      return Status::Corruption("torn frame: connection closed mid-frame");
     }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return Status::IOError("frame read timed out");
     return Status::IOError(std::string("frame read failed: ") + std::strerror(errno));
   }
 }
 
-}  // namespace
+Result<std::string_view> Inbox::RecvReply(int fd, uint8_t expected) {
+  FrameView reply;
+  WMS_RETURN_NOT_OK(Recv(fd, &reply));
+  return CheckReply(reply, expected);
+}
+
+Result<std::string_view> Inbox::CheckReply(const FrameView& reply, uint8_t expected) const {
+  if (reply.type == expected) return reply.payload;
+  if (reply.type == rules_.error_type) return DecodeErrorStatus(reply.payload);
+  return Status::Corruption("unexpected reply type " + std::to_string(reply.type) +
+                            " (expected " + std::to_string(expected) + ")");
+}
+
+void Inbox::ShrinkTo(size_t bytes) {
+  bytes = std::max(bytes, size());
+  if (capacity_ > bytes) Reallocate(bytes);
+}
+
+void Inbox::Clear() {
+  begin_ = end_ = 0;
+  eof_ = false;
+}
+
+ssize_t Inbox::ReadOnce(int fd, int flags) {
+  // Room for the rest of the frame at the front once its header is in, up
+  // to one chunk past the bytes at hand, and growth that leaves room for
+  // the read after it; otherwise room for any byte. Only the header goes to
+  // CheckEnvelope, so no checksum is computed here.
+  size_t need = 1;
+  size_t grow_to = std::max(2 * capacity_, kMinInboxBytes);
+  size_t envelope = 0;
+  if (size() >= kFrameHeaderBytes &&
+      snapshot::CheckEnvelope(std::string_view(bytes_.get() + begin_ + 1,
+                                               snapshot::kEnvelopeHeaderBytes),
+                              "frame", kMaxFramePayloadBytes, "sanity cap", &envelope)
+          .ok() &&
+      1 + envelope > size()) {
+    need = std::min(1 + envelope, size() + kRecvChunkBytes) - size();
+    grow_to = std::max(grow_to, size() + need + kMinInboxBytes);
+  }
+  if (capacity_ - end_ < need) {
+    if (capacity_ - size() >= need) {
+      std::memmove(bytes_.get(), bytes_.get() + begin_, size());
+      end_ -= begin_;
+      begin_ = 0;
+    } else {
+      Reallocate(grow_to);
+    }
+  }
+  for (;;) {
+    const ssize_t r = ::recv(fd, bytes_.get() + end_, capacity_ - end_, flags);
+    if (r < 0 && errno == EINTR) continue;
+    if (r > 0) end_ += static_cast<size_t>(r);
+    return r;
+  }
+}
+
+void Inbox::Reallocate(size_t capacity) {
+  std::unique_ptr<char[]> bytes = std::make_unique_for_overwrite<char[]>(capacity);
+  if (!empty()) std::memcpy(bytes.get(), bytes_.get() + begin_, size());
+  end_ = size();
+  begin_ = 0;
+  bytes_ = std::move(bytes);
+  capacity_ = capacity;
+}
 
 Status WriteAll(int fd, const char* data, size_t n) {
   while (n > 0) {
@@ -77,43 +167,6 @@ Status WriteAll(int fd, const char* data, size_t n) {
     n -= static_cast<size_t>(w);
   }
   return Status::OK();
-}
-
-Status ReadUpTo(int fd, char* dst, size_t n, size_t* got) {
-  *got = 0;
-  while (*got < n) {
-    size_t r = 0;
-    WMS_RETURN_NOT_OK(ReadSome(fd, dst + *got, n - *got, &r));
-    if (r == 0) return Status::OK();  // EOF; caller inspects *got
-    *got += r;
-  }
-  return Status::OK();
-}
-
-bool ReadAvailable(int fd, std::string* in, bool* eof, const char* failpoint_site) {
-  const failpoint::Action act = WMS_FAILPOINT(failpoint_site);
-  if (act == failpoint::Action::kError) return false;
-  if (act == failpoint::Action::kShortWrite) {
-    // Consume a torn prefix, then fail: the peer died mid-frame.
-    char tear[8];
-    (void)::recv(fd, tear, sizeof(tear), MSG_DONTWAIT);
-    return false;
-  }
-  char buf[64 * 1024];
-  while (true) {
-    const ssize_t r = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-      return false;
-    }
-    if (r == 0) {
-      *eof = true;
-      return true;
-    }
-    ReserveDeclaredFrame(in, buf, static_cast<size_t>(r));
-    in->append(buf, static_cast<size_t>(r));
-  }
 }
 
 std::string EncodeError(const Status& status) {
@@ -144,42 +197,14 @@ Status DecodeErrorStatus(std::string_view payload) {
   return Status(static_cast<StatusCode>(code), "remote: " + message, detail);
 }
 
-int SpinPoll(pollfd* fds, size_t n, std::chrono::steady_clock::time_point until) {
-  for (;;) {
-    const int ready = ::poll(fds, n, 0);
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready != 0 || std::chrono::steady_clock::now() >= until) return ready;
-  }
-}
-
-Status SetIoTimeouts(int fd, int timeout_ms) {
-  if (timeout_ms <= 0) return Status::OK();
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  if (setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0 ||
-      setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv)) != 0) {
-    return Status::IOError(std::string("setsockopt failed: ") + std::strerror(errno));
-  }
-  return Status::OK();
-}
-
 void BeginFrame(std::string* frame, uint8_t type) {
   frame->assign(kFrameHeaderBytes, '\0');
   (*frame)[0] = static_cast<char>(type);
 }
 
 void SealFrame(std::string* frame) {
-  char* header = frame->data() + 1;
-  const uint32_t magic = snapshot::kEnvelopeMagic;
-  const uint32_t version = snapshot::kEnvelopeVersion;
-  const uint64_t length = frame->size() - kFrameHeaderBytes;
-  std::memcpy(header + 0, &magic, sizeof(magic));
-  std::memcpy(header + 4, &version, sizeof(version));
-  std::memcpy(header + 8, &length, sizeof(length));
-  const uint32_t crc = crc32c::Extend(crc32c::Value(header, 16),
-                                      frame->data() + kFrameHeaderBytes, length);
-  std::memcpy(header + 16, &crc, sizeof(crc));
+  snapshot::WriteEnvelopeHeader(std::string_view(*frame).substr(kFrameHeaderBytes),
+                                frame->data() + 1);
 }
 
 std::string EncodeFrame(uint8_t type, std::string_view payload) {
@@ -211,97 +236,25 @@ Status SendEncodedFrame(int fd, std::string_view frame, const char* failpoint_si
   return WriteAll(fd, frame.data(), frame.size());
 }
 
-namespace {
-
-/// Reads up to `n` bytes from `fd` into the empty `*payload`, growing it one
-/// chunk at a time as bytes arrive. It comes back shorter than `n` only at
-/// EOF.
-Status ReadPayload(int fd, size_t n, std::string* payload) {
-  while (payload->size() < n) {
-    const size_t old_size = payload->size();
-    const size_t chunk = std::min(kRecvChunkBytes, n - old_size);
-    payload->resize(old_size + chunk);
-    size_t got = 0;
-    const Status st = ReadUpTo(fd, payload->data() + old_size, chunk, &got);
-    payload->resize(old_size + got);
-    WMS_RETURN_NOT_OK(st);
-    if (got < chunk) break;  // EOF
-  }
-  return Status::OK();
-}
-
-/// Validates the 20 header bytes after the type byte (magic, version,
-/// length cap) and extracts the declared payload length + CRC.
-Status DecodeHeader(const char* head, uint64_t* length, uint32_t* declared_crc) {
-  uint32_t magic, version;
-  std::memcpy(&magic, head + 1, sizeof(magic));
-  std::memcpy(&version, head + 5, sizeof(version));
-  std::memcpy(length, head + 9, sizeof(*length));
-  std::memcpy(declared_crc, head + 17, sizeof(*declared_crc));
-  if (magic != snapshot::kEnvelopeMagic) return Status::Corruption("bad frame magic");
-  if (version != snapshot::kEnvelopeVersion) {
-    return Status::Corruption("unsupported frame envelope version");
-  }
-  if (*length > kMaxFramePayloadBytes) {
-    return Status::Corruption("frame payload length exceeds sanity cap");
-  }
-  return Status::OK();
-}
-
-Status CheckCrc(const char* head, std::string_view payload, uint32_t declared_crc) {
-  const uint32_t actual_crc = crc32c::Extend(crc32c::Value(head + 1, 16),
-                                             payload.data(), payload.size());
-  if (actual_crc != declared_crc) return Status::Corruption("frame checksum mismatch");
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<TypedFrame> RecvFrame(int fd, uint8_t min_type, uint8_t max_type,
-                             const char* failpoint_site) {
-  TypedFrame frame;
-  WMS_RETURN_NOT_OK(RecvFrame(fd, min_type, max_type, failpoint_site, &frame));
-  return frame;
-}
-
-Status RecvFrame(int fd, uint8_t min_type, uint8_t max_type, const char* failpoint_site,
-                 TypedFrame* frame) {
-  frame->payload.clear();  // no stale payload survives a failed receive
-  const failpoint::Action act = WMS_FAILPOINT(failpoint_site);
-  if (act == failpoint::Action::kError) {
-    return Status::IOError("injected recv failure");
-  }
-  // One read takes the type byte and as much of the header as has arrived,
-  // usually all of it. The type byte is checked before any wait for the
-  // rest, so a garbage connection is dropped at its first byte.
-  char head[kFrameHeaderBytes];
-  size_t got = 0;
-  WMS_RETURN_NOT_OK(ReadSome(fd, head, sizeof(head), &got));
-  if (got == 0) return Status::NotFound("connection closed");
-  const uint8_t raw_type = static_cast<uint8_t>(head[0]);
+Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type, uint8_t* type,
+                      std::string_view* payload, size_t* consumed) {
+  *consumed = 0;
+  if (buf.empty()) return Status::OK();
+  // The type byte and each header field are checked as soon as they are
+  // in, so a garbage connection is dropped without waiting for a (lying)
+  // payload length worth of bytes to accumulate.
+  const uint8_t raw_type = static_cast<uint8_t>(buf[0]);
   if (raw_type < min_type || raw_type > max_type) {
     return Status::Corruption("unknown frame type " + std::to_string(raw_type));
   }
-  if (got < sizeof(head)) {
-    size_t rest = 0;
-    WMS_RETURN_NOT_OK(ReadUpTo(fd, head + got, sizeof(head) - got, &rest));
-    if (got + rest != sizeof(head)) return Status::Corruption("torn frame header");
-  }
-
-  uint64_t length;
-  uint32_t declared_crc;
-  WMS_RETURN_NOT_OK(DecodeHeader(head, &length, &declared_crc));
-
-  frame->type = raw_type;
-  if (act == failpoint::Action::kShortWrite) {
-    // Consume a partial payload, then fail: the connection is now mid-frame
-    // desynchronized, exactly like a peer reset halfway through a read.
-    WMS_RETURN_NOT_OK(ReadPayload(fd, static_cast<size_t>(length / 2), &frame->payload));
-    return Status::IOError("injected torn read mid-frame");
-  }
-  WMS_RETURN_NOT_OK(ReadPayload(fd, static_cast<size_t>(length), &frame->payload));
-  if (frame->payload.size() != length) return Status::Corruption("torn frame payload");
-  return CheckCrc(head, frame->payload, declared_crc);
+  size_t envelope = 0;
+  WMS_RETURN_NOT_OK(snapshot::CheckEnvelope(buf.substr(1), "frame", kMaxFramePayloadBytes,
+                                            "sanity cap", &envelope));
+  if (envelope == 0 || buf.size() - 1 < envelope) return Status::OK();
+  *type = raw_type;
+  *payload = buf.substr(kFrameHeaderBytes, envelope - snapshot::kEnvelopeHeaderBytes);
+  *consumed = 1 + envelope;
+  return Status::OK();
 }
 
 Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type,
@@ -309,31 +262,6 @@ Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type,
   std::string_view payload;
   WMS_RETURN_NOT_OK(TryDecodeFrame(buf, min_type, max_type, &frame->type, &payload, consumed));
   if (*consumed > 0) frame->payload.assign(payload);
-  return Status::OK();
-}
-
-Status TryDecodeFrame(std::string_view buf, uint8_t min_type, uint8_t max_type, uint8_t* type,
-                      std::string_view* payload, size_t* consumed) {
-  *consumed = 0;
-  if (buf.empty()) return Status::OK();
-  // The type byte and header are validated as soon as they are available —
-  // a garbage connection is dropped without waiting for a (lying) payload
-  // length worth of bytes to accumulate.
-  const uint8_t raw_type = static_cast<uint8_t>(buf[0]);
-  if (raw_type < min_type || raw_type > max_type) {
-    return Status::Corruption("unknown frame type " + std::to_string(raw_type));
-  }
-  if (buf.size() < kFrameHeaderBytes) return Status::OK();
-  uint64_t length;
-  uint32_t declared_crc;
-  WMS_RETURN_NOT_OK(DecodeHeader(buf.data(), &length, &declared_crc));
-  if (buf.size() - kFrameHeaderBytes < length) return Status::OK();
-
-  const std::string_view body = buf.substr(kFrameHeaderBytes, static_cast<size_t>(length));
-  WMS_RETURN_NOT_OK(CheckCrc(buf.data(), body, declared_crc));
-  *type = raw_type;
-  *payload = body;
-  *consumed = kFrameHeaderBytes + static_cast<size_t>(length);
   return Status::OK();
 }
 

@@ -9,12 +9,6 @@
 
 namespace wmsketch {
 
-/// Numerically stable log(1 + exp(x)); avoids overflow for large |x|.
-inline double Log1pExp(double x) {
-  if (x > 0.0) return x + std::log1p(std::exp(-x));
-  return std::log1p(std::exp(x));
-}
-
 /// Logistic sigmoid 1 / (1 + exp(-x)), stable for large |x|.
 inline double Sigmoid(double x) {
   if (x >= 0.0) {

@@ -7,7 +7,9 @@
 // merge handshake rejects every incompatible identity dimension with zero
 // aggregator mutation, CRC-corrupt frames drop the connection without
 // touching state, a peer stalled mid-frame neither slows the other workers
-// nor outlives its frame deadline, an idle aggregator does not spin,
+// nor outlives its frame deadline, an idle aggregator does not spin, a
+// burst of connections past the descriptor limit is shed without ending
+// the aggregator's loop,
 // a multi-worker merge is byte-identical to the sequential reference, and an
 // aggregator restart forces a reconnect + re-handshake + full resync.
 
@@ -16,10 +18,10 @@
 #include <pthread.h>
 #include <sys/socket.h>
 #include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -44,12 +46,14 @@
 #include "dist/frame.h"
 #include "dist/protocol.h"
 #include "dist/worker.h"
+#include "net/socket.h"
 #include "net/wire.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
 #include "util/memory_cost.h"
 #include "util/paged_table.h"
 
+#include "descriptor_limit.h"
 #include "mutation_fuzz.h"
 
 namespace wmsketch {
@@ -128,25 +132,33 @@ class ServingAggregator {
     if (!created.ok()) return;
     agg_.emplace(std::move(created).value());
     EXPECT_TRUE(agg_->Bind(socket_path).ok());
-    thread_ = std::thread([this] { serve_status_ = agg_->ServeUntilShutdown(); });
+    thread_ = std::thread([this] {
+      serve_status_ = agg_->ServeUntilShutdown();
+      returned_ = true;
+    });
   }
 
   ~ServingAggregator() { Stop(); }
 
-  // Sends kShutdown (via a throwaway client) and joins the serving thread.
+  // Sends kShutdown (via a throwaway client) unless the loop has already
+  // returned, and joins the serving thread.
   void Stop() {
     if (!thread_.joinable()) return;
-    SyncClientOptions copts;
-    copts.worker_id = 999;
-    copts.socket_path = socket_path();
-    SyncClient stopper(Method::kAwmSketch, copts);
-    EXPECT_TRUE(stopper.SendShutdown().ok());
+    if (!returned_) {
+      SyncClientOptions copts;
+      copts.worker_id = 999;
+      copts.socket_path = socket_path();
+      SyncClient stopper(Method::kAwmSketch, copts);
+      EXPECT_TRUE(stopper.SendShutdown().ok());
+    }
     thread_.join();
     EXPECT_TRUE(serve_status_.ok()) << serve_status_.ToString();
   }
 
   Aggregator& agg() { return *agg_; }
   const std::string& socket_path() const { return path_; }
+  // True once the serving loop has returned, asked to or not.
+  bool returned() const { return returned_; }
   // The serving thread's CPU time so far, in milliseconds.
   double ThreadCpuMs() {
     clockid_t clock;
@@ -164,6 +176,7 @@ class ServingAggregator {
   std::thread thread_;
   std::string path_;
   Status serve_status_;
+  std::atomic<bool> returned_{false};
 };
 
 AggregatorOptions AggOpts(const BudgetConfig& config) {
@@ -176,17 +189,9 @@ AggregatorOptions AggOpts(const BudgetConfig& config) {
 
 // A bare connection to the aggregator at `path`, for peers that speak raw
 // bytes; -1 on failure.
-int RawConnect(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
+net::UniqueFd RawConnect(const std::string& path) {
+  Result<net::UniqueFd> fd = net::DialUnix(path, 0);
+  return fd.ok() ? std::move(fd).value() : net::UniqueFd();
 }
 
 SyncClientOptions ClientOpts(uint64_t worker_id, const std::string& socket_path) {
@@ -668,14 +673,13 @@ TEST_F(DistTest, CorruptFrameDropsConnectionWithoutMutation) {
   frame.append(payload);
   frame[frame.size() - 1] ^= 0x40;  // corrupt the payload, CRC now lies
 
-  const int fd = RawConnect(path);
-  ASSERT_GE(fd, 0);
-  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+  const net::UniqueFd fd = RawConnect(path);
+  ASSERT_GE(fd.get(), 0);
+  ASSERT_EQ(::send(fd.get(), frame.data(), frame.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(frame.size()));
   // The aggregator answers a corrupt frame by closing, never by replying.
   char byte;
-  EXPECT_EQ(::read(fd, &byte, 1), 0);
-  ::close(fd);
+  EXPECT_EQ(::read(fd.get(), &byte, 1), 0);
 
   serving.Stop();
   EXPECT_EQ(serving.agg().worker_count(), 0u);
@@ -688,8 +692,8 @@ TEST_F(DistTest, SyncBeforeHandshakeIsRejected) {
   const std::string path = UniqueSocket("nohello");
   ServingAggregator serving(AggOpts(ref.value().config()), path);
 
-  const int fd = RawConnect(path);
-  ASSERT_GE(fd, 0);
+  const net::UniqueFd fd = RawConnect(path);
+  ASSERT_GE(fd.get(), 0);
   dist::SyncHeader header;
   header.worker_id = 9;
   header.session_token = 1;
@@ -697,13 +701,14 @@ TEST_F(DistTest, SyncBeforeHandshakeIsRejected) {
   std::string payload;
   dist::EncodeSyncHeader(header, &payload);
   payload += "junk";
-  ASSERT_TRUE(dist::SendFrame(fd, dist::FrameType::kDelta, payload).ok());
-  Result<dist::Frame> reply = dist::RecvFrame(fd);
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  ASSERT_EQ(reply.value().type, dist::FrameType::kError);
-  const Status st = net::DecodeErrorStatus(reply.value().payload);
+  ASSERT_TRUE(dist::SendFrame(fd.get(), dist::FrameType::kDelta, payload).ok());
+  net::Inbox inbox(dist::kFrameRules);
+  net::FrameView reply;
+  const Status received = inbox.Recv(fd.get(), &reply);
+  ASSERT_TRUE(received.ok()) << received.ToString();
+  ASSERT_EQ(reply.type, static_cast<uint8_t>(dist::FrameType::kError));
+  const Status st = net::DecodeErrorStatus(reply.payload);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-  ::close(fd);
 
   serving.Stop();
   EXPECT_EQ(serving.agg().worker_count(), 0u);
@@ -740,11 +745,11 @@ TEST_F(DistTest, PeerStalledMidFrameNeitherStallsOthersNorOutlivesItsDeadline) {
   dist::EncodeSyncHeader({9, client.session_token(), 1}, &frame);
   frame += "body";
   net::SealFrame(&frame);
-  const int peer = RawConnect(path);
-  ASSERT_GE(peer, 0);
-  ASSERT_TRUE(net::SetIoTimeouts(peer, 3 * kIoTimeoutMs).ok());
+  const net::UniqueFd peer = RawConnect(path);
+  ASSERT_GE(peer.get(), 0);
+  ASSERT_TRUE(net::SetIoTimeouts(peer.get(), 3 * kIoTimeoutMs).ok());
   const auto stalled_at = std::chrono::steady_clock::now();
-  ASSERT_EQ(::send(peer, frame.data(), 5, MSG_NOSIGNAL), 5);
+  ASSERT_EQ(::send(peer.get(), frame.data(), 5, MSG_NOSIGNAL), 5);
 
   SyntheticClassificationGen gen(ClassificationProfile::SmallTest(), 67);
   std::chrono::steady_clock::duration slowest{};
@@ -760,11 +765,10 @@ TEST_F(DistTest, PeerStalledMidFrameNeitherStallsOthersNorOutlivesItsDeadline) {
 
   // The aggregator closes the stalled connection, never answering it.
   char byte;
-  EXPECT_EQ(::read(peer, &byte, 1), 0);
+  EXPECT_EQ(::read(peer.get(), &byte, 1), 0);
   const auto dropped_after = std::chrono::steady_clock::now() - stalled_at;
   EXPECT_GE(dropped_after, std::chrono::milliseconds(kIoTimeoutMs));
   EXPECT_LT(dropped_after, std::chrono::milliseconds(2 * kIoTimeoutMs));
-  ::close(peer);
 
   Result<std::string> merged = client.FetchMergedBytes();
   ASSERT_TRUE(merged.ok()) << merged.status().ToString();
@@ -793,6 +797,42 @@ TEST_F(DistTest, IdleAggregatorBlocksInsteadOfSpinning) {
   const double busy_ms = serving.ThreadCpuMs();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_LT(serving.ThreadCpuMs() - busy_ms, 10.0);
+  serving.Stop();
+}
+
+TEST_F(DistTest, ConnectionBurstPastTheDescriptorLimitIsShed) {
+  // A burst of connections the process has no descriptors for: the
+  // aggregator sheds what it cannot take and keeps serving the worker that
+  // connected before the burst, instead of ending its loop on accept's
+  // EMFILE. The burst's sockets exist before the limit is lowered, so
+  // connecting them takes no descriptor of this process's.
+  Result<Learner> built = Builder().Build();
+  ASSERT_TRUE(built.ok());
+  Learner model = std::move(built).value();
+  Train(model, 200, 81);
+  const std::string path = UniqueSocket("burst");
+  ServingAggregator serving(AggOpts(model.config()), path);
+  SyncClient client(model.method(), ClientOpts(1, path));
+  ASSERT_TRUE(client.Connect(model.impl()).ok());
+  ASSERT_TRUE(client.Sync(model.impl()).ok());
+
+  const descriptors::Sockets burst(48);
+  SyntheticClassificationGen gen(ClassificationProfile::SmallTest(), 83);
+  {
+    descriptors::DescriptorLimit limit(/*spare=*/2);
+    burst.ConnectAll(path);
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_FALSE(serving.returned()) << "the aggregator's loop ended on the burst";
+    for (int i = 0; i < 3; ++i) {
+      TrainWindow(model, gen);
+      ASSERT_TRUE(client.Sync(model.impl()).ok()) << "sync " << i;
+    }
+  }
+  EXPECT_EQ(client.stats().retries, 0u);
+  EXPECT_FALSE(serving.returned());
+  Result<std::string> merged = client.FetchMergedBytes();
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged.value(), Bytes(model.method(), model.impl()));
   serving.Stop();
 }
 

@@ -1,5 +1,6 @@
-// The frame layer over a socket: net::RecvFrame reading from one end of a
-// socketpair what a (possibly hostile) peer wrote to the other. Seeded
+// The frame layer over a socket: net::Inbox::Recv, the clients' blocking
+// receive, reading from one end of a socketpair what a (possibly hostile)
+// peer wrote to the other. Seeded
 // mutations of a sealed sync frame, and every way a frame can go wrong on
 // the wire (a garbage type byte, a torn header, a header with a false
 // length, a truncated payload, a peer that closes mid-frame), must come back
@@ -7,7 +8,7 @@
 // builds too. A frame whose type byte and header arrive in separate writes
 // is read whole.
 //
-// The buffered path as well: net::TryDecodeFrame cuts the same frames, and
+// The frame decoder as well: net::TryDecodeFrame cuts the same frames, and
 // reaches the same verdict, whatever pieces the bytes arrive in; and an
 // aggregator fed mutated frames split across writes drops or answers every
 // bad connection while a good worker's syncs land byte for byte.
@@ -15,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -39,6 +39,7 @@
 #include "dist/frame.h"
 #include "dist/protocol.h"
 #include "dist/worker.h"
+#include "net/socket.h"
 #include "net/wire.h"
 
 #include "mutation_fuzz.h"
@@ -53,7 +54,7 @@ constexpr uint8_t kMaxType = static_cast<uint8_t>(dist::FrameType::kShutdown);
 constexpr size_t kLengthAt = 1 + 4 + 4;
 
 // A socketpair whose reading end times out after two seconds, so a
-// RecvFrame that waits for bytes that never come fails the test instead of
+// receive that waits for bytes that never come fails the test instead of
 // hanging it.
 class Pipe {
  public:
@@ -76,15 +77,20 @@ class Pipe {
     ::close(fds_[1]);
     fds_[1] = -1;
   }
+  // One receive from the reading end's inbox; an OK frame is copied out.
   Status Recv(net::TypedFrame* frame) {
-    return net::RecvFrame(fds_[0], kMinType, kMaxType, "fuzz:recv", frame);
+    net::FrameView view;
+    const Status st = inbox_.Recv(fds_[0], &view);
+    if (st.ok()) *frame = {view.type, std::string(view.payload)};
+    return st;
   }
 
  private:
   int fds_[2] = {-1, -1};
+  net::Inbox inbox_{{kMinType, kMaxType, 0, "fuzz:recv"}};
 };
 
-// What a peer that sends `bytes` and then closes gets out of RecvFrame.
+// What a peer that sends `bytes` and then closes gets out of a receive.
 Status RecvAfterClose(std::string_view bytes, net::TypedFrame* frame) {
   Pipe pipe;
   pipe.Write(bytes);
@@ -328,20 +334,6 @@ TEST(FrameFuzzTest, BufferedDecodeIsTheSameWhateverThePieces) {
   EXPECT_GT(rejected, kMutations / 2);
 }
 
-// A bare connection to the aggregator at `path`; -1 on failure.
-int RawConnect(const std::string& path) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
-
 std::string ModelBytes(const Learner& learner) {
   std::ostringstream out(std::ios::binary);
   EXPECT_TRUE(SaveClassifier(learner.method(), learner.impl(), out).ok());
@@ -400,9 +392,9 @@ TEST(FrameFuzzTest, AggregatorDropsOrAnswersEveryMutatedFrameWhileAWorkerSyncs) 
   for (int i = 0; i < kMutations; ++i) {
     const std::string bad = fuzz::Mutate(t, rng);
     if (!bad.empty() && bad[0] == kShutdown) continue;
-    const int fd = RawConnect(path);
-    ASSERT_GE(fd, 0) << "mutation " << i;
-    ASSERT_TRUE(net::SetIoTimeouts(fd, 5000).ok());
+    Result<net::UniqueFd> dialed = net::DialUnix(path, 5000);
+    ASSERT_TRUE(dialed.ok()) << "mutation " << i << ": " << dialed.status().ToString();
+    const int fd = dialed.value().get();
     const bool pause = rng() % 2 == 0;
     size_t at = 0;
     for (const size_t cut : RandomCuts(bad.size(), rng)) {
@@ -413,15 +405,16 @@ TEST(FrameFuzzTest, AggregatorDropsOrAnswersEveryMutatedFrameWhileAWorkerSyncs) 
     ::shutdown(fd, SHUT_WR);
     ++sent;
     Status st;
+    net::Inbox replies(dist::kFrameRules);
     for (;;) {
-      Result<dist::Frame> reply = dist::RecvFrame(fd);
-      st = reply.status();
-      if (!reply.ok()) break;
+      net::FrameView reply;
+      st = replies.Recv(fd, &reply);
+      if (!st.ok()) break;
       ++answered;
-      const bool fetch_answer =
-          bad[0] == kFetch && reply.value().type == dist::FrameType::kMergedState;
-      ASSERT_TRUE(reply.value().type == dist::FrameType::kError || fetch_answer)
-          << "mutation " << i << " got " << dist::FrameTypeName(reply.value().type);
+      const auto type = static_cast<dist::FrameType>(reply.type);
+      const bool fetch_answer = bad[0] == kFetch && type == dist::FrameType::kMergedState;
+      ASSERT_TRUE(type == dist::FrameType::kError || fetch_answer)
+          << "mutation " << i << " got " << dist::FrameTypeName(type);
     }
     // The connection ends in a close from the aggregator, not a timeout: a
     // clean end of stream, or a reset when it closed with bytes of ours still
@@ -430,7 +423,6 @@ TEST(FrameFuzzTest, AggregatorDropsOrAnswersEveryMutatedFrameWhileAWorkerSyncs) 
                         (st.code() == StatusCode::kIOError &&
                          st.message().find("timed out") == std::string::npos);
     ASSERT_TRUE(closed) << "mutation " << i << ": " << st.ToString();
-    ::close(fd);
   }
   stop = true;
   worker.join();

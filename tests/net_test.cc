@@ -1,5 +1,6 @@
 // Tests for the network serving tier (src/net/): the shared wire framing
-// (incremental TryDecodeFrame), bit-identical request/response round-trips
+// (incremental TryDecodeFrame, the inbox's receive and the surplus it keeps
+// between replies), bit-identical request/response round-trips
 // against direct ServingHandle calls for all seven methods, the
 // corruption/disconnect containment matrix (a bad frame or a killed client
 // costs exactly one connection, never the daemon), the version-keyed top-K
@@ -7,8 +8,9 @@
 // micro-batch dispatch structure (pipelined requests coalesce into one
 // PredictBatch call, and a half-closed pipeline is served past the size
 // cut), one snapshot pin per dispatch round (versions on a pipelined
-// connection never step back), and seeded mutation of every payload
-// decoder.
+// connection never step back), seeded mutation of every payload decoder,
+// and an acceptor that neither spins nor stops serving when a burst of
+// connections passes the descriptor limit.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <ctime>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -39,6 +43,7 @@
 #include "util/memory_cost.h"
 #include "util/random.h"
 
+#include "descriptor_limit.h"
 #include "mutation_fuzz.h"
 
 namespace wmsketch {
@@ -105,6 +110,11 @@ bool DrainUntilEof(int fd) {
     if (r < 0) return false;
   }
 }
+
+// A test's own receive: any frame type, and the serving replies.
+constexpr net::FrameRules kAnyFrame{0, 0xff, 0, "test:recv"};
+constexpr net::FrameRules kReplies{net::kMinMsgType, net::kMaxMsgType,
+                                   static_cast<uint8_t>(MsgType::kErrorResponse), "test:recv"};
 
 class NetTest : public ::testing::Test {
  protected:
@@ -176,26 +186,32 @@ TEST_F(NetTest, TryDecodeFrameRejectsCorruption) {
             StatusCode::kCorruption);
 }
 
-TEST_F(NetTest, SealedFrameMatchesEncodeFrameAndReceiveReusesItsBuffer) {
+TEST_F(NetTest, SealedFrameMatchesEncodeFrame) {
   std::string sealed = "stale bytes";
   net::BeginFrame(&sealed, 17);
   sealed += "payload-bytes";
   net::SealFrame(&sealed);
   EXPECT_EQ(sealed, net::EncodeFrame(17, "payload-bytes"));
+}
 
+TEST_F(NetTest, TwoRepliesInOneSegmentComeBackFromTwoReceivesAndOneRead) {
+  // Both frames go out in one send, so the first receive's one read takes
+  // them both. The second receive is served from what the inbox kept: it
+  // reads nothing, so a descriptor it cannot read from does not matter.
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string big(5000, 'x');
-  ASSERT_TRUE(net::SendFrame(fds[0], 17, big, "test:send").ok());
-  ASSERT_TRUE(net::SendEncodedFrame(fds[0], sealed, "test:send").ok());
-  net::TypedFrame frame;
-  ASSERT_TRUE(net::RecvFrame(fds[1], 0, 255, "test:recv", &frame).ok());
-  EXPECT_EQ(frame.payload, big);
-  const char* buffer = frame.payload.data();
-  ASSERT_TRUE(net::RecvFrame(fds[1], 0, 255, "test:recv", &frame).ok());
+  const std::string two = net::EncodeFrame(17, big) + net::EncodeFrame(18, "payload-bytes");
+  ASSERT_TRUE(net::WriteAll(fds[0], two.data(), two.size()).ok());
+  net::Inbox inbox(kAnyFrame);
+  net::FrameView frame;
+  ASSERT_TRUE(inbox.Recv(fds[1], &frame).ok());
   EXPECT_EQ(frame.type, 17);
+  EXPECT_EQ(frame.payload, big);
+  ASSERT_TRUE(inbox.Recv(-1, &frame).ok());
+  EXPECT_EQ(frame.type, 18);
   EXPECT_EQ(frame.payload, "payload-bytes");
-  EXPECT_EQ(frame.payload.data(), buffer) << "the second frame must reuse the kept buffer";
+  EXPECT_TRUE(inbox.empty());
   ::close(fds[0]);
   ::close(fds[1]);
 }
@@ -213,10 +229,10 @@ TEST_F(NetTest, LyingFrameLengthCostsBoundedMemory) {
   ASSERT_EQ(::send(fds[0], lie.data(), lie.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(lie.size()));
   ::close(fds[0]);
-  net::TypedFrame frame;
-  EXPECT_EQ(net::RecvFrame(fds[1], 0, 255, "test:recv", &frame).code(),
-            StatusCode::kCorruption);
-  EXPECT_LT(frame.payload.capacity(), size_t{1} << 20);
+  net::Inbox inbox(kAnyFrame);
+  net::FrameView frame;
+  EXPECT_EQ(inbox.Recv(fds[1], &frame).code(), StatusCode::kCorruption);
+  EXPECT_LT(inbox.capacity(), size_t{1} << 20);
   ::close(fds[1]);
 }
 
@@ -465,11 +481,12 @@ TEST_F(NetTest, MalformedPayloadAnswersErrorAndKeepsConnection) {
   ASSERT_TRUE(net::SendFrame(client.fd(), static_cast<uint8_t>(MsgType::kPredictRequest),
                              std::string(2, '\x7f'), "test:send")
                   .ok());
-  Result<net::TypedFrame> reply =
-      net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply.value().type, static_cast<uint8_t>(MsgType::kErrorResponse));
-  EXPECT_EQ(net::DecodeErrorStatus(reply.value().payload).code(), StatusCode::kCorruption);
+  net::Inbox inbox(kReplies);
+  net::FrameView reply;
+  Status received = inbox.Recv(client.fd(), &reply);
+  ASSERT_TRUE(received.ok()) << received.ToString();
+  EXPECT_EQ(reply.type, static_cast<uint8_t>(MsgType::kErrorResponse));
+  EXPECT_EQ(net::DecodeErrorStatus(reply.payload).code(), StatusCode::kCorruption);
 
   // A CRC-valid predict whose vector violates the SparseVector invariants
   // (unsorted indices) is InvalidArgument, also without dropping the conn.
@@ -491,11 +508,10 @@ TEST_F(NetTest, MalformedPayloadAnswersErrorAndKeepsConnection) {
                                std::move(os).str(), "test:send")
                     .ok());
   }
-  reply = net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
-  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_EQ(reply.value().type, static_cast<uint8_t>(MsgType::kErrorResponse));
-  EXPECT_EQ(net::DecodeErrorStatus(reply.value().payload).code(),
-            StatusCode::kInvalidArgument);
+  received = inbox.Recv(client.fd(), &reply);
+  ASSERT_TRUE(received.ok()) << received.ToString();
+  EXPECT_EQ(reply.type, static_cast<uint8_t>(MsgType::kErrorResponse));
+  EXPECT_EQ(net::DecodeErrorStatus(reply.payload).code(), StatusCode::kInvalidArgument);
 
   // Same connection, valid request: still serving.
   Result<net::TopKResponse> topk = client.TopK(4);
@@ -640,12 +656,13 @@ TEST_F(NetTest, PipelinedRequestsCoalesceIntoOneBatchDispatch) {
 
   Result<ServingHandle> direct = learner.AcquireServingHandle();
   ASSERT_TRUE(direct.ok());
+  net::Inbox inbox(kReplies);
   for (size_t i = 0; i < queries.size(); ++i) {
-    Result<net::TypedFrame> reply =
-        net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    ASSERT_EQ(reply.value().type, static_cast<uint8_t>(MsgType::kPredictResponse));
-    Result<net::PredictResponse> resp = net::DecodePredictResponse(reply.value().payload);
+    net::FrameView reply;
+    const Status received = inbox.Recv(client.fd(), &reply);
+    ASSERT_TRUE(received.ok()) << received.ToString();
+    ASSERT_EQ(reply.type, static_cast<uint8_t>(MsgType::kPredictResponse));
+    Result<net::PredictResponse> resp = net::DecodePredictResponse(reply.payload);
     ASSERT_TRUE(resp.ok());
     ASSERT_EQ(resp.value().margins.size(), 1u);
     // Bit-identical to the direct (unbatched) serving read.
@@ -694,11 +711,12 @@ TEST_F(NetTest, MixedPipelinePreservesPerConnectionOrder) {
 
   const MsgType expected[] = {MsgType::kPredictResponse, MsgType::kTopKResponse,
                               MsgType::kEstimateResponse, MsgType::kModelInfoResponse};
+  net::Inbox inbox(kReplies);
   for (const MsgType want : expected) {
-    Result<net::TypedFrame> reply =
-        net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
-    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply.value().type, static_cast<uint8_t>(want));
+    net::FrameView reply;
+    const Status received = inbox.Recv(client.fd(), &reply);
+    ASSERT_TRUE(received.ok()) << received.ToString();
+    EXPECT_EQ(reply.type, static_cast<uint8_t>(want));
   }
 }
 
@@ -736,13 +754,14 @@ TEST_F(NetTest, HalfClosedPipelineIsServedPastTheSizeCut) {
     ASSERT_TRUE(net::WriteAll(client.fd(), pipelined.data(), pipelined.size()).ok());
     ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
 
+    net::Inbox inbox(kReplies);
     for (size_t i = 0; i < queries.size(); ++i) {
-      Result<net::TypedFrame> reply =
-          net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
-      ASSERT_TRUE(reply.ok()) << "connection " << c << ", reply " << i << " of "
-                              << queries.size() << ": " << reply.status().ToString();
-      ASSERT_EQ(reply.value().type, static_cast<uint8_t>(MsgType::kPredictResponse));
-      Result<net::PredictResponse> resp = net::DecodePredictResponse(reply.value().payload);
+      net::FrameView reply;
+      const Status received = inbox.Recv(client.fd(), &reply);
+      ASSERT_TRUE(received.ok()) << "connection " << c << ", reply " << i << " of "
+                                 << queries.size() << ": " << received.ToString();
+      ASSERT_EQ(reply.type, static_cast<uint8_t>(MsgType::kPredictResponse));
+      Result<net::PredictResponse> resp = net::DecodePredictResponse(reply.payload);
       ASSERT_TRUE(resp.ok());
       ASSERT_EQ(resp.value().margins.size(), 1u);
       EXPECT_EQ(resp.value().margins[0], direct.value().PredictMargin(queries[i].x));
@@ -804,18 +823,19 @@ TEST_F(NetTest, PipelinedVersionsNeverStepBackWhileTheWriterPublishes) {
   } join_writer{stop, writer};
 
   constexpr int kRounds = 2000;
+  net::Inbox inbox(kReplies);
   uint64_t first = 0;
   uint64_t newest = 0;
   int step_backs = 0;
   for (int round = 0; round < kRounds; ++round) {
     ASSERT_TRUE(net::WriteAll(client.fd(), pipelined.data(), pipelined.size()).ok());
     for (int reply = 0; reply < 4; ++reply) {
-      Result<net::TypedFrame> frame =
-          net::RecvFrame(client.fd(), net::kMinMsgType, net::kMaxMsgType, "test:recv");
-      ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-      const std::string& payload = frame.value().payload;
+      net::FrameView frame;
+      const Status received = inbox.Recv(client.fd(), &frame);
+      ASSERT_TRUE(received.ok()) << received.ToString();
+      const std::string_view payload = frame.payload;
       uint64_t version = 0;
-      switch (static_cast<MsgType>(frame.value().type)) {
+      switch (static_cast<MsgType>(frame.type)) {
         case MsgType::kEstimateResponse:
           version = net::DecodeEstimateResponse(payload).value().version;
           break;
@@ -829,7 +849,7 @@ TEST_F(NetTest, PipelinedVersionsNeverStepBackWhileTheWriterPublishes) {
           version = net::DecodeModelInfoResponse(payload).value().snapshot_version;
           break;
         default:
-          FAIL() << "unexpected reply type " << int{frame.value().type};
+          FAIL() << "unexpected reply type " << int{frame.type};
       }
       if (first == 0) first = version;
       if (version < newest) ++step_backs;
@@ -842,6 +862,49 @@ TEST_F(NetTest, PipelinedVersionsNeverStepBackWhileTheWriterPublishes) {
 }
 
 // ------------------------------------------------------------- lifecycle
+
+// CPU time of the whole process so far, in milliseconds.
+double ProcessCpuMs() {
+  timespec ts{};
+  EXPECT_EQ(::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts), 0);
+  return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
+TEST_F(NetTest, ConnectionBurstPastTheDescriptorLimitNeitherSpinsNorStopsServing) {
+  // A burst of connections the process has no descriptors for: the
+  // acceptor sheds what it cannot take instead of leaving it in the backlog,
+  // where it would keep the listener readable and the acceptor spinning.
+  // While this thread sleeps, the daemon's idle threads are all that can
+  // spend CPU, so the process's CPU over 200 ms is theirs. The burst's
+  // sockets exist before the limit is lowered, so connecting them takes no
+  // descriptor of this process's.
+  Learner learner = TrainedLearner(Method::kWmSketch);
+  const std::string path = UniqueSocket("burst");
+  ServerOptions options;
+  options.unix_path = path;
+  options.readers = 1;
+  auto server = StartServer(learner, options);
+  Result<ServingClient> connected = ServingClient::ConnectUnix(path, 2000);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ServingClient client = std::move(connected).value();
+  ASSERT_TRUE(client.TopK(4).ok());
+
+  const descriptors::Sockets burst(48);
+  double busy_ms = 0.0;
+  {
+    descriptors::DescriptorLimit limit(/*spare=*/2);
+    burst.ConnectAll(path);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    const double before = ProcessCpuMs();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    busy_ms = ProcessCpuMs() - before;
+    Result<net::TopKResponse> topk = client.TopK(4);
+    EXPECT_TRUE(topk.ok()) << topk.status().ToString();
+  }
+  EXPECT_LT(busy_ms, 10.0);
+  Result<net::TopKResponse> topk = client.TopK(4);
+  EXPECT_TRUE(topk.ok()) << topk.status().ToString();
+}
 
 TEST_F(NetTest, ShutdownFrameStopsTheDaemon) {
   Learner learner = TrainedLearner(Method::kWmSketch);

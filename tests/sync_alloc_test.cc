@@ -7,10 +7,11 @@
 // aggregator's thread only). The warm-up window is larger than the measured
 // ones, so the buffers it sizes hold what the measured windows need. On the
 // aggregator the full sync that precedes every delta leaves a buffer with
-// room for a delta, so the first delta after it allocates nothing either.
-// The receive path has its own cases: net::ReadAvailable takes a large frame
-// (a sync worker's full snapshot) with one reserve of its declared size, and
-// a small one with the one allocation of its read.
+// room for a delta, so the first delta after it allocates nothing either;
+// and SyncClient::Sync allocates nothing on the worker's thread. The
+// receive path has its own cases: a net::Inbox takes a large frame (a sync
+// worker's full snapshot) with one growth to its declared size, and a small
+// one with the one allocation of its first read.
 
 #include <gtest/gtest.h>
 
@@ -245,54 +246,112 @@ TEST(SyncAllocTest, FirstDeltaAfterAFullSyncAllocatesNothingOnTheAggregator) {
   EXPECT_EQ(ServedDeltaAllocations(0), 0u);
 }
 
+TEST(SyncAllocTest, WorkerSyncsADeltaWithoutAllocating) {
+  // The worker's side of the same sync: once a full snapshot and one
+  // warm-up window have sized the outgoing frame and the inbox, a delta
+  // sync (frame, send, wait, ack, reply check, next window) allocates
+  // nothing on the worker's thread. The aggregator runs on another thread.
+  const std::vector<Example> stream =
+      Stream(kWarmExamples + kWarmUpWindow + kMeasuredWindows * kWindow);
+  Result<Learner> built = SyncBuilder().Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Learner learner = std::move(built).value();
+  dist::AggregatorOptions options;
+  options.config = learner.config();
+  options.opts = learner.options();
+  Result<dist::Aggregator> created = dist::Aggregator::Create(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  dist::Aggregator agg = std::move(created).value();
+  const std::string path = "/tmp/wms_walloc_" + std::to_string(::getpid());
+  ASSERT_TRUE(agg.Bind(path).ok());
+  std::atomic<bool> stop{false};
+  Status polled;
+  std::thread aggregator([&] {
+    while (!stop && polled.ok()) polled = agg.PollOnce(5);
+  });
+
+  dist::SyncClientOptions copts;
+  copts.worker_id = 1;
+  copts.socket_path = path;
+  dist::SyncClient client(learner.method(), copts);
+  size_t at = 0;
+  auto train = [&](size_t n) {
+    learner.UpdateBatch(std::span<const Example>(stream.data() + at, n));
+    at += n;
+  };
+  Status synced = client.Connect(learner.impl());
+  if (synced.ok()) {
+    train(kWarmExamples);
+    synced = client.Sync(learner.impl());
+  }
+  if (synced.ok()) {
+    train(kWarmUpWindow);
+    synced = client.Sync(learner.impl());
+  }
+  for (int w = 0; w < kMeasuredWindows && synced.ok(); ++w) {
+    train(kWindow);
+    EXPECT_EQ(AllocationsIn([&] { synced = client.Sync(learner.impl()); }), 0u)
+        << "Sync, window " << w;
+  }
+  stop = true;
+  aggregator.join();
+  ASSERT_TRUE(synced.ok()) << synced.ToString();
+  EXPECT_TRUE(polled.ok()) << polled.ToString();
+  EXPECT_EQ(client.stats().delta_syncs, 1u + kMeasuredWindows);
+  EXPECT_EQ(client.stats().retries, 0u);
+}
+
 // A frame of `frame_bytes` on the wire (header included), sent from another
-// thread over a socketpair and drained with net::ReadAvailable as it
-// arrives, the way the serving readers and the aggregator receive. Returns
-// the receiving thread's allocations and bytes allocated, and the buffer.
+// thread over a socketpair and drained into a net::Inbox with Fill as it
+// arrives, the way the serving readers and the aggregator receive, until it
+// is cut. Returns the receiving thread's allocations and bytes allocated.
 struct Received {
   uint64_t allocations = 0;
   uint64_t bytes = 0;
-  std::string buffer;
 };
 
 Received ReceiveOneFrame(size_t frame_bytes) {
-  const std::string frame =
-      net::EncodeFrame(1, std::string(frame_bytes - net::kFrameHeaderBytes, 'x'));
+  const std::string payload(frame_bytes - net::kFrameHeaderBytes, 'x');
+  const std::string frame = net::EncodeFrame(1, payload);
   int fds[2];
   EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   std::thread sender([&] { EXPECT_TRUE(net::SendEncodedFrame(fds[0], frame, "test:send").ok()); });
+  net::Inbox inbox({0, 0xff, 0, "test:recv"});
+  net::FrameView cut_frame;
+  bool cut = false;
   Received got;
   const uint64_t allocations = t_allocations;
   const uint64_t bytes = t_allocated_bytes;
-  bool eof = false;
-  while (got.buffer.size() < frame.size() && !eof) {
+  while (!cut && !inbox.eof()) {
     pollfd pfd{fds[1], POLLIN, 0};
     if (::poll(&pfd, 1, 5000) <= 0) break;
-    if (!net::ReadAvailable(fds[1], &got.buffer, &eof, "test:recv")) break;
+    if (!inbox.Fill(fds[1]) || !inbox.Next(&cut_frame, &cut).ok()) break;
   }
   got.allocations = t_allocations - allocations;
   got.bytes = t_allocated_bytes - bytes;
   sender.join();
   ::close(fds[0]);
   ::close(fds[1]);
-  EXPECT_EQ(got.buffer, frame);
+  EXPECT_TRUE(cut);
+  EXPECT_TRUE(cut_frame.payload == payload);
   return got;
 }
 
-TEST(SyncAllocTest, ReadAvailableReceivesALargeFrameWithOneReserve) {
+TEST(SyncAllocTest, InboxReceivesALargeFrameWithOneGrowth) {
   // 272,405 bytes: a full snapshot of the perfbench `sync` worker's model,
   // the first sync every worker sends. Growing the buffer by doubling per
   // 64 KiB read would take 4 allocations and 983,044 bytes on this frame;
-  // the reserve takes one of 272,406.
+  // the inbox takes its first 8 KiB, then grows once to the frame's
+  // declared size and room for one more read: 2 allocations, 288,789 bytes.
   constexpr size_t kFrameBytes = 272405;
   const Received got = ReceiveOneFrame(kFrameBytes);
   EXPECT_LE(got.allocations, 2u);
   EXPECT_LE(got.bytes, kFrameBytes + (size_t{64} << 10));
 }
 
-TEST(SyncAllocTest, ReadAvailableReceivesASmallFrameWithOneAllocation) {
-  // Requests and deltas are under the 64 KiB read size: one read, one
-  // allocation, as before the reserve existed.
+TEST(SyncAllocTest, InboxReceivesASmallFrameWithOneAllocation) {
+  // Requests, replies and deltas fit the inbox's first 8 KiB: one read, one
+  // allocation.
   const Received got = ReceiveOneFrame(4096);
   EXPECT_EQ(got.allocations, 1u);
   EXPECT_LE(got.bytes, 2 * 4096u);

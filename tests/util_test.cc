@@ -225,13 +225,6 @@ TEST(AliasTest, ProbabilitiesNormalized) {
 
 // ------------------------------------------------------------------- Math
 
-TEST(MathTest, Log1pExpStable) {
-  EXPECT_NEAR(Log1pExp(0.0), std::log(2.0), 1e-12);
-  EXPECT_NEAR(Log1pExp(-100.0), 0.0, 1e-12);
-  EXPECT_NEAR(Log1pExp(100.0), 100.0, 1e-9);
-  EXPECT_NEAR(Log1pExp(3.0), std::log1p(std::exp(3.0)), 1e-12);
-}
-
 TEST(MathTest, SigmoidStableAndSymmetric) {
   EXPECT_DOUBLE_EQ(Sigmoid(0.0), 0.5);
   EXPECT_NEAR(Sigmoid(1000.0), 1.0, 1e-12);
